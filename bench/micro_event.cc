@@ -1,7 +1,7 @@
 // Microbenchmarks for the event hot path: EventQueue push/pop with
 // inline-storage closures.
 //
-// Every simulated event passes through Push -> heap sift -> Pop -> invoke.
+// Every simulated event passes through PushKeyed -> heap sift -> Pop -> invoke.
 // With std::function envelopes, any capture past ~2 pointers paid a malloc
 // on push and a free on pop — at engine scale, one allocator round-trip per
 // event. EventFn (common::InlineFunction) stores the capture inside the
@@ -79,12 +79,13 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   // A standing population of 32 events keeps the sifts realistic (depth-5
   // heap) while each iteration does one push + one pop + one invoke.
   SimTime now = 0;
+  uint64_t seq = 0;
   for (int i = 0; i < 32; ++i) {
-    q.Push(now + 1 + (i * 7) % 32, Payload<Bytes>{{1}, &sink});
+    q.PushKeyed(now + 1 + (i * 7) % 32, /*src=*/0, seq++, Payload<Bytes>{{1}, &sink});
   }
   const uint64_t allocs_before = g_alloc_count;
   for (auto _ : state) {
-    q.Push(now + 1 + (sink % 32), Payload<Bytes>{{1}, &sink});
+    q.PushKeyed(now + 1 + (sink % 32), /*src=*/0, seq++, Payload<Bytes>{{1}, &sink});
     SimTime t;
     EventFn fn = q.Pop(&t);
     now = t;
@@ -145,7 +146,7 @@ void BM_EventQueueBurst(benchmark::State& state) {
     const uint64_t allocs_after_reserve = g_alloc_count;
     state.ResumeTiming();
     for (int i = 0; i < kBurst; ++i) {
-      q.Push((i * 2654435761u) % kBurst, Payload<64>{{1}, &sink});
+      q.PushKeyed((i * 2654435761u) % kBurst, /*src=*/0, i, Payload<64>{{1}, &sink});
     }
     SimTime t;
     while (!q.empty()) q.Pop(&t)();

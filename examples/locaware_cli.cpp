@@ -28,7 +28,8 @@ int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [options]\n"
                "       %s convert IN OUT\n"
-               "  --protocol=NAME     flooding | dicas | dicas-keys | locaware\n"
+               "  --protocol=NAME     flooding | dicas | dicas-keys | locaware |\n"
+               "                      dht | hybrid\n"
                "  --queries=N         number of queries (default 5000)\n"
                "  --seed=S            RNG seed (default 42)\n"
                "  --buckets=B         series resolution (default 10)\n"

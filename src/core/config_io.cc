@@ -206,15 +206,6 @@ Result<ExperimentConfig> ParseConfig(const std::string& text) {
     target = static_cast<cast>(v.ValueOrDie());                 \
   }
 
-    // The pre-SchedulerConfig flat spellings still parse (existing config
-    // files and `locaware_cli --set` scripts keep working) but warn: they
-    // are one consolidation away from removal.
-    auto deprecated = [&](const char* new_key) {
-      std::fprintf(stderr,
-                   "config: key '%s' is deprecated, use '%s' (line %zu)\n",
-                   kv.key.c_str(), new_key, lineno);
-    };
-
     if (kv.key == "label") {
       c.label = kv.value;
     } else if (kv.key == "protocol") {
@@ -235,15 +226,6 @@ Result<ExperimentConfig> ParseConfig(const std::string& text) {
       c.scheduler.placement = v.ValueOrDie();
     } else if (kv.key == "scheduler.event_reserve_hint") {
       LOCAWARE_ASSIGN(u64, c.scheduler.event_reserve_hint, size_t)
-    } else if (kv.key == "shards") {
-      deprecated("scheduler.shards");
-      LOCAWARE_ASSIGN(u64, c.scheduler.shards, uint32_t)
-    } else if (kv.key == "workers") {
-      deprecated("scheduler.workers");
-      LOCAWARE_ASSIGN(u64, c.scheduler.workers, uint32_t)
-    } else if (kv.key == "work_stealing") {
-      deprecated("scheduler.work_stealing");
-      LOCAWARE_ASSIGN(b, c.scheduler.work_stealing, bool)
     } else if (kv.key == "num_peers") {
       LOCAWARE_ASSIGN(u64, c.num_peers, size_t)
     } else if (kv.key == "avg_degree") {
@@ -287,9 +269,6 @@ Result<ExperimentConfig> ParseConfig(const std::string& text) {
       LOCAWARE_ASSIGN(u64, c.workload.max_query_keywords, size_t)
     } else if (kv.key == "trace_path") {
       c.trace_path = kv.value;
-    } else if (kv.key == "event_reserve_hint") {
-      deprecated("scheduler.event_reserve_hint");
-      LOCAWARE_ASSIGN(u64, c.scheduler.event_reserve_hint, size_t)
     } else if (kv.key == "churn.enabled") {
       LOCAWARE_ASSIGN(b, c.churn.enabled, bool)
     } else if (kv.key == "churn.mean_session_s") {

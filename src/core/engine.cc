@@ -30,6 +30,17 @@ Result<std::unique_ptr<Engine>> Engine::Create(const ExperimentConfig& config) {
   if (cfg.scheduler.shards == 0) {
     return Status::InvalidArgument("scheduler.shards must be > 0");
   }
+  // More shards than peers only adds empty shards, each one more window
+  // participant: the run slows without bound and gains nothing.
+  if (cfg.scheduler.shards > cfg.num_peers) {
+    return Status::InvalidArgument("scheduler.shards must be <= num_peers");
+  }
+  if (cfg.params.bloom_bits == 0) {
+    return Status::InvalidArgument("params.bloom_bits must be > 0");
+  }
+  if (cfg.params.bloom_hashes == 0 || cfg.params.bloom_hashes > 16) {
+    return Status::InvalidArgument("params.bloom_hashes must be in [1, 16]");
+  }
 
   auto engine = std::unique_ptr<Engine>(new Engine(cfg));
   LOCAWARE_RETURN_NOT_OK(engine->Setup());
@@ -177,28 +188,21 @@ Status Engine::Setup() {
   auto built_graph = overlay::OverlayGraph::Generate(ocfg, &overlay_rng);
   if (!built_graph.ok()) return built_graph.status();
   graph_ = std::make_unique<overlay::OverlayGraph>(std::move(built_graph).ValueOrDie());
-  graph_->BindArenas([this](PeerId p) { return arenas_[shard_of(p)].get(); });
+  graph_->BindArenas([this](PeerId p) { return arena_of(p); });
 
-  // 4. Nodes.
+  // 4. Nodes; the protocol allocates the per-peer state it uses.
   if (config_.params.num_groups == 0) {
     return Status::InvalidArgument("num_groups must be > 0");
   }
+  protocol_ = MakeProtocol(config_.protocol, config_.params);
   Rng gid_rng = root_rng_.Split("gids");
   nodes_.resize(config_.num_peers);
-  dht_family_ = config_.protocol == ProtocolKind::kDht ||
-                config_.protocol == ProtocolKind::kHybrid;
-  // kDht runs without any response index; kHybrid carries Locaware's full
-  // unstructured cache stack alongside the DHT routing state.
-  const bool caches = config_.protocol != ProtocolKind::kFlooding &&
-                      config_.protocol != ProtocolKind::kDht;
-  const bool is_locaware = config_.protocol == ProtocolKind::kLocaware ||
-                           config_.protocol == ProtocolKind::kHybrid;
   for (PeerId p = 0; p < config_.num_peers; ++p) {
     NodeState& n = nodes_[p];
     n.id = p;
     n.loc_id = loc_ids[p];
     n.gid = static_cast<GroupId>(gid_rng.UniformInt(0, config_.params.num_groups - 1));
-    common::Arena* arena = arenas_[shard_of(p)].get();
+    common::Arena* arena = arena_of(p);
     n.file_store.set_arena(arena);
     n.file_store.assign(initial_files[p].begin(), initial_files[p].end());
     // Flat per-peer tables draw their buffers from the owner shard's arena
@@ -208,26 +212,10 @@ Status Engine::Setup() {
     n.neighbor_degree.set_arena(arena);
     n.seen_queries.set_arena(arena);
     n.reverse_path.set_arena(arena);
-    if (caches) {
-      cache::ResponseIndexConfig ri_cfg = config_.params.ri;
-      ri_cfg.eviction_seed = config_.seed ^ (0x9e3779b97f4a7c15ULL * (p + 1));
-      ri_cfg.arena = arena;
-      n.ri = std::make_unique<cache::ResponseIndex>(ri_cfg);
-    }
-    if (is_locaware) {
-      n.keyword_filter = std::make_unique<bloom::CountingBloomFilter>(
-          config_.params.bloom_bits, config_.params.bloom_hashes);
-      n.advertised_filter = std::make_unique<bloom::BloomFilter>(
-          config_.params.bloom_bits, config_.params.bloom_hashes);
-    }
-    if (dht_family_) {
-      n.dht = std::make_unique<dht::RoutingState>();
-      n.dht->BindArena(arena);
-    }
+    protocol_->InitNodeState(n, config_.seed, arena);
   }
 
-  // 5. Protocol + initial link handshakes.
-  protocol_ = MakeProtocol(config_.protocol, config_.params);
+  // 5. Initial link handshakes.
   for (PeerId p = 0; p < config_.num_peers; ++p) {
     for (PeerId nb : graph_->Neighbors(p)) {
       if (nb > p) protocol_->OnLinkUp(*this, p, nb);
@@ -257,31 +245,19 @@ Status Engine::Setup() {
     ScheduleChurnTimeline();
   }
 
-  // 6b. Chord ring + initial routing tables. The ring order is an immutable
-  // function of the peer count (the DHT's bootstrap directory, like the
-  // churn timeline); the per-peer tables are derived against the time-0
-  // online set — every peer, since churn transitions all start later (a
-  // default-constructed timeline reports everyone online).
-  if (dht_family_) {
-    dht_ring_ = dht::Ring::Build(config_.num_peers);
-    const auto online_at_start = [&](PeerId c) {
-      return !config_.churn.enabled || churn_timeline_.IsOnlineAt(c, 0);
-    };
-    for (PeerId p = 0; p < config_.num_peers; ++p) {
-      dht::ComputeTables(dht_ring_, p, config_.params.dht_successors,
-                         config_.params.dht_fingers, online_at_start,
-                         nodes_[p].dht.get());
-    }
-  }
+  // 6b. Protocol setup that needs the finished engine (the DHT plane's ring
+  // and initial routing tables).
+  protocol_->OnSetupComplete(*this);
 
-  // 7. Periodic maintenance (index expiry; Locaware Bloom gossip; under
-  // churn, orphan re-attachment — a lone probe lost to a mid-flight
-  // departure must not strand a peer at degree 0 for its whole session).
+  // 7. Periodic maintenance (index expiry; Locaware Bloom gossip; DHT
+  // republish; under churn, orphan re-attachment — a lone probe lost to a
+  // mid-flight departure must not strand a peer at degree 0 for its whole
+  // session).
   // Start ticks are staggered so 1000 nodes do not fire in the same
   // microsecond. The initial offset events come from the controller source;
   // every rescheduled tick is keyed by the node itself, keeping the tick
   // chain's tie-break order shard-count-invariant.
-  if (caches || config_.churn.enabled || dht_family_) {
+  if (protocol_->NeedsMaintenanceTicks() || config_.churn.enabled) {
     Rng stagger_rng = root_rng_.Split("maintenance");
     for (PeerId p = 0; p < config_.num_peers; ++p) {
       const sim::SimTime offset = static_cast<sim::SimTime>(stagger_rng.UniformInt(
@@ -385,12 +361,13 @@ void Engine::ScheduleFromNode(PeerId src, PeerId dst, sim::SimTime delay,
   sim_->ScheduleAt(shard_of(dst), SourceOf(src), sim_->Now() + delay, std::move(fn));
 }
 
+void Engine::Send(PeerId from, PeerId to, sim::EventFn deliver) {
+  ScheduleFromNode(from, to, OneWayDelay(from, to), std::move(deliver));
+}
+
 void Engine::MaintenanceWork(PeerId p) {
   if (!graph_->IsAlive(p)) return;
-  if (config_.protocol != ProtocolKind::kFlooding) {
-    protocol_->OnMaintenanceTick(*this, p);
-  }
-  if (dht_family_) DhtMaintenance(p);
+  protocol_->OnMaintenanceTick(*this, p);
   if (config_.churn.enabled && graph_->Degree(p) == 0) {
     StartLinkProbes(p, 1);
   }
@@ -536,19 +513,16 @@ void Engine::SubmitQuery(const catalog::QueryEvent& ev) {
   pq.requester = ev.requester;
   pq.requester_loc = origin.loc_id;
   pq.keywords = std::move(sorted_kws);
+  shard.pending.try_emplace(ev.id, std::move(pq));
 
   // The requester's own response index may already know providers.
   overlay::RecordVec local = protocol_->AnswerFromIndex(*this, ev.requester, query);
   if (!local.empty()) {
-    for (overlay::ResponseRecord& record : local) {
-      pq.offers.push_back(PendingQuery::Offer{std::move(record), ev.requester});
-    }
-    shard.pending.try_emplace(ev.id, std::move(pq));
+    OfferRecords(ev.requester, ev.id, ev.requester, std::move(local), /*hops=*/0);
     FinalizeQuery(ev.requester, ev.id);
     return;
   }
 
-  shard.pending.try_emplace(ev.id, std::move(pq));
   origin.seen_queries.insert(ev.id);
   TouchPeer(shard_of(ev.requester), ev.id, ev.requester);
 
@@ -577,18 +551,11 @@ size_t Engine::ForwardQuery(PeerId node_id, PeerId from,
   shared.mutable_msg()->ttl -= 1;
   shared.mutable_msg()->hops += 1;
 
-  const size_t slot = SlotOf(shard_of(node_id), msg.qid);
-  const size_t wire_bytes = EstimateSizeBytes(*shared, catalog_);
+  ChargeQueryTraffic(node_id, msg.qid, Traffic::kQuery,
+                     EstimateSizeBytes(*shared, catalog_), targets.size());
   for (PeerId target : targets) {
-    if (slot != SIZE_MAX) {
-      metrics::QueryRecord* record = CollectorAt(node_id).Record(slot);
-      ++record->query_msgs;
-      record->query_bytes += wire_bytes;
-    }
-    ScheduleFromNode(node_id, target, OneWayDelay(node_id, target),
-                     [this, target, node_id, shared] {
-                       DeliverQuery(target, node_id, shared);
-                     });
+    Send(node_id, target,
+         [this, target, node_id, shared] { DeliverQuery(target, node_id, shared); });
   }
   return targets.size();
 }
@@ -624,16 +591,25 @@ void Engine::DeliverQuery(PeerId to, PeerId from, const QueryPayloadRef& msg_ref
 
 void Engine::SendResponse(PeerId sender, PeerId next_hop,
                           overlay::ResponseMessage msg) {
-  const size_t slot = SlotOf(shard_of(sender), msg.qid);
-  if (slot != SIZE_MAX) {
-    metrics::QueryRecord* record = CollectorAt(sender).Record(slot);
-    ++record->response_msgs;
-    record->response_bytes += EstimateSizeBytes(msg, catalog_);
+  ChargeQueryTraffic(sender, msg.qid, Traffic::kResponse,
+                     EstimateSizeBytes(msg, catalog_));
+  Send(sender, next_hop, [this, next_hop, sender, msg = std::move(msg)] {
+    DeliverResponse(next_hop, sender, msg);
+  });
+}
+
+void Engine::ChargeQueryTraffic(PeerId at, QueryId qid, Traffic traffic, size_t bytes,
+                                size_t count) {
+  const size_t slot = SlotOf(shard_of(at), qid);
+  if (slot == SIZE_MAX) return;
+  metrics::QueryRecord* record = CollectorAt(at).Record(slot);
+  if (traffic == Traffic::kQuery) {
+    record->query_msgs += count;
+    record->query_bytes += count * bytes;
+  } else {
+    record->response_msgs += count;
+    record->response_bytes += count * bytes;
   }
-  ScheduleFromNode(sender, next_hop, OneWayDelay(sender, next_hop),
-                   [this, next_hop, sender, msg = std::move(msg)] {
-                     DeliverResponse(next_hop, sender, msg);
-                   });
 }
 
 void Engine::DeliverResponse(PeerId to, PeerId /*from*/, overlay::ResponseMessage msg) {
@@ -645,19 +621,7 @@ void Engine::DeliverResponse(PeerId to, PeerId /*from*/, overlay::ResponseMessag
   protocol_->ObserveResponse(*this, to, msg);
 
   if (to == msg.origin) {
-    ShardState& shard = shards_[shard_of(to)];
-    auto it = shard.pending.find(msg.qid);
-    if (it == shard.pending.end()) return;  // arrived after the deadline
-    PendingQuery& pq = it->second;
-    metrics::QueryRecord* record = shard.metrics.Record(pq.slot);
-    ++record->responses_received;
-    if (record->first_response_at == 0) {
-      record->first_response_at = sim_->Now();
-      record->first_response_hops = msg.hops;
-    }
-    for (overlay::ResponseRecord& rec : msg.records) {
-      pq.offers.push_back(PendingQuery::Offer{std::move(rec), msg.responder});
-    }
+    OfferRecords(to, msg.qid, msg.responder, std::move(msg.records), msg.hops);
     return;
   }
 
@@ -665,6 +629,28 @@ void Engine::DeliverResponse(PeerId to, PeerId /*from*/, overlay::ResponseMessag
   auto next = n.reverse_path.find(msg.qid);
   if (next == n.reverse_path.end()) return;  // path lost (churn or cleanup)
   SendResponse(to, next->second, msg);
+}
+
+void Engine::OfferRecords(PeerId origin, QueryId qid, PeerId responder,
+                          overlay::RecordVec records, uint32_t hops) {
+  ShardState& shard = shards_[shard_of(origin)];
+  auto it = shard.pending.find(qid);
+  if (it == shard.pending.end()) return;  // arrived after the deadline
+  PendingQuery& pq = it->second;
+  bool matched = false;
+  for (overlay::ResponseRecord& rec : records) {
+    // A DHT owner indexes one keyword; the query may demand several.
+    if (!catalog_.MatchesSorted(rec.file, pq.keywords)) continue;
+    matched = true;
+    pq.offers.push_back(PendingQuery::Offer{std::move(rec), responder});
+  }
+  if (!matched || hops == 0) return;
+  metrics::QueryRecord* record = shard.metrics.Record(pq.slot);
+  ++record->responses_received;
+  if (record->first_response_at == 0) {
+    record->first_response_at = sim_->Now();
+    record->first_response_hops = hops;
+  }
 }
 
 void Engine::FinalizeQuery(PeerId origin, QueryId qid) {
@@ -791,11 +777,10 @@ void Engine::CleanupShard(sim::ShardId shard_id, QueryId qid) {
 void Engine::SendBloomUpdate(PeerId from, PeerId to,
                              overlay::BloomUpdateMessage update) {
   CollectorAt(from).AddBloomUpdate(1, EstimateSizeBytes(update));
-  ScheduleFromNode(from, to, OneWayDelay(from, to),
-                   [this, to, update = std::move(update)] {
-                     if (!graph_->IsAlive(to)) return;
-                     protocol_->OnBloomUpdate(*this, to, update);
-                   });
+  Send(from, to, [this, to, update = std::move(update)] {
+    if (!graph_->IsAlive(to)) return;
+    protocol_->OnBloomUpdate(*this, to, update);
+  });
 }
 
 void Engine::ChargeMaintenance(uint64_t messages, uint64_t bytes) {
@@ -841,8 +826,7 @@ void Engine::HandleDeparture(PeerId p) {
   for (PeerId nb : dropped) {
     overlay::LinkDropMessage msg{p, ending_epoch};
     CollectorAt(p).AddRepairTraffic(1, EstimateSizeBytes(msg));
-    ScheduleFromNode(p, nb, OneWayDelay(p, nb),
-                     [this, nb, msg] { DeliverLinkDrop(nb, msg); });
+    Send(p, nb, [this, nb, msg] { DeliverLinkDrop(nb, msg); });
   }
 
   // Session state dies with the session; the response index survives on disk
@@ -853,9 +837,7 @@ void Engine::HandleDeparture(PeerId p) {
   n.neighbor_filters.clear();
   n.neighbor_gids.clear();
   n.neighbor_degree.clear();
-  // Routing tables, in-flight lookups and the owned keyword store die with
-  // the session; republish after rejoin repopulates the ring.
-  if (dht_family_) n.dht->ResetForDeparture();
+  protocol_->OnDeparture(*this, p);
 }
 
 void Engine::HandleRejoin(PeerId p) {
@@ -863,10 +845,7 @@ void Engine::HandleRejoin(PeerId p) {
   CollectorAt(p).AddChurnEvent();
   graph_->GoOnline(p);  // fresh session epoch
   StartLinkProbes(p, config_.churn.rejoin_links);
-  // Rebuild routing tables immediately so the fresh session can route; its
-  // keyword store refills via the next maintenance tick's republish
-  // (last_publish was reset to the never-published sentinel at departure).
-  if (dht_family_) DhtStabilize(p);
+  protocol_->OnRejoin(*this, p);
 }
 
 overlay::LinkAnnounce Engine::MakeAnnounce(PeerId p, bool with_filter) {
@@ -905,10 +884,7 @@ void Engine::StartLinkProbes(PeerId p, size_t want) {
   for (PeerId cand : picked) {
     overlay::LinkProbeMessage msg{MakeAnnounce(p, /*with_filter=*/false)};
     CollectorAt(p).AddRepairTraffic(1, EstimateSizeBytes(msg));
-    ScheduleFromNode(p, cand, OneWayDelay(p, cand),
-                     [this, cand, msg = std::move(msg)] {
-                       DeliverLinkProbe(cand, msg);
-                     });
+    Send(p, cand, [this, cand, msg = std::move(msg)] { DeliverLinkProbe(cand, msg); });
   }
 }
 
@@ -942,10 +918,8 @@ void Engine::DeliverLinkProbe(PeerId to, const overlay::LinkProbeMessage& msg) {
   overlay::LinkAcceptMessage reply{MakeAnnounce(to, /*with_filter=*/true),
                                    msg.from.epoch};
   CollectorAt(to).AddRepairTraffic(1, EstimateSizeBytes(reply));
-  ScheduleFromNode(to, prober, OneWayDelay(to, prober),
-                   [this, prober, reply = std::move(reply)] {
-                     DeliverLinkAccept(prober, reply);
-                   });
+  Send(to, prober,
+       [this, prober, reply = std::move(reply)] { DeliverLinkAccept(prober, reply); });
 }
 
 void Engine::DeliverLinkAccept(PeerId to, const overlay::LinkAcceptMessage& msg) {

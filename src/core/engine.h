@@ -41,7 +41,6 @@
 #include "core/node_state.h"
 #include "core/protocol.h"
 #include "core/query_payload_pool.h"
-#include "dht/ring.h"
 #include "metrics/metrics.h"
 #include "net/underlay.h"
 #include "overlay/churn.h"
@@ -58,9 +57,10 @@ namespace locaware::core {
 /// state, topology, latency, RNG streams and traffic accounting.
 class Engine {
  public:
-  /// Builds every subsystem deterministically from config.seed. Fails if any
-  /// subsystem rejects its configuration (for shards > 1, an underlay that
-  /// cannot bound its minimum link latency).
+  /// Builds every subsystem deterministically from config.seed. Fails on
+  /// values the run cannot honour (shards outside [1, num_peers], an empty
+  /// Bloom shape) or when a subsystem rejects its configuration (for
+  /// shards > 1, an underlay that cannot bound its minimum link latency).
   static Result<std::unique_ptr<Engine>> Create(const ExperimentConfig& config);
 
   Engine(const Engine&) = delete;
@@ -144,22 +144,37 @@ class Engine {
   /// The immutable per-peer on/off schedule (empty unless churn is enabled).
   const overlay::ChurnTimeline& churn_timeline() const { return churn_timeline_; }
 
-  /// The immutable DHT ring order (meaningful only for dht/hybrid runs).
-  const dht::Ring& dht_ring() const { return dht_ring_; }
+  // --- message plane for protocol components (the DHT plane) ---
 
-  /// Starts an iterative DHT lookup resolving providers for `query`'s routing
-  /// keyword, at the query's origin. Called by DhtProtocol (every query) and
-  /// HybridProtocol (on unstructured fan-out miss; counted as an escalation).
-  void StartDhtQueryLookup(const overlay::QueryMessage& query,
-                           bool count_as_escalation);
+  /// Sends `deliver` from `from` to `to`: it executes on `to`'s shard after
+  /// the one-way link delay, keyed by creator `from`. Must run inside an
+  /// event executing at `from`'s shard.
+  void Send(PeerId from, PeerId to, sim::EventFn deliver);
 
-  /// Shard `s`'s arena — the spill source for every arena-aware container
-  /// its peers own (overlay rows, file stores, response-index lists).
-  /// Exposed for bench counters and tests.
-  const common::Arena& shard_arena(sim::ShardId s) const {
-    LOCAWARE_CHECK_LT(s, arenas_.size());
-    return *arenas_[s];
+  /// The metrics account a message charges to its query.
+  enum class Traffic { kQuery, kResponse };
+  /// Charges `count` messages of `bytes` each to `qid`'s metrics slot in
+  /// `at`'s shard. No-op once that shard cleaned the query up, so
+  /// post-deadline stragglers charge nothing.
+  void ChargeQueryTraffic(PeerId at, QueryId qid, Traffic traffic, size_t bytes,
+                          size_t count = 1);
+
+  /// Offers `records` (answered by `responder`) to `origin`'s pending query
+  /// `qid`, keeping those whose file matches every query keyword. `hops` > 0
+  /// means they crossed the wire in that many hops: a match counts as a
+  /// response. `hops` == 0 means they were served locally. No-op once the
+  /// query was finalized.
+  void OfferRecords(PeerId origin, QueryId qid, PeerId responder,
+                    overlay::RecordVec records, uint32_t hops);
+
+  /// The metrics collector of `node`'s shard (the executing one inside an
+  /// event at `node`).
+  metrics::MetricsCollector& CollectorAt(PeerId node) {
+    return shards_[shard_of(node)].metrics;
   }
+  /// `p`'s shard arena — the spill source for every arena-aware container
+  /// `p` owns (overlay rows, file stores, index lists, DHT stores).
+  common::Arena* arena_of(PeerId p) { return arenas_[shard_of(p)].get(); }
 
  private:
   explicit Engine(const ExperimentConfig& config);
@@ -238,8 +253,8 @@ class Engine {
   /// self-referencing shared state — each queued event is one [this, p]
   /// closure, so ticks never allocate.
   void MaintenanceTick(PeerId p);
-  /// The tick's work: index expiry / Bloom gossip when the protocol caches,
-  /// orphan re-attachment under churn.
+  /// The tick's work: the protocol's maintenance (index expiry, Bloom
+  /// gossip, DHT republish), orphan re-attachment under churn.
   void MaintenanceWork(PeerId p);
 
   // --- churn lifecycle (shard-safe: owner events + routed repair links) ---
@@ -273,37 +288,8 @@ class Engine {
   void DeliverLinkProbe(PeerId to, const overlay::LinkProbeMessage& msg);
   void DeliverLinkAccept(PeerId to, const overlay::LinkAcceptMessage& msg);
 
-  // --- Chord DHT (engine_dht.cc; dht/hybrid protocols only) ---
-
-  /// Begins a store-purpose lookup routing (kw, file) to the key's owner.
-  void StartDhtStore(PeerId publisher, KeywordId kw, FileId file);
-  /// Sends one DhtLookup request for session `session` and charges it.
-  void DhtSendLookup(PeerId initiator, uint64_t session, PeerId to,
-                     overlay::DhtLookupMode mode);
-  void DeliverDhtLookup(PeerId to, const overlay::DhtLookupMessage& msg);
-  void DeliverDhtResponse(PeerId to, overlay::DhtResponseMessage msg);
-  void DeliverDhtStore(PeerId to, const overlay::DhtStoreMessage& msg);
-  /// Installs/refreshes a provider record in `owner`'s store.
-  void DhtStoreLocal(PeerId owner, KeywordId kw, FileId file,
-                     const overlay::ProviderInfo& provider);
-  /// Appends the initiator's own owner-held providers for `kw` into the
-  /// pending query (initiator-owns-key short circuit: no wire traffic, no
-  /// responses_received bump — FinalizeQuery classifies it kLocalIndex).
-  void DhtServeFromOwnStore(PeerId initiator, KeywordId kw, QueryId qid);
-  /// Per-tick DHT work: stabilize under churn, republish, expire records.
-  void DhtMaintenance(PeerId p);
-  /// Recomputes p's successor/finger tables against the current online set.
-  void DhtStabilize(PeerId p);
-  /// Publishes every (keyword, file) of p's file store toward its owner.
-  void DhtPublish(PeerId p);
-
   /// Metrics slot of a query in `shard`, or SIZE_MAX after cleanup.
   size_t SlotOf(sim::ShardId shard, QueryId qid) const;
-
-  /// The executing shard's metrics collector for accounting at `node`.
-  metrics::MetricsCollector& CollectorAt(PeerId node) {
-    return shards_[shard_of(node)].metrics;
-  }
 
   ExperimentConfig config_;
   uint32_t num_shards_ = 1;
@@ -331,12 +317,6 @@ class Engine {
   std::unique_ptr<Protocol> protocol_;
   overlay::ChurnModel churn_model_;
   overlay::ChurnTimeline churn_timeline_;
-
-  /// True for kDht/kHybrid: peers carry RoutingState and the maintenance
-  /// tick runs stabilization + republish.
-  bool dht_family_ = false;
-  /// Immutable population-wide ring order (empty unless dht_family_).
-  dht::Ring dht_ring_;
 
   std::vector<NodeState> nodes_;
   std::vector<ShardState> shards_;

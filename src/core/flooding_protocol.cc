@@ -13,14 +13,4 @@ PeerVec FloodingProtocol::ForwardTargets(
   return targets;
 }
 
-void FloodingProtocol::ObserveResponse(Engine& /*engine*/, PeerId /*node*/,
-                                       const overlay::ResponseMessage& /*response*/) {
-  // Flooding never caches.
-}
-
-overlay::RecordVec FloodingProtocol::AnswerFromIndex(
-    Engine& /*engine*/, PeerId /*node*/, const overlay::QueryMessage& /*query*/) {
-  return {};  // no index to answer from
-}
-
 }  // namespace locaware::core

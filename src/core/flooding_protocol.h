@@ -15,13 +15,15 @@ class FloodingProtocol final : public Protocol {
   ProtocolKind kind() const override { return ProtocolKind::kFlooding; }
   const char* name() const override { return "Flooding"; }
 
+  /// Nothing to allocate: no index, no filters.
+  void InitNodeState(NodeState& /*node*/, uint64_t /*seed*/,
+                     common::Arena* /*arena*/) const override {}
+  /// Nothing to maintain in a static run.
+  bool NeedsMaintenanceTicks() const override { return false; }
+
   PeerVec ForwardTargets(Engine& engine, PeerId node,
                          const overlay::QueryMessage& query,
                          PeerId from) override;
-  void ObserveResponse(Engine& engine, PeerId node,
-                       const overlay::ResponseMessage& response) override;
-  overlay::RecordVec AnswerFromIndex(
-      Engine& engine, PeerId node, const overlay::QueryMessage& query) override;
   bool ForwardAfterHit() const override { return true; }
 };
 

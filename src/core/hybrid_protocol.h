@@ -1,6 +1,6 @@
-// Structured/unstructured hybrid (PR 10): Locaware's location-aware index
-// caching serves the popular head of the query distribution; the Chord DHT
-// (src/dht/) serves the rare tail.
+// Structured/unstructured hybrid: Locaware's location-aware index caching
+// serves the popular head of the query distribution; the Chord DHT
+// (src/dht/, driven by this protocol's DhtPlane) serves the rare tail.
 //
 // The unstructured half is deliberately *narrower* than Locaware: queries
 // only follow Bloom-matched links (tier 1) — the gid tier and the
@@ -12,6 +12,7 @@
 // in O(log n) DHT hops (success >= flooding, which gives up at TTL range).
 #pragma once
 
+#include "core/dht_plane.h"
 #include "core/locaware_protocol.h"
 
 namespace locaware::core {
@@ -23,6 +24,11 @@ class HybridProtocol final : public LocawareProtocol {
   ProtocolKind kind() const override { return ProtocolKind::kHybrid; }
   const char* name() const override { return "Hybrid"; }
 
+  /// Locaware's index and filters plus the DHT routing state.
+  void InitNodeState(NodeState& node, uint64_t seed, common::Arena* arena) const override;
+  /// Builds the ring and the initial routing tables.
+  void OnSetupComplete(Engine& engine) override;
+
   /// Bloom tier only — no gid tier, no fallback walk (see file comment).
   PeerVec ForwardTargets(Engine& engine, PeerId node,
                          const overlay::QueryMessage& query, PeerId from) override;
@@ -30,6 +36,14 @@ class HybridProtocol final : public LocawareProtocol {
   /// Escalates to the DHT when the unstructured forward went nowhere.
   void OnQuerySubmitted(Engine& engine, const overlay::QueryMessage& query,
                         size_t fanout) override;
+
+  /// Locaware's tick (expiry, Bloom gossip), then the DHT's.
+  void OnMaintenanceTick(Engine& engine, PeerId node) override;
+  void OnDeparture(Engine& engine, PeerId node) override;
+  void OnRejoin(Engine& engine, PeerId node) override;
+
+ private:
+  DhtPlane dht_;
 };
 
 }  // namespace locaware::core

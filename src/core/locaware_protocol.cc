@@ -9,6 +9,15 @@
 
 namespace locaware::core {
 
+void LocawareProtocol::InitNodeState(NodeState& node, uint64_t seed,
+                                     common::Arena* arena) const {
+  Protocol::InitNodeState(node, seed, arena);
+  node.keyword_filter = std::make_unique<bloom::CountingBloomFilter>(
+      params_.bloom_bits, params_.bloom_hashes);
+  node.advertised_filter =
+      std::make_unique<bloom::BloomFilter>(params_.bloom_bits, params_.bloom_hashes);
+}
+
 PeerVec LocawareProtocol::BloomMatchedNeighbors(Engine& engine, PeerId node,
                                                 const overlay::QueryMessage& query,
                                                 PeerId from) const {
@@ -237,11 +246,6 @@ void LocawareProtocol::OnLinkUp(Engine& engine, PeerId a, PeerId b) {
   nb.neighbor_filters.insert_or_assign(a, *na.advertised_filter);
   const uint64_t filter_bytes = (params_.bloom_bits + 7) / 8 + 29;  // + headers
   engine.ChargeMaintenance(2, 2 * filter_bytes);
-}
-
-void LocawareProtocol::OnLinkDown(Engine& engine, PeerId a, PeerId b) {
-  engine.node(a).neighbor_filters.erase(b);
-  engine.node(b).neighbor_filters.erase(a);
 }
 
 void LocawareProtocol::OnNeighborUp(Engine& engine, PeerId node,

@@ -28,6 +28,10 @@ class LocawareProtocol : public Protocol {
   ProtocolKind kind() const override { return ProtocolKind::kLocaware; }
   const char* name() const override { return "Locaware"; }
 
+  /// The response index plus the counting keyword filter and its last
+  /// advertised projection.
+  void InitNodeState(NodeState& node, uint64_t seed, common::Arena* arena) const override;
+
   PeerVec ForwardTargets(Engine& engine, PeerId node,
                          const overlay::QueryMessage& query,
                          PeerId from) override;
@@ -44,7 +48,6 @@ class LocawareProtocol : public Protocol {
                      const overlay::BloomUpdateMessage& update) override;
   /// New neighbors exchange their full advertised filters (and Gids).
   void OnLinkUp(Engine& engine, PeerId a, PeerId b) override;
-  void OnLinkDown(Engine& engine, PeerId a, PeerId b) override;
   /// Message-routed link handshake: install the announced filter and Gid.
   void OnNeighborUp(Engine& engine, PeerId node,
                     const overlay::LinkAnnounce& peer) override;

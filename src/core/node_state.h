@@ -1,5 +1,6 @@
 // Per-peer protocol state. One NodeState per participant, owned by the
-// Engine; protocols mutate it through their hooks.
+// Engine; protocols allocate their members (Protocol::InitNodeState) and
+// mutate them through their hooks.
 #pragma once
 
 #include <memory>
@@ -14,8 +15,9 @@
 
 namespace locaware::core {
 
-/// All state a peer carries. The Bloom-filter members are populated only for
-/// Locaware; they stay null under the other protocols.
+/// All state a peer carries. The protocol-owned members (index, filters, DHT
+/// state) are allocated by the protocols that use them and stay null
+/// otherwise.
 struct NodeState {
   PeerId id = kInvalidPeer;
   LocId loc_id = 0;   ///< landmark-ordering location id (§4.1.1)
@@ -27,10 +29,11 @@ struct NodeState {
   /// engine binds it at setup).
   SmallVector<FileId, 4> file_store;
 
-  /// The response index RI_n. Null for Flooding (which never caches).
+  /// The response index RI_n. Allocated by the caching protocols; null for
+  /// Flooding and DHT.
   std::unique_ptr<cache::ResponseIndex> ri;
 
-  // --- Locaware only (§4.2) ---
+  // --- Bloom routing (§4.2): the filters are allocated by Locaware/Hybrid ---
   /// Local deletable summary of RI keywords; its plain projection is what
   /// neighbors receive.
   std::unique_ptr<bloom::CountingBloomFilter> keyword_filter;
@@ -44,7 +47,7 @@ struct NodeState {
   /// peers exchange their group Ids as well as their Bloom filters").
   FlatMap<PeerId, GroupId> neighbor_gids;
 
-  // --- Chord DHT only (dht / hybrid protocols) ---
+  // --- Chord DHT: allocated by the DHT plane's protocols (DHT, Hybrid) ---
   /// Successor list, finger table, owned store and in-flight lookups. Null
   /// under the four unstructured protocols.
   std::unique_ptr<dht::RoutingState> dht;

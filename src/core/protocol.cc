@@ -78,6 +78,23 @@ ProtocolParams MakeDefaultParams(ProtocolKind kind) {
   return params;
 }
 
+void Protocol::InitNodeState(NodeState& node, uint64_t seed, common::Arena* arena) const {
+  cache::ResponseIndexConfig ri_cfg = params_.ri;
+  ri_cfg.eviction_seed = seed ^ (0x9e3779b97f4a7c15ULL * (node.id + 1));
+  ri_cfg.arena = arena;
+  node.ri = std::make_unique<cache::ResponseIndex>(ri_cfg);
+}
+
+void Protocol::OnSetupComplete(Engine& /*engine*/) {}
+
+void Protocol::ObserveResponse(Engine& /*engine*/, PeerId /*node*/,
+                               const overlay::ResponseMessage& /*response*/) {}
+
+overlay::RecordVec Protocol::AnswerFromIndex(Engine& /*engine*/, PeerId /*node*/,
+                                             const overlay::QueryMessage& /*query*/) {
+  return {};
+}
+
 void Protocol::OnMaintenanceTick(Engine& engine, PeerId node) {
   NodeState& state = engine.node(node);
   if (state.ri != nullptr) {
@@ -90,8 +107,6 @@ void Protocol::OnBloomUpdate(Engine& /*engine*/, PeerId /*node*/,
 
 void Protocol::OnLinkUp(Engine& /*engine*/, PeerId /*a*/, PeerId /*b*/) {}
 
-void Protocol::OnLinkDown(Engine& /*engine*/, PeerId /*a*/, PeerId /*b*/) {}
-
 void Protocol::OnNeighborUp(Engine& /*engine*/, PeerId /*node*/,
                             const overlay::LinkAnnounce& /*peer*/) {}
 
@@ -99,6 +114,10 @@ void Protocol::OnPeerDeparted(Engine& engine, PeerId node, PeerId departed) {
   NodeState& state = engine.node(node);
   if (state.ri != nullptr) state.ri->RemoveProvider(departed);
 }
+
+void Protocol::OnDeparture(Engine& /*engine*/, PeerId /*node*/) {}
+
+void Protocol::OnRejoin(Engine& /*engine*/, PeerId /*node*/) {}
 
 void Protocol::OnQuerySubmitted(Engine& /*engine*/,
                                 const overlay::QueryMessage& /*query*/,

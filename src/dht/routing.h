@@ -18,7 +18,7 @@
 //     common/flat_map.h); every other walk in the subsystem collects and
 //     sorts first.
 //
-// Tables are arena-bound flat containers: the engine binds each peer's
+// Tables are arena-bound flat containers: DhtPlane binds each peer's
 // FlatMaps/SmallVectors to its shard's arena at setup, so steady-state
 // stabilization and store churn never touch the global heap.
 #pragma once

@@ -41,13 +41,8 @@ uint32_t EventQueue::AcquireSlot(EventFn fn) {
   return slot;
 }
 
-void EventQueue::Push(SimTime at, EventFn fn) {
-  PushKeyed(at, /*src=*/0, next_seq_++, std::move(fn));
-}
-
 void EventQueue::PushKeyed(SimTime at, SourceId src, uint64_t seq, EventFn fn) {
   Entry entry{at, src, AcquireSlot(std::move(fn)), seq};
-  ++pushed_;
   heap_.emplace_back();  // open a hole at the tail, then sift the entry in
   SiftUp(heap_.size() - 1, entry);
 }

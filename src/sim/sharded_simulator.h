@@ -1,5 +1,7 @@
-// Sharded parallel discrete-event engine — the multi-core substitute for the
-// single-threaded Simulator.
+// Sharded parallel discrete-event engine — the PeerSim substitute. The paper
+// evaluates Locaware on PeerSim's event-driven framework, which models
+// per-link latencies but neither bandwidth nor CPU (paper §5.1); this engine
+// reproduces that model over K event queues (K = 1 runs inline).
 //
 // Peers (event destinations) are partitioned across K shards; a pool of W
 // worker threads (W <= K, default W = K) executes them under a
@@ -58,12 +60,12 @@
 // relocation through the mailbox is also what makes the handoff thread-safe,
 // since the capture is owned by exactly one shard's storage at every moment.
 //
-// Determinism contract (the reason this engine can replace the sequential
-// one without changing results): every event carries a (time, source,
-// per-source sequence) key assigned at creation, where `source` is the
-// *logical* creator (a peer, not a thread or shard). Queues pop in key
-// order, and the conservative windows guarantee a cross-shard event is
-// enqueued before any event with a larger key executes at its destination.
+// Determinism contract (the reason the shard count never changes results):
+// every event carries a (time, source, per-source sequence) key assigned at
+// creation, where `source` is the *logical* creator (a peer, not a thread or
+// shard). Queues pop in key order, and the conservative windows guarantee a
+// cross-shard event is enqueued before any event with a larger key executes
+// at its destination.
 // Per-destination execution order is therefore a pure function of the
 // simulation — identical for every shard count, worker count, lookahead
 // bound, and stealing mode, including 1 shard. Callers must keep event
@@ -173,11 +175,9 @@ class ShardedSimulator {
 
   uint32_t num_shards() const { return static_cast<uint32_t>(shards_.size()); }
   uint32_t num_workers() const { return num_workers_; }
-  bool work_stealing() const { return work_stealing_; }
   /// The lookahead bound the scheduler uses for events src creates for dst
   /// (the matrix entry, or the scalar fallback). Meaningless for src == dst.
   SimTime LookaheadBetween(ShardId src, ShardId dst) const;
-  SimTime lookahead() const { return lookahead_; }
 
   /// Total events executed over the simulator's lifetime.
   uint64_t executed_count() const;

@@ -111,20 +111,16 @@ TEST(ConfigIoTest, RoundTripNonDefaultEverything) {
   EXPECT_EQ(c.scheduler.event_reserve_hint, 4096u);
 }
 
-TEST(ConfigIoTest, DeprecatedFlatSchedulerKeysStillParse) {
-  // Pre-SchedulerConfig configs used flat keys; they must keep working (with
-  // a stderr warning) so existing config files and --set scripts survive.
-  auto parsed = ParseConfig(
-      "shards = 4\n"
-      "workers = 2\n"
-      "work_stealing = false\n"
-      "event_reserve_hint = 512\n");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const ExperimentConfig& c = parsed.ValueOrDie();
-  EXPECT_EQ(c.scheduler.shards, 4u);
-  EXPECT_EQ(c.scheduler.workers, 2u);
-  EXPECT_FALSE(c.scheduler.work_stealing);
-  EXPECT_EQ(c.scheduler.event_reserve_hint, 512u);
+TEST(ConfigIoTest, FlatSchedulerKeysAreRejected) {
+  // The pre-SchedulerConfig flat spellings are gone: only the scheduler.*
+  // keys set these fields.
+  for (const char* line : {"shards = 4\n", "workers = 2\n", "work_stealing = false\n",
+                           "event_reserve_hint = 512\n"}) {
+    auto parsed = ParseConfig(line);
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_NE(parsed.status().ToString().find("unknown key"), std::string::npos)
+        << parsed.status().ToString();
+  }
 }
 
 TEST(ConfigIoTest, RejectsUnknownPlacement) {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -38,21 +40,63 @@ TEST(EngineTest, CreateRejectsZeroGroups) {
   EXPECT_FALSE(Engine::Create(cfg).ok());
 }
 
+TEST(EngineTest, CreateRejectsZeroBloomBits) {
+  ExperimentConfig cfg = TinyConfig(ProtocolKind::kHybrid);
+  cfg.params.bloom_bits = 0;
+  auto created = Engine::Create(cfg);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(EngineTest, CreateRejectsZeroBloomHashes) {
+  ExperimentConfig cfg = TinyConfig(ProtocolKind::kHybrid);
+  cfg.params.bloom_hashes = 0;
+  auto created = Engine::Create(cfg);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(EngineTest, CreateRejectsMoreShardsThanPeers) {
+  ExperimentConfig cfg = TinyConfig(ProtocolKind::kHybrid);
+  cfg.scheduler.shards = static_cast<uint32_t>(cfg.num_peers) + 1;
+  auto created = Engine::Create(cfg);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+  cfg.scheduler.shards = static_cast<uint32_t>(cfg.num_peers);
+  EXPECT_TRUE(Engine::Create(cfg).ok());
+}
+
 TEST(EngineTest, NodesInitializedPerProtocol) {
-  auto flooding =
-      std::move(Engine::Create(TinyConfig(ProtocolKind::kFlooding))).ValueOrDie();
-  EXPECT_EQ(flooding->node(0).ri, nullptr);
-  EXPECT_EQ(flooding->node(0).keyword_filter, nullptr);
-
-  auto dicas = std::move(Engine::Create(TinyConfig(ProtocolKind::kDicas))).ValueOrDie();
-  EXPECT_NE(dicas->node(0).ri, nullptr);
-  EXPECT_EQ(dicas->node(0).keyword_filter, nullptr);
-
-  auto locaware =
-      std::move(Engine::Create(TinyConfig(ProtocolKind::kLocaware))).ValueOrDie();
-  EXPECT_NE(locaware->node(0).ri, nullptr);
-  EXPECT_NE(locaware->node(0).keyword_filter, nullptr);
-  EXPECT_NE(locaware->node(0).advertised_filter, nullptr);
+  // What each protocol allocates per peer, and whether a static run ticks.
+  struct Expected {
+    ProtocolKind kind;
+    bool ri, filters, dht, ticks;
+  };
+  const Expected kTable[] = {
+      {ProtocolKind::kFlooding, false, false, false, false},
+      {ProtocolKind::kDicas, true, false, false, true},
+      {ProtocolKind::kDicasKeys, true, false, false, true},
+      {ProtocolKind::kLocaware, true, true, false, true},
+      {ProtocolKind::kDht, false, false, true, true},
+      {ProtocolKind::kHybrid, true, true, true, true},
+  };
+  for (ProtocolKind kind : AllProtocolKinds()) {
+    const auto is_kind = [&](const Expected& row) { return row.kind == kind; };
+    const Expected* want = std::find_if(std::begin(kTable), std::end(kTable), is_kind);
+    ASSERT_NE(want, std::end(kTable)) << ProtocolKindName(kind) << " has no row";
+    auto e = std::move(Engine::Create(TinyConfig(kind))).ValueOrDie();
+    for (PeerId p = 0; p < e->num_peers(); ++p) {
+      const NodeState& n = std::as_const(*e).node(p);
+      ASSERT_EQ(n.ri != nullptr, want->ri) << ProtocolKindName(kind) << " peer " << p;
+      ASSERT_EQ(n.keyword_filter != nullptr, want->filters) << ProtocolKindName(kind);
+      ASSERT_EQ(n.advertised_filter != nullptr, want->filters) << ProtocolKindName(kind);
+      ASSERT_EQ(n.dht != nullptr, want->dht) << ProtocolKindName(kind);
+    }
+    // Before Run() the only queued events are the maintenance ticks' first
+    // offsets, one per peer.
+    EXPECT_EQ(e->simulator().pending_count(), want->ticks ? e->num_peers() : 0u)
+        << ProtocolKindName(kind);
+  }
 }
 
 TEST(EngineTest, InitialStateMatchesConfig) {

@@ -1,10 +1,10 @@
-#include "sim/simulator.h"
-
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/event_queue.h"
+#include "sim/sharded_simulator.h"
 #include "sim/sim_time.h"
 
 namespace locaware::sim {
@@ -32,9 +32,9 @@ TEST(SimTimeTest, Formatting) {
 TEST(EventQueueTest, PopsInTimeOrder) {
   EventQueue q;
   std::vector<int> fired;
-  q.Push(30, [&] { fired.push_back(3); });
-  q.Push(10, [&] { fired.push_back(1); });
-  q.Push(20, [&] { fired.push_back(2); });
+  q.PushKeyed(30, /*src=*/0, /*seq=*/0, [&] { fired.push_back(3); });
+  q.PushKeyed(10, /*src=*/0, /*seq=*/1, [&] { fired.push_back(1); });
+  q.PushKeyed(20, /*src=*/0, /*seq=*/2, [&] { fired.push_back(2); });
   while (!q.empty()) {
     SimTime t;
     q.Pop(&t)();
@@ -46,7 +46,7 @@ TEST(EventQueueTest, TiesFireInPushOrder) {
   EventQueue q;
   std::vector<int> fired;
   for (int i = 0; i < 10; ++i) {
-    q.Push(5, [&fired, i] { fired.push_back(i); });
+    q.PushKeyed(5, /*src=*/0, /*seq=*/i, [&fired, i] { fired.push_back(i); });
   }
   while (!q.empty()) {
     SimTime t;
@@ -57,7 +57,7 @@ TEST(EventQueueTest, TiesFireInPushOrder) {
 
 TEST(EventQueueTest, PeekDoesNotPop) {
   EventQueue q;
-  q.Push(42, [] {});
+  q.PushKeyed(42, /*src=*/0, /*seq=*/0, [] {});
   EXPECT_EQ(q.PeekTime(), 42);
   EXPECT_EQ(q.size(), 1u);
 }
@@ -69,144 +69,83 @@ TEST(EventQueueTest, EmptyAccessDies) {
   EXPECT_DEATH(q.Pop(&t), "empty");
 }
 
-TEST(SimulatorTest, StartsAtZero) {
-  Simulator sim;
-  EXPECT_EQ(sim.Now(), 0);
-  EXPECT_EQ(sim.pending_count(), 0u);
+// The simulator's single-shard path: the plain sequential loop (no windows)
+// every K = 1 run takes. Multi-shard semantics live in sim_parallel_test.cc.
+class SimulatorTest : public ::testing::Test {
+ protected:
+  /// Schedules `fn` at `at` on the only shard, from the controller source.
+  void At(SimTime at, EventFn fn) { sim_.ScheduleAt(0, /*src=*/0, at, std::move(fn)); }
+
+  ShardedSimulator sim_{ShardedSimulatorConfig{}};
+};
+
+TEST_F(SimulatorTest, StartsAtZero) {
+  EXPECT_EQ(sim_.Now(), 0);
+  EXPECT_EQ(sim_.pending_count(), 0u);
 }
 
-TEST(SimulatorTest, ClockAdvancesToEventTime) {
-  Simulator sim;
+TEST_F(SimulatorTest, ClockAdvancesToEventTime) {
   SimTime seen = -1;
-  sim.ScheduleAt(100, [&] { seen = sim.Now(); });
-  sim.Run();
+  At(100, [&] { seen = sim_.Now(); });
+  sim_.Run();
   EXPECT_EQ(seen, 100);
-  EXPECT_EQ(sim.Now(), 100);
+  EXPECT_EQ(sim_.Now(), 100);
 }
 
-TEST(SimulatorTest, ScheduleAfterIsRelative) {
-  Simulator sim;
-  std::vector<SimTime> times;
-  sim.ScheduleAt(50, [&] {
-    sim.ScheduleAfter(25, [&] { times.push_back(sim.Now()); });
-  });
-  sim.Run();
-  ASSERT_EQ(times.size(), 1u);
-  EXPECT_EQ(times[0], 75);
+TEST_F(SimulatorTest, SchedulingIntoThePastDies) {
+  At(100, [&] { At(50, [] {}); });
+  EXPECT_DEATH(sim_.Run(), "past");
 }
 
-TEST(SimulatorTest, SchedulingIntoThePastDies) {
-  Simulator sim;
-  sim.ScheduleAt(100, [] {});
-  sim.Run();
-  EXPECT_DEATH(sim.ScheduleAt(50, [] {}), "past");
-}
-
-TEST(SimulatorTest, NegativeDelayDies) {
-  Simulator sim;
-  EXPECT_DEATH(sim.ScheduleAfter(-1, [] {}), "CHECK");
-}
-
-TEST(SimulatorTest, CascadedEventsAllFire) {
-  Simulator sim;
+TEST_F(SimulatorTest, CascadedEventsAllFire) {
   int count = 0;
   std::function<void()> chain = [&] {
     ++count;
-    if (count < 100) sim.ScheduleAfter(10, chain);
+    if (count < 100) At(sim_.Now() + 10, chain);
   };
-  sim.ScheduleAfter(10, chain);
-  const uint64_t executed = sim.Run();
+  At(10, chain);
+  EXPECT_EQ(sim_.Run(), 100u);
   EXPECT_EQ(count, 100);
-  EXPECT_EQ(executed, 100u);
-  EXPECT_EQ(sim.Now(), 1000);
+  EXPECT_EQ(sim_.Now(), 1000);
 }
 
-TEST(SimulatorTest, HorizonStopsEarlyAndKeepsLaterEvents) {
-  Simulator sim;
+TEST_F(SimulatorTest, HorizonStopsEarlyAndKeepsLaterEvents) {
   int fired = 0;
-  sim.ScheduleAt(10, [&] { ++fired; });
-  sim.ScheduleAt(20, [&] { ++fired; });
-  sim.ScheduleAt(30, [&] { ++fired; });
-  sim.Run(20);
+  At(10, [&] { ++fired; });
+  At(20, [&] { ++fired; });
+  At(30, [&] { ++fired; });
+  sim_.Run(20);
   EXPECT_EQ(fired, 2);
-  EXPECT_EQ(sim.pending_count(), 1u);
-  sim.Run();
+  EXPECT_EQ(sim_.pending_count(), 1u);
+  sim_.Run();
   EXPECT_EQ(fired, 3);
 }
 
-TEST(SimulatorTest, IdleAdvanceToHorizon) {
-  Simulator sim;
-  sim.Run(500);
-  EXPECT_EQ(sim.Now(), 500);
+TEST_F(SimulatorTest, IdleAdvanceToHorizon) {
+  sim_.Run(500);
+  EXPECT_EQ(sim_.Now(), 500);
   // A second horizon run composes.
-  sim.Run(900);
-  EXPECT_EQ(sim.Now(), 900);
+  sim_.Run(900);
+  EXPECT_EQ(sim_.Now(), 900);
 }
 
-TEST(SimulatorTest, StopInterruptsRun) {
-  Simulator sim;
-  int fired = 0;
-  sim.ScheduleAt(1, [&] {
-    ++fired;
-    sim.Stop();
-  });
-  sim.ScheduleAt(2, [&] { ++fired; });
-  sim.Run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.pending_count(), 1u);
-}
-
-TEST(SimulatorTest, StepExecutesExactlyOne) {
-  Simulator sim;
-  int fired = 0;
-  sim.ScheduleAt(1, [&] { ++fired; });
-  sim.ScheduleAt(2, [&] { ++fired; });
-  EXPECT_TRUE(sim.Step());
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(sim.Step());
-  EXPECT_FALSE(sim.Step());
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(SimulatorTest, PeriodicRunsUntilCallbackDeclines) {
-  Simulator sim;
-  int ticks = 0;
-  sim.SchedulePeriodic(100, [&] { return ++ticks < 5; });
-  sim.Run();
-  EXPECT_EQ(ticks, 5);
-  EXPECT_EQ(sim.Now(), 500);
-}
-
-TEST(SimulatorTest, PeriodicRespectsHorizon) {
-  Simulator sim;
-  int ticks = 0;
-  sim.SchedulePeriodic(100, [&] {
-    ++ticks;
-    return true;
-  });
-  sim.Run(1000);
-  EXPECT_EQ(ticks, 10);
-}
-
-TEST(SimulatorTest, SameTimeEventsDeterministicWithNestedScheduling) {
-  // Events scheduled *during* a same-timestamp batch must still fire in
-  // scheduling order after the batch.
-  Simulator sim;
+TEST_F(SimulatorTest, SameTimeEventsDeterministicWithNestedScheduling) {
+  // An event scheduled *during* a same-timestamp batch takes the next
+  // sequence number of its source, so it fires after the batch.
   std::vector<int> order;
-  sim.ScheduleAt(10, [&] {
+  At(10, [&] {
     order.push_back(1);
-    sim.ScheduleAt(10, [&] { order.push_back(3); });
+    At(10, [&] { order.push_back(3); });
   });
-  sim.ScheduleAt(10, [&] { order.push_back(2); });
-  sim.Run();
+  At(10, [&] { order.push_back(2); });
+  sim_.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(SimulatorTest, ExecutedCountAccumulates) {
-  Simulator sim;
-  for (int i = 0; i < 7; ++i) sim.ScheduleAfter(i, [] {});
-  sim.Run();
-  EXPECT_EQ(sim.executed_count(), 7u);
+TEST_F(SimulatorTest, ExecutedCountAccumulates) {
+  for (int i = 0; i < 7; ++i) At(i, [] {});
+  sim_.Run();
+  EXPECT_EQ(sim_.executed_count(), 7u);
 }
 
 }  // namespace
