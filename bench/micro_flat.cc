@@ -1,7 +1,7 @@
 // Microbenchmarks for common/flat_map.h: the open-addressing tables the data
-// plane runs on (ShardState pending/slot_of/touched, ResponseIndex entries,
-// NodeState neighbor maps, catalog interning) head-to-head against the
-// std::unordered_map they replaced.
+// plane runs on (ShardState pending queries and per-query tracks with their
+// visit tables, ResponseIndex entries, NodeState neighbor maps, catalog
+// interning) head-to-head against the std::unordered_map they replaced.
 //
 // What the flat tables buy and these benchmarks pin down: one allocation per
 // table instead of one per element (the `allocs/op` counter on the insert
@@ -63,8 +63,9 @@ void FillInsertErase(benchmark::State& state) {
   size_t i = 0;
   const uint64_t allocs_before = g_alloc_count;
   for (auto _ : state) {
-    // Steady-state churn at plateau size: the pending/slot_of/touched life
-    // cycle — insert a fresh query, finalize (erase) the oldest.
+    // Steady-state churn at plateau size: the life cycle of a shard's
+    // pending and track tables — insert a fresh query, clean up (erase)
+    // the oldest.
     map.try_emplace(keys[i % n] + i, i);
     if (map.size() > n) map.erase(keys[(i - n) % n] + (i - n));
     ++i;

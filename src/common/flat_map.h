@@ -1,9 +1,9 @@
-// Flat open-addressing hash containers for the data plane.
+// Flat open-addressing hash map for the data plane.
 //
 // The hot per-peer state (pending-query maps, response-index tables, neighbor
 // metadata, catalog interning) used std::unordered_map, which heap-allocates
-// one node per element and chases a pointer per probe. FlatMap/FlatSet replace
-// that with robin-hood open addressing over a single flat buffer: one metadata
+// one node per element and chases a pointer per probe. FlatMap replaces that
+// with robin-hood open addressing over a single flat buffer: one metadata
 // byte per bucket (probe distance + 1; 0 = empty) followed by the slot array,
 // allocated together in ONE allocation per table. Lookups walk contiguous
 // metadata bytes, inserts displace richer-than-thou entries (robin hood),
@@ -86,7 +86,7 @@ struct FlatHash<std::string> : FlatStringHash {};
 
 namespace flat_detail {
 
-/// \brief Shared robin-hood table core; FlatMap/FlatSet are thin views on it.
+/// \brief Robin-hood table core; FlatMap is a thin view on it.
 ///
 /// `Slot` is the stored record, `KeyOf` projects a slot to its key. The table
 /// owns one buffer holding `cap_` slots followed by `cap_` metadata bytes
@@ -410,8 +410,7 @@ class RawFlatTable {
 };
 
 /// Forward iterator over occupied buckets, in table order (see the iteration
-/// caveat in the file comment). `Ref`/`Ptr` let FlatSet hand out const-only
-/// access to keys.
+/// caveat in the file comment). `Ref`/`Ptr` select const or mutable access.
 template <typename Table, typename Slot, typename Ref, typename Ptr>
 class FlatIterator {
  public:
@@ -563,71 +562,6 @@ class FlatMap {
   /// Erases the pointee; invalidates all iterators (backward shift).
   void erase(const_iterator it) { table_.EraseIndex(it.index()); }
   void erase(iterator it) { table_.EraseIndex(it.index()); }
-
- private:
-  Table table_;
-};
-
-/// \brief Open-addressing robin-hood set; same contract as FlatMap (single
-/// allocation, arena provenance, table-order iteration — collect-and-sort if
-/// order matters). Iterators are const: keys are immutable in place.
-template <typename K, typename Hash = FlatHash<K>, typename Eq = std::equal_to<>>
-class FlatSet {
-  struct KeyOf {
-    const K& operator()(const K& k) const { return k; }
-  };
-  using Table = flat_detail::RawFlatTable<K, KeyOf, Hash, Eq>;
-
- public:
-  using key_type = K;
-  using value_type = K;
-  using const_iterator =
-      flat_detail::FlatIterator<const Table, K, const K&, const K*>;
-  using iterator = const_iterator;
-
-  FlatSet() = default;
-
-  size_t size() const { return table_.size(); }
-  bool empty() const { return table_.empty(); }
-  size_t bucket_count() const { return table_.bucket_count(); }
-  common::Arena* arena() const { return table_.arena(); }
-  void set_arena(common::Arena* arena) { table_.set_arena(arena); }
-  void reserve(size_t want) { table_.reserve(want); }
-  void clear() { table_.clear(); }
-
-  const_iterator begin() const {
-    return const_iterator(&table_, table_.NextOccupied(0));
-  }
-  const_iterator end() const {
-    return const_iterator(&table_, table_.bucket_count());
-  }
-
-  template <typename Q>
-  const_iterator find(const Q& key) const {
-    const size_t idx = table_.FindIndex(key);
-    return idx == Table::kNpos ? end() : const_iterator(&table_, idx);
-  }
-  template <typename Q>
-  bool contains(const Q& key) const {
-    return table_.FindIndex(key) != Table::kNpos;
-  }
-
-  std::pair<const_iterator, bool> insert(K key) {
-    size_t idx = table_.FindIndex(key);
-    if (idx != Table::kNpos) return {const_iterator(&table_, idx), false};
-    table_.EnsureSpace();
-    idx = table_.InsertNew(K(key));
-    if (idx == Table::kNpos) idx = table_.FindIndex(key);  // mid-insert rehash
-    return {const_iterator(&table_, idx), true};
-  }
-
-  template <typename Q>
-  size_t erase(const Q& key) {
-    const size_t idx = table_.FindIndex(key);
-    if (idx == Table::kNpos) return 0;
-    table_.EraseIndex(idx);
-    return 1;
-  }
 
  private:
   Table table_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/check.h"
 #include "common/hash.h"
@@ -27,19 +28,24 @@ Result<std::unique_ptr<Engine>> Engine::Create(const ExperimentConfig& config) {
   cfg.underlay.num_peers = cfg.num_peers;
   cfg.underlay.num_landmarks = cfg.num_landmarks;
 
-  if (cfg.scheduler.shards == 0) {
-    return Status::InvalidArgument("scheduler.shards must be > 0");
-  }
-  // More shards than peers only adds empty shards, each one more window
-  // participant: the run slows without bound and gains nothing.
-  if (cfg.scheduler.shards > cfg.num_peers) {
-    return Status::InvalidArgument("scheduler.shards must be <= num_peers");
-  }
-  if (cfg.params.bloom_bits == 0) {
-    return Status::InvalidArgument("params.bloom_bits must be > 0");
-  }
-  if (cfg.params.bloom_hashes == 0 || cfg.params.bloom_hashes > 16) {
-    return Status::InvalidArgument("params.bloom_hashes must be in [1, 16]");
+  // Values the run cannot honour fail here rather than abort on a CHECK
+  // later, or hang: a tick reschedules itself one interval on, and shards
+  // beyond the peer count only add empty window participants.
+  const std::pair<bool, const char*> kRejected[] = {
+      {cfg.num_peers == 0, "num_peers must be > 0"},
+      {cfg.num_landmarks == 0, "num_landmarks must be > 0 (locIds need landmarks)"},
+      {cfg.scheduler.shards == 0, "scheduler.shards must be > 0"},
+      {cfg.scheduler.shards > cfg.num_peers, "scheduler.shards must be <= num_peers"},
+      {cfg.params.num_groups == 0, "num_groups must be > 0"},
+      {cfg.params.bloom_bits == 0, "params.bloom_bits must be > 0"},
+      {cfg.params.bloom_hashes == 0 || cfg.params.bloom_hashes > 16,
+       "params.bloom_hashes must be in [1, 16]"},
+      {cfg.params.maintenance_interval <= 0, "params.maintenance_interval_s must be > 0"},
+      {cfg.params.dht_fingers == 0, "dht.fingers must be > 0"},
+      {cfg.params.ri.max_filenames == 0, "ri.max_filenames must be > 0"},
+  };
+  for (const auto& [rejected, why] : kRejected) {
+    if (rejected) return Status::InvalidArgument(why);
   }
 
   auto engine = std::unique_ptr<Engine>(new Engine(cfg));
@@ -48,10 +54,6 @@ Result<std::unique_ptr<Engine>> Engine::Create(const ExperimentConfig& config) {
 }
 
 Status Engine::Setup() {
-  if (config_.num_landmarks == 0) {
-    return Status::InvalidArgument("num_landmarks must be > 0 (locIds need landmarks)");
-  }
-
   // 1. Underlay (physical network + landmarks).
   Rng underlay_rng = root_rng_.Split("underlay");
   if (config_.use_uniform_underlay) {
@@ -107,7 +109,7 @@ Status Engine::Setup() {
       config_.num_peers, config_.files_per_peer, catalog_, &placement_rng);
 
   // 3. Peer → shard placement: the immutable map every shard_of consumer
-  // (ownership asserts, arena binding, event scheduling, slot/touched maps,
+  // (ownership asserts, arena binding, event scheduling, query tracks,
   // churn owner events, metrics merge) reads for the rest of the run.
   {
     std::vector<size_t> peer_location(config_.num_peers);
@@ -176,8 +178,7 @@ Status Engine::Setup() {
     // The shard's tracking tables draw their flat buffers from its arena;
     // arenas_ is declared before shards_, so the arenas outlive the tables.
     shards_[s].pending.set_arena(arenas_[s].get());
-    shards_[s].slot_of.set_arena(arenas_[s].get());
-    shards_[s].touched.set_arena(arenas_[s].get());
+    shards_[s].tracks.set_arena(arenas_[s].get());
   }
 
   // 3d. Overlay.
@@ -191,9 +192,6 @@ Status Engine::Setup() {
   graph_->BindArenas([this](PeerId p) { return arena_of(p); });
 
   // 4. Nodes; the protocol allocates the per-peer state it uses.
-  if (config_.params.num_groups == 0) {
-    return Status::InvalidArgument("num_groups must be > 0");
-  }
   protocol_ = MakeProtocol(config_.protocol, config_.params);
   Rng gid_rng = root_rng_.Split("gids");
   nodes_.resize(config_.num_peers);
@@ -210,8 +208,6 @@ Status Engine::Setup() {
     n.neighbor_filters.set_arena(arena);
     n.neighbor_gids.set_arena(arena);
     n.neighbor_degree.set_arena(arena);
-    n.seen_queries.set_arena(arena);
-    n.reverse_path.set_arena(arena);
     protocol_->InitNodeState(n, config_.seed, arena);
   }
 
@@ -347,7 +343,7 @@ size_t Engine::pending_query_count() const {
 
 size_t Engine::tracked_query_count() const {
   size_t total = 0;
-  for (const ShardState& shard : shards_) total += shard.slot_of.size();
+  for (const ShardState& shard : shards_) total += shard.tracks.size();
   return total;
 }
 
@@ -381,10 +377,10 @@ void Engine::MaintenanceTick(PeerId p) {
 
 void Engine::Run() {
   const auto& queries = workload_.queries();
-  // Pre-register every query's metrics slot in every shard. Slots equal the
-  // workload index everywhere, so per-shard counter contributions line up at
-  // merge time; per-shard slot maps are erased by that query's cleanup event,
-  // which is what stops post-deadline stragglers from charging traffic.
+  // Pre-register every query's track in every shard. Slots equal the workload
+  // index everywhere, so per-shard counter contributions line up at merge
+  // time; each track is erased by that query's cleanup event, which is what
+  // stops post-deadline stragglers from charging traffic.
   // Per-shard submission counts: the basis for the pending-map and event-heap
   // reserves below (known sizes, so the storm path does zero rehash/regrow).
   std::vector<size_t> submissions(num_shards_, 0);
@@ -392,13 +388,14 @@ void Engine::Run() {
 
   for (sim::ShardId s = 0; s < num_shards_; ++s) {
     ShardState& shard = shards_[s];
-    shard.slot_of.reserve(queries.size());
-    shard.touched.reserve(queries.size());
+    shard.tracks.reserve(queries.size());
     shard.pending.reserve(submissions[s]);
     for (const catalog::QueryEvent& ev : queries) {
       const size_t slot = shard.metrics.BeginQuery(ev.id, ev.requester, ev.submit_time);
       shard.metrics.Record(slot)->target_rank = workload_.RankOfFile(ev.target);
-      shard.slot_of.try_emplace(ev.id, slot);
+      QueryTrack& track = shard.tracks[ev.id];
+      track.slot = slot;
+      track.visits.set_arena(arenas_[s].get());
     }
   }
 
@@ -434,11 +431,9 @@ void Engine::Run() {
   metrics_.SetSchedulerStats(sched.windows, sched.steals, sched.idle_ns);
 }
 
-size_t Engine::SlotOf(sim::ShardId shard, QueryId qid) const {
-  const auto& slots = shards_[shard].slot_of;
-  auto it = slots.find(qid);
-  if (it == slots.end()) return SIZE_MAX;
-  return it->second;
+Engine::QueryTrack* Engine::TrackOf(sim::ShardId shard, QueryId qid) {
+  auto it = shards_[shard].tracks.find(qid);
+  return it == shards_[shard].tracks.end() ? nullptr : &it->second;
 }
 
 overlay::RecordVec Engine::AnswerFromFileStore(
@@ -461,8 +456,9 @@ overlay::RecordVec Engine::AnswerFromFileStore(
 
 void Engine::SubmitQuery(const catalog::QueryEvent& ev) {
   ShardState& shard = shards_[shard_of(ev.requester)];
-  const size_t slot = SlotOf(shard_of(ev.requester), ev.id);
-  LOCAWARE_CHECK_NE(slot, SIZE_MAX) << "query submitted twice or never registered";
+  const QueryTrack* track = TrackOf(shard_of(ev.requester), ev.id);
+  LOCAWARE_CHECK(track != nullptr) << "query submitted twice or never registered";
+  const size_t slot = track->slot;
 
   if (!graph_->IsAlive(ev.requester)) {
     // Offline requester: the query is never issued. No messages exist, so
@@ -523,8 +519,7 @@ void Engine::SubmitQuery(const catalog::QueryEvent& ev) {
     return;
   }
 
-  origin.seen_queries.insert(ev.id);
-  TouchPeer(shard_of(ev.requester), ev.id, ev.requester);
+  Visit(ev.requester, ev.id, kInvalidPeer);
 
   const size_t fanout = ForwardQuery(ev.requester, kInvalidPeer, query);
   // The protocol sees every query that left its origin unanswered — the
@@ -563,10 +558,7 @@ size_t Engine::ForwardQuery(PeerId node_id, PeerId from,
 void Engine::DeliverQuery(PeerId to, PeerId from, const QueryPayloadRef& msg_ref) {
   if (!graph_->IsAlive(to)) return;  // lost on a dead peer
   const overlay::QueryMessage& msg = *msg_ref;
-  NodeState& n = node(to);
-  if (!n.seen_queries.insert(msg.qid).second) return;  // duplicate: dropped
-  n.reverse_path[msg.qid] = from;
-  TouchPeer(shard_of(to), msg.qid, to);
+  if (!Visit(to, msg.qid, from)) return;  // duplicate: dropped
 
   // Answer from the shared-file store first, then the response index
   // ("either in its file storage or in its response index", §4.2).
@@ -600,9 +592,9 @@ void Engine::SendResponse(PeerId sender, PeerId next_hop,
 
 void Engine::ChargeQueryTraffic(PeerId at, QueryId qid, Traffic traffic, size_t bytes,
                                 size_t count) {
-  const size_t slot = SlotOf(shard_of(at), qid);
-  if (slot == SIZE_MAX) return;
-  metrics::QueryRecord* record = CollectorAt(at).Record(slot);
+  const QueryTrack* track = TrackOf(shard_of(at), qid);
+  if (track == nullptr || track->slot == SIZE_MAX) return;
+  metrics::QueryRecord* record = CollectorAt(at).Record(track->slot);
   if (traffic == Traffic::kQuery) {
     record->query_msgs += count;
     record->query_bytes += count * bytes;
@@ -625,10 +617,12 @@ void Engine::DeliverResponse(PeerId to, PeerId /*from*/, overlay::ResponseMessag
     return;
   }
 
-  NodeState& n = node(to);
-  auto next = n.reverse_path.find(msg.qid);
-  if (next == n.reverse_path.end()) return;  // path lost (churn or cleanup)
-  SendResponse(to, next->second, msg);
+  const QueryTrack* track = TrackOf(shard_of(to), msg.qid);
+  if (track == nullptr) return;  // path lost: the query was cleaned up
+  auto hop = track->visits.find(to);
+  if (hop == track->visits.end()) return;
+  if (hop->second.session_epoch != graph_->session_epoch(to)) return;  // lost with churn
+  SendResponse(to, hop->second.upstream, msg);
 }
 
 void Engine::OfferRecords(PeerId origin, QueryId qid, PeerId responder,
@@ -754,24 +748,20 @@ void Engine::ScheduleCleanup(PeerId origin, QueryId qid) {
   }
 }
 
-void Engine::TouchPeer(sim::ShardId shard_id, QueryId qid, PeerId p) {
-  auto [it, inserted] = shards_[shard_id].touched.try_emplace(qid);
-  if (inserted) it->second.set_arena(arenas_[shard_id].get());
-  it->second.push_back(p);
+bool Engine::Visit(PeerId p, QueryId qid, PeerId upstream) {
+  const sim::ShardId shard_id = shard_of(p);
+  auto [track, fresh] = shards_[shard_id].tracks.try_emplace(qid);
+  if (fresh) track->second.visits.set_arena(arenas_[shard_id].get());
+  const Hop hop{upstream, graph_->session_epoch(p)};
+  auto [visit, first] = track->second.visits.try_emplace(p, hop);
+  if (first) return true;
+  if (visit->second.session_epoch == hop.session_epoch) return false;
+  visit->second = hop;  // last seen in a session that has since ended
+  return true;
 }
 
 void Engine::CleanupShard(sim::ShardId shard_id, QueryId qid) {
-  ShardState& shard = shards_[shard_id];
-  auto touched = shard.touched.find(qid);
-  if (touched != shard.touched.end()) {
-    for (PeerId p : touched->second) {
-      NodeState& n = node(p);
-      n.seen_queries.erase(qid);
-      n.reverse_path.erase(qid);
-    }
-    shard.touched.erase(touched);
-  }
-  shard.slot_of.erase(qid);
+  shards_[shard_id].tracks.erase(qid);
 }
 
 void Engine::SendBloomUpdate(PeerId from, PeerId to,
@@ -829,11 +819,9 @@ void Engine::HandleDeparture(PeerId p) {
     Send(p, nb, [this, nb, msg] { DeliverLinkDrop(nb, msg); });
   }
 
-  // Session state dies with the session; the response index survives on disk
-  // (its entries age out through entry_ttl instead).
+  // Session state dies with the session (query visits lapse with its epoch);
+  // the response index survives on disk (entries age out through entry_ttl).
   NodeState& n = node(p);
-  n.seen_queries.clear();
-  n.reverse_path.clear();
   n.neighbor_filters.clear();
   n.neighbor_gids.clear();
   n.neighbor_degree.clear();

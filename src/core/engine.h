@@ -7,16 +7,16 @@
 // Sharded execution: peers are partitioned across config.scheduler.shards
 // shards by a placement-defined partition (sim::ShardPlacement — modulo or
 // locality-clustered, built once at Create), each owning its peers' node
-// state, pending queries, and a private MetricsCollector (merged at Run()
-// exit). All
-// cross-peer interaction travels as events through the ShardedSimulator's
-// conservative windows, bounded per shard pair by a lookahead matrix the
-// engine mins from the underlay's locality structure (each shard's peer
-// locations digested against every other's — far-apart shards run deep
-// windows), and all event-time randomness is derived from stable identities
-// (DecisionRng), so the run's metrics are identical for every shard count,
-// worker count, stealing mode, and placement strategy — the whole scheduler
-// block is purely a wall-clock knob.
+// state, pending queries, per-query visit tables, and a private
+// MetricsCollector (merged at Run() exit). All cross-peer interaction
+// travels as events through the ShardedSimulator's conservative windows,
+// bounded per shard pair by a lookahead matrix the engine mins from the
+// underlay's locality structure (each shard's peer locations digested
+// against every other's — far-apart shards run deep windows), and all
+// event-time randomness is derived from stable identities (DecisionRng), so
+// the run's metrics are identical for every shard count, worker count,
+// stealing mode, and placement strategy — the whole scheduler block is
+// purely a wall-clock knob.
 //
 // Churn composes with sharding: the per-peer on/off schedule is a precomputed
 // immutable ChurnTimeline (stable per-(peer, cycle) streams), departures and
@@ -58,8 +58,9 @@ namespace locaware::core {
 class Engine {
  public:
   /// Builds every subsystem deterministically from config.seed. Fails on
-  /// values the run cannot honour (shards outside [1, num_peers], an empty
-  /// Bloom shape) or when a subsystem rejects its configuration (for
+  /// values the run cannot honour (no peers, shards outside [1, num_peers],
+  /// an empty Bloom shape, a zero maintenance interval, finger table or
+  /// index capacity) or when a subsystem rejects its configuration (for
   /// shards > 1, an underlay that cannot bound its minimum link latency).
   static Result<std::unique_ptr<Engine>> Create(const ExperimentConfig& config);
 
@@ -120,7 +121,7 @@ class Engine {
 
   /// Queries currently awaiting their deadline (0 after Run()).
   size_t pending_query_count() const;
-  /// Per-shard tracking entries still addressable by in-flight messages
+  /// Per-shard query visit tables still addressable by in-flight messages
   /// (0 after Run(): every query was cleaned up everywhere).
   size_t tracked_query_count() const;
 
@@ -192,16 +193,31 @@ class Engine {
     std::vector<Offer> offers;
   };
 
+  /// How a query first reached a peer: the neighbor it came from (none at
+  /// the origin) and the peer's session then. A hop stamped with an ended
+  /// session reads as absent, so departures clear nothing.
+  struct Hop {
+    PeerId upstream = kInvalidPeer;
+    uint32_t session_epoch = 0;
+  };
+
+  /// One query's state in one shard: its metrics slot and, for each of the
+  /// shard's peers the query reached, the hop that brought it — GUID
+  /// duplicate suppression and the reverse path (§3.1) in one table.
+  struct QueryTrack {
+    size_t slot = SIZE_MAX;  ///< SIZE_MAX: a straggler after cleanup
+    FlatMap<PeerId, Hop> visits;
+  };
+
   /// Everything one shard owns besides its peers' NodeStates. Only events
   /// executing on the owning shard touch an instance, so the hot path needs
   /// no locks; the metrics collectors are merged after the run.
   struct ShardState {
-    /// Flat tables, arena-bound to the shard's arena at setup; no call path
-    /// iterates them (find/insert/erase only), so table order never shows.
+    /// Flat tables, arena-bound to the shard's arena (the visit tables
+    /// too); only find/insert/erase reach them, never iteration. A track
+    /// is registered per query at Run() and erased by its cleanup event.
     FlatMap<QueryId, PendingQuery> pending;
-    FlatMap<QueryId, size_t> slot_of;
-    /// Peers of this shard whose seen/reverse-path tables mention a query.
-    FlatMap<QueryId, SmallVector<PeerId, 8>> touched;
+    FlatMap<QueryId, QueryTrack> tracks;
     metrics::MetricsCollector metrics;
   };
 
@@ -224,7 +240,8 @@ class Engine {
 
   // Query lifecycle. Forwarded queries share one immutable pooled message
   // per hop (QueryPayloadRef), so fan-out costs O(targets) refcount bumps
-  // and steady state allocates nothing (the pool recycles nodes).
+  // and steady state allocates nothing (the pool recycles nodes). Each hop
+  // is recorded in the receiving shard's QueryTrack.
   void SubmitQuery(const catalog::QueryEvent& ev);
   void DeliverQuery(PeerId to, PeerId from, const QueryPayloadRef& msg);
   void DeliverResponse(PeerId to, PeerId from, overlay::ResponseMessage msg);
@@ -233,12 +250,11 @@ class Engine {
   void SendResponse(PeerId responder, PeerId next_hop,
                     overlay::ResponseMessage msg);
   void FinalizeQuery(PeerId origin, QueryId qid);
-  /// Appends `p` to shard `shard_id`'s touched-peers list for `qid`,
-  /// arena-binding the list on first touch.
-  void TouchPeer(sim::ShardId shard_id, QueryId qid, PeerId p);
-  /// Erases one shard's tracking state for `qid` (its peers' seen/reverse
-  /// entries, the slot mapping). The full cleanup is one such event per
-  /// shard, scheduled by the origin at finalize + deadline.
+  /// Records that `qid` reached `p` from `upstream`; false for a duplicate in
+  /// p's current session. After cleanup, a copy opens a fresh slot-less track.
+  bool Visit(PeerId p, QueryId qid, PeerId upstream);
+  /// Erases one shard's track for `qid`. The full cleanup is one such event
+  /// per shard, scheduled by the origin at finalize + deadline.
   void CleanupShard(sim::ShardId shard, QueryId qid);
   /// Schedules CleanupShard on every shard at Now() + query deadline.
   void ScheduleCleanup(PeerId origin, QueryId qid);
@@ -268,7 +284,7 @@ class Engine {
   void ScheduleChurnTimeline();
 
   /// PeerDown: drop own half-links, notify ex-neighbors via LinkDrop
-  /// messages, clear session state.
+  /// messages, clear session state (visits lapse with the epoch).
   void HandleDeparture(PeerId p);
   /// PeerUp: fresh session epoch, probe for rejoin links.
   void HandleRejoin(PeerId p);
@@ -288,8 +304,8 @@ class Engine {
   void DeliverLinkProbe(PeerId to, const overlay::LinkProbeMessage& msg);
   void DeliverLinkAccept(PeerId to, const overlay::LinkAcceptMessage& msg);
 
-  /// Metrics slot of a query in `shard`, or SIZE_MAX after cleanup.
-  size_t SlotOf(sim::ShardId shard, QueryId qid) const;
+  /// `qid`'s track in `shard`, or null after cleanup.
+  QueryTrack* TrackOf(sim::ShardId shard, QueryId qid);
 
   ExperimentConfig config_;
   uint32_t num_shards_ = 1;

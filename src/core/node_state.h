@@ -1,6 +1,7 @@
 // Per-peer protocol state. One NodeState per participant, owned by the
 // Engine; protocols allocate their members (Protocol::InitNodeState) and
-// mutate them through their hooks.
+// mutate them through their hooks. Per-query state (GUIDs seen, reverse
+// paths) lives in the engine's per-shard query tracks instead.
 #pragma once
 
 #include <memory>
@@ -62,12 +63,6 @@ struct NodeState {
   /// draw (DecisionRng) so every round has a unique, shard-count-invariant
   /// stream.
   uint64_t link_round = 0;
-
-  // --- message plumbing ---
-  /// Query GUIDs already seen (duplicate suppression).
-  FlatSet<QueryId> seen_queries;
-  /// Reverse-path routing: query GUID -> the neighbor it arrived from.
-  FlatMap<QueryId, PeerId> reverse_path;
 
   /// Convenience: does this peer share a file (linear scan; stores are tiny).
   bool SharesFile(FileId f) const {

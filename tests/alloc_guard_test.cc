@@ -106,6 +106,21 @@ TEST(AllocGuardTest, LocawareSteadyStateStaysUnderBar) {
       << " allocs/event (bar " << kLocawareBar << ")";
 }
 
+TEST(AllocGuardTest, FloodingSteadyStateStaysUnderBar) {
+  // Flooding reaches the most peers per query, so its per-query visit
+  // tables grow largest and are freed once per query; that life cycle is
+  // held to the same bar as the other protocols' hot paths.
+  for (uint32_t shards : {1u, 4u}) {
+    const double per_event =
+        AllocsPerEvent(GuardConfig(ProtocolKind::kFlooding, shards));
+    RecordProperty("allocs_per_event_" + std::to_string(shards) + "shard",
+                   std::to_string(per_event));
+    EXPECT_LE(per_event, kDicasBar)
+        << "flooding event path regressed at " << shards << " shards: " << per_event
+        << " allocs/event (bar " << kDicasBar << ")";
+  }
+}
+
 TEST(AllocGuardTest, PayloadPoolRecyclesToZeroNetAllocations) {
   // The payload pool's whole claim: after warmup, a forward hop's
   // acquire/copy/drop cycle touches the heap zero times — recycled nodes

@@ -47,18 +47,17 @@ class EngineInvariantsTest : public ::testing::TestWithParam<SweepParam> {
 };
 
 TEST_P(EngineInvariantsTest, QuiescentStateIsClean) {
-  auto e = std::move(Engine::Create(Config(GetParam()))).ValueOrDie();
-  e->Run();
+  for (uint32_t shards : {1u, 3u}) {
+    ExperimentConfig cfg = Config(GetParam());
+    cfg.scheduler.shards = shards;
+    auto e = std::move(Engine::Create(cfg)).ValueOrDie();
+    e->Run();
 
-  // Every query was finalized and garbage-collected.
-  EXPECT_EQ(e->pending_query_count(), 0u);
-  EXPECT_EQ(e->tracked_query_count(), 0u);
-  EXPECT_EQ(e->metrics().records().size(), 250u);
-
-  // Per-node message-plumbing state drained (no GUID/reverse-path leaks).
-  for (PeerId p = 0; p < e->num_peers(); ++p) {
-    EXPECT_TRUE(e->node(p).seen_queries.empty()) << "peer " << p;
-    EXPECT_TRUE(e->node(p).reverse_path.empty()) << "peer " << p;
+    // Every query was finalized and garbage-collected: no shard keeps a
+    // pending entry or a per-query visit table (no GUID/reverse-path leaks).
+    EXPECT_EQ(e->pending_query_count(), 0u) << shards << " shards";
+    EXPECT_EQ(e->tracked_query_count(), 0u) << shards << " shards";
+    EXPECT_EQ(e->metrics().records().size(), 250u);
   }
 }
 

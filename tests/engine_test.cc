@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -64,6 +65,43 @@ TEST(EngineTest, CreateRejectsMoreShardsThanPeers) {
   EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
   cfg.scheduler.shards = static_cast<uint32_t>(cfg.num_peers);
   EXPECT_TRUE(Engine::Create(cfg).ok());
+}
+
+TEST(EngineTest, CreateRejectsZeroPeers) {
+  ExperimentConfig cfg = TinyConfig(ProtocolKind::kFlooding);
+  cfg.num_peers = 0;
+  auto created = Engine::Create(cfg);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(created.status().message().find("num_peers"), std::string::npos)
+      << created.status().ToString();
+}
+
+TEST(EngineTest, CreateRejectsZeroMaintenanceInterval) {
+  // A tick reschedules itself one interval later; zero used to spin forever.
+  ExperimentConfig cfg = TinyConfig(ProtocolKind::kLocaware);
+  cfg.params.maintenance_interval = 0;
+  auto created = Engine::Create(cfg);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(EngineTest, CreateRejectsZeroDhtFingers) {
+  for (ProtocolKind kind : {ProtocolKind::kDht, ProtocolKind::kHybrid}) {
+    ExperimentConfig cfg = TinyConfig(kind);
+    cfg.params.dht_fingers = 0;
+    auto created = Engine::Create(cfg);
+    ASSERT_FALSE(created.ok()) << ProtocolKindName(kind);
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(EngineTest, CreateRejectsZeroIndexCapacity) {
+  ExperimentConfig cfg = TinyConfig(ProtocolKind::kLocaware);
+  cfg.params.ri.max_filenames = 0;
+  auto created = Engine::Create(cfg);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EngineTest, NodesInitializedPerProtocol) {
@@ -860,6 +898,105 @@ TEST(ChurnLifecycleTest, TimelineMatchesGraphAliveAtQuiescence) {
     EXPECT_EQ(e->graph().IsAlive(p), e->churn_timeline().IsOnlineAt(p, now))
         << "peer " << p;
   }
+}
+
+TEST(ChurnLifecycleTest, RejoinedPeerSeesQueryAnewAndDropsOldSessionResponses) {
+  // A peer X leaves and comes back while a flooded query is in flight. Its
+  // GUID and reverse-path state belong to the session that ended, so:
+  //  (a) a response routed through X's old session dies at X, and
+  //  (b) a copy of the query reaching X in its new session is a first
+  //      sighting: X answers it again, over the path that copy took.
+  // Each case runs one query over a hand-wired component; every other peer
+  // is isolated. RTTs are uniform in [400, 500] ms and X is back within
+  // 100 ms, so it returns before (a) Y's answer (>= 400 ms behind the query)
+  // and before (b) Z's copy (>= 200 + 200 - 250 ms behind O's) reach it.
+  // X's rejoin probe cannot link anyone in time to carry a query copy (a
+  // handshake takes a full RTT), and no other peer churns around the query.
+  ExperimentConfig cfg = TinyConfig(ProtocolKind::kFlooding, /*seed=*/11);
+  cfg.use_uniform_underlay = true;
+  cfg.underlay.min_rtt_ms = 400;
+  cfg.underlay.max_rtt_ms = 500;
+  cfg.churn.enabled = true;
+  cfg.churn.mean_session_s = 4000;
+  cfg.churn.mean_offline_s = 0.04;
+  cfg.churn.rejoin_links = 1;
+  cfg.params.maintenance_interval = 1'000'000'000 * sim::kSecond;  // no ticks
+  constexpr sim::SimTime kMs = sim::kSecond / 1000;
+
+  // Scout: the same seed yields the same timeline, overlay and file stores.
+  auto scout = std::move(Engine::Create(cfg)).ValueOrDie();
+  auto departs = [&](PeerId p) {
+    const auto& t = scout->churn_timeline().transitions(p);
+    return t.empty() ? INT64_MAX : t[0];
+  };
+  std::vector<PeerId> by_departure(scout->num_peers());
+  for (PeerId p = 0; p < scout->num_peers(); ++p) by_departure[p] = p;
+  std::sort(by_departure.begin(), by_departure.end(),
+            [&](PeerId a, PeerId b) { return departs(a) < departs(b); });
+  const PeerId x = by_departure[0];
+  const auto& t = scout->churn_timeline().transitions(x);
+  ASSERT_GE(t.size(), 2u);
+  ASSERT_GT(t[0], sim::kSecond);
+  ASSERT_LT(t[1] - t[0], 100 * kMs);
+  ASSERT_TRUE(t.size() == 2 || t[2] > t[1] + 20 * sim::kSecond);
+  ASSERT_GT(departs(by_departure[1]), t[0] + 20 * sim::kSecond);
+  const FileId x_file = scout->node(x).file_store[0];
+  const PeerId y = by_departure[1];  // shares a file X does not
+  const FileId y_file = scout->node(y).file_store[0];
+  ASSERT_FALSE(scout->node(x).SharesFile(y_file));
+  std::vector<PeerId> others;  // share neither file
+  for (size_t i = 2; i < by_departure.size() && others.size() < 2; ++i) {
+    const NodeState& n = scout->node(by_departure[i]);
+    if (!n.SharesFile(x_file) && !n.SharesFile(y_file)) {
+      others.push_back(by_departure[i]);
+    }
+  }
+  ASSERT_EQ(others.size(), 2u);
+
+  // Runs one query for `file` from `origin` that reaches X 1 ms before it
+  // departs, over an overlay of exactly `links`.
+  const std::string path = ::testing::TempDir() + "/locaware_rejoin_trace.txt";
+  auto run = [&](PeerId origin, FileId file,
+                 std::vector<std::pair<PeerId, PeerId>> links) {
+    {
+      std::ofstream out(path);
+      out << "0 " << origin << ' ' << file << ' '
+          << t[0] - scout->OneWayDelay(origin, x) - kMs;
+      for (KeywordId kw : scout->catalog().keywords(file)) {
+        out << ' ' << scout->catalog().keyword(kw);
+      }
+      out << '\n';
+    }
+    ExperimentConfig replay = cfg;
+    replay.trace_path = path;
+    auto e = std::move(Engine::Create(replay)).ValueOrDie();
+    std::remove(path.c_str());
+    overlay::OverlayGraph& g = e->graph();
+    for (PeerId p = 0; p < e->num_peers(); ++p) {
+      while (g.Degree(p) > 0) g.RemoveLink(p, g.Neighbors(p)[0]);
+    }
+    for (const auto& [a, b] : links) EXPECT_TRUE(g.AddLink(a, b));
+    e->Run();
+    EXPECT_EQ(e->tracked_query_count(), 0u);
+    EXPECT_EQ(e->metrics().churn_events(), 2u);
+    return e->metrics().records().at(0);
+  };
+
+  // (a) O - X - Y. Y answers via X; the answer reaches X in its new session
+  // and dies there.
+  const PeerId o = others[0], z = others[1];
+  const metrics::QueryRecord a = run(o, y_file, {{o, x}, {x, y}});
+  EXPECT_EQ(a.query_msgs, 2u);
+  EXPECT_EQ(a.response_msgs, 1u);
+  EXPECT_EQ(a.responses_received, 0u);
+
+  // (b) O - X, O - Z - X; X shares the file. Copies O->X, O->Z, X->Z, Z->X.
+  // X answers O before leaving, then answers Z's copy again once back; Z
+  // relays that second answer to O.
+  const metrics::QueryRecord b = run(o, x_file, {{o, x}, {o, z}, {z, x}});
+  EXPECT_EQ(b.query_msgs, 4u);
+  EXPECT_EQ(b.response_msgs, 3u);
+  EXPECT_EQ(b.responses_received, 2u);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// FlatMap/FlatSet: the open-addressing tables under the data plane's hot
-// maps. The interesting transitions are growth rehashes (robin-hood
-// displacement), backward-shift erasure (no tombstones to get wrong), the
-// arena-provenance rules shared with SmallVector, and heterogeneous lookup
-// for the catalog's string interning. The fuzz loops at the bottom mirror
-// every operation against the std containers under ASan/UBSan in CI.
+// FlatMap: the open-addressing table under the data plane's hot maps. The
+// interesting transitions are growth rehashes (robin-hood displacement),
+// backward-shift erasure (no tombstones to get wrong), the arena-provenance
+// rules shared with SmallVector, and heterogeneous lookup for the catalog's
+// string interning. The fuzz loops at the bottom mirror every operation
+// against std::unordered_map under ASan/UBSan in CI.
 #include "common/flat_map.h"
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/arena.h"
@@ -286,41 +285,6 @@ TEST(FlatMapArenaTest, ArenaRecyclesDiscardedBuffersAcrossGrowth) {
   EXPECT_GT(arena.freelist_hits(), 0u);
 }
 
-// --- FlatSet ----------------------------------------------------------------
-
-TEST(FlatSetTest, InsertContainsEraseRoundTrip) {
-  FlatSet<uint64_t> s;
-  EXPECT_TRUE(s.empty());
-  auto [it, inserted] = s.insert(42);
-  EXPECT_TRUE(inserted);
-  EXPECT_EQ(*it, 42u);
-  EXPECT_FALSE(s.insert(42).second);  // duplicate
-  EXPECT_EQ(s.size(), 1u);
-  EXPECT_TRUE(s.contains(42u));
-  EXPECT_EQ(s.erase(42u), 1u);
-  EXPECT_EQ(s.erase(42u), 0u);
-  EXPECT_FALSE(s.contains(42u));
-}
-
-TEST(FlatSetTest, GrowthAndIteration) {
-  FlatSet<uint64_t> s;
-  for (uint64_t i = 0; i < 2000; ++i) s.insert(i * 31 + 7);
-  EXPECT_EQ(s.size(), 2000u);
-  std::vector<uint64_t> seen(s.begin(), s.end());
-  std::sort(seen.begin(), seen.end());
-  ASSERT_EQ(seen.size(), 2000u);
-  for (uint64_t i = 0; i < 2000; ++i) EXPECT_EQ(seen[i], i * 31 + 7);
-}
-
-TEST(FlatSetTest, ArenaBindingMatchesMapContract) {
-  common::Arena arena;
-  FlatSet<uint32_t> s;
-  s.set_arena(&arena);
-  for (uint32_t i = 0; i < 300; ++i) s.insert(i);
-  EXPECT_GT(arena.bytes_allocated(), 0u);
-  for (uint32_t i = 0; i < 300; ++i) EXPECT_TRUE(s.contains(i));
-}
-
 // --- fuzz: mirror against the std containers --------------------------------
 //
 // Same shape as the SmallVector fuzz loop: a seeded op stream applied to the
@@ -403,43 +367,6 @@ TEST(FlatMapFuzzTest, MirrorsUnorderedMapUnderRandomOps) {
     ASSERT_NE(it, ref.end()) << k;
     ASSERT_EQ(it->second, v);
   }
-}
-
-TEST(FlatSetFuzzTest, MirrorsUnorderedSetUnderRandomOps) {
-  std::mt19937 rng(0xf1a75e7);
-  FlatSet<uint64_t> flat;
-  std::unordered_set<uint64_t> ref;
-  auto key = [&] { return static_cast<uint64_t>(rng() % 193); };
-  for (int op = 0; op < 40000; ++op) {
-    switch (rng() % 5) {
-      case 0:
-      case 1: {
-        const uint64_t k = key();
-        EXPECT_EQ(flat.insert(k).second, ref.insert(k).second);
-        break;
-      }
-      case 2: {
-        const uint64_t k = key();
-        EXPECT_EQ(flat.erase(k), ref.erase(k));
-        break;
-      }
-      case 3: {
-        const uint64_t k = key();
-        EXPECT_EQ(flat.contains(k), ref.contains(k));
-        break;
-      }
-      default: {
-        if (rng() % 25 == 0) {
-          flat.clear();
-          ref.clear();
-        }
-        break;
-      }
-    }
-    ASSERT_EQ(flat.size(), ref.size());
-  }
-  for (uint64_t k : ref) ASSERT_TRUE(flat.contains(k));
-  for (uint64_t k : flat) ASSERT_TRUE(ref.contains(k) != 0);
 }
 
 TEST(FlatMapFuzzTest, NonTrivialValuesUnderRandomOps) {
