@@ -1,13 +1,33 @@
 // Microbenchmarks for the Bloom-filter subsystem: the per-query cost of
-// Locaware's routing checks and the per-update cost of delta gossip.
+// Locaware's routing checks, the per-update cost of delta gossip, and the
+// per-handshake cost of copying a filter that has never seen a key (which
+// the storage contract makes allocation-free; `allocs/op` tracks it).
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "bloom/bloom_delta.h"
 #include "bloom/bloom_filter.h"
 #include "bloom/counting_bloom.h"
+
+// --- allocation accounting ---------------------------------------------------
+// Bench-binary-wide operator new/delete overrides with a thread-local
+// counter; only deltas around measured regions are reported.
+namespace {
+thread_local uint64_t g_alloc_count = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++g_alloc_count;
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -48,6 +68,22 @@ void BM_BloomMayContain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BloomMayContain)->Arg(1200)->Arg(4096);
+
+void BM_EmptyFilterCopy(benchmark::State& state) {
+  // Every link handshake copies the peer's advertised filter, and in a
+  // Locaware run nearly all of them are still empty: the copy must not
+  // touch the allocator.
+  const BloomFilter fresh(1200, 4);
+  const uint64_t allocs_before = g_alloc_count;
+  for (auto _ : state) {
+    BloomFilter copy = fresh;
+    benchmark::DoNotOptimize(copy);
+  }
+  state.counters["allocs/op"] = benchmark::Counter(
+      static_cast<double>(g_alloc_count - allocs_before),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_EmptyFilterCopy);
 
 void BM_CountingInsertRemove(benchmark::State& state) {
   const auto keys = MakeKeys(1024);

@@ -1,5 +1,6 @@
 #include "bloom/bloom_filter.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -14,7 +15,10 @@ BloomFilter::BloomFilter(size_t num_bits, size_t num_hashes)
   LOCAWARE_CHECK_GT(num_bits, 0u);
   LOCAWARE_CHECK_GE(num_hashes, 1u);
   LOCAWARE_CHECK_LE(num_hashes, 16u);
-  words_.assign((num_bits + 63) / 64, 0);
+}
+
+void BloomFilter::Materialize() {
+  if (words_.empty()) words_.assign((num_bits_ + 63) / 64, 0);
 }
 
 std::vector<uint32_t> BloomFilter::ProbePositions(std::string_view key) const {
@@ -48,7 +52,7 @@ bool BloomFilter::MayContain(const KeyHash128& key) const {
   return true;
 }
 
-void BloomFilter::Clear() { words_.assign(words_.size(), 0); }
+void BloomFilter::Clear() { words_.clear(); }
 
 size_t BloomFilter::CountOnes() const {
   size_t ones = 0;
@@ -66,29 +70,33 @@ double BloomFilter::EstimatedFpRate() const {
 
 bool BloomFilter::TestBit(size_t pos) const {
   LOCAWARE_CHECK_LT(pos, num_bits_);
-  return (words_[pos / 64] >> (pos % 64)) & 1u;
+  return (WordAt(pos / 64) >> (pos % 64)) & 1u;
 }
 
 void BloomFilter::SetBit(size_t pos) {
   LOCAWARE_CHECK_LT(pos, num_bits_);
+  Materialize();
   words_[pos / 64] |= uint64_t{1} << (pos % 64);
 }
 
 void BloomFilter::ClearBit(size_t pos) {
   LOCAWARE_CHECK_LT(pos, num_bits_);
+  if (words_.empty()) return;
   words_[pos / 64] &= ~(uint64_t{1} << (pos % 64));
 }
 
 void BloomFilter::ToggleBit(size_t pos) {
   LOCAWARE_CHECK_LT(pos, num_bits_);
+  Materialize();
   words_[pos / 64] ^= uint64_t{1} << (pos % 64);
 }
 
 std::vector<uint32_t> BloomFilter::DiffPositions(const BloomFilter& other) const {
   LOCAWARE_CHECK_EQ(num_bits_, other.num_bits_) << "filter width mismatch";
   std::vector<uint32_t> diff;
-  for (size_t w = 0; w < words_.size(); ++w) {
-    uint64_t x = words_[w] ^ other.words_[w];
+  const size_t num_words = std::max(words_.size(), other.words_.size());
+  for (size_t w = 0; w < num_words; ++w) {
+    uint64_t x = WordAt(w) ^ other.WordAt(w);
     while (x != 0) {
       const int bit = std::countr_zero(x);
       diff.push_back(static_cast<uint32_t>(w * 64 + bit));
@@ -96,6 +104,11 @@ std::vector<uint32_t> BloomFilter::DiffPositions(const BloomFilter& other) const
     }
   }
   return diff;
+}
+
+bool BloomFilter::operator==(const BloomFilter& other) const {
+  return num_bits_ == other.num_bits_ && num_hashes_ == other.num_hashes_ &&
+         DiffPositions(other).empty();
 }
 
 std::string BloomFilter::Describe() const {

@@ -19,6 +19,13 @@ namespace locaware::bloom {
 /// Uses Kirsch–Mitzenmacher double hashing: the i-th probe position is
 /// (h1 + i*h2) mod m with (h1, h2) the two halves of one 128-bit Murmur3
 /// pass — k index computations from a single hash of the key.
+///
+/// Storage contract: empty costs nothing. A fresh filter holds no words; the
+/// first bit set allocates them, and until then every read answers zero and
+/// copies are free (most of a 100k-peer run's filters never see a key). The
+/// rule is one-way — no storage means all bits zero, but materialized words
+/// may also be all zero (after removals) — so equality compares shape and
+/// bits, never storage.
 class BloomFilter {
  public:
   /// \param num_bits   filter width m (> 0). The paper uses 1200 bits.
@@ -41,7 +48,8 @@ class BloomFilter {
   /// Membership test on a precomputed hash.
   bool MayContain(const KeyHash128& key) const;
 
-  /// Zeroes the filter.
+  /// Zeroes the filter, returning it to the empty representation (the word
+  /// buffer's capacity is kept for the next write).
   void Clear();
 
   size_t num_bits() const { return num_bits_; }
@@ -77,15 +85,21 @@ class BloomFilter {
   std::vector<uint32_t> ProbePositions(std::string_view key) const;
   std::vector<uint32_t> ProbePositions(const KeyHash128& key) const;
 
-  bool operator==(const BloomFilter& other) const = default;
+  /// Same shape and same bits, whatever either side's storage holds.
+  bool operator==(const BloomFilter& other) const;
 
   /// Debug rendering "m=1200 k=4 ones=87 fill=7.3%".
   std::string Describe() const;
 
  private:
+  /// Word `w` of the bit vector, 0 when the storage is empty.
+  uint64_t WordAt(size_t w) const { return words_.empty() ? 0 : words_[w]; }
+  /// Allocates the zeroed words on first write.
+  void Materialize();
+
   size_t num_bits_;
   size_t num_hashes_;
-  std::vector<uint64_t> words_;
+  std::vector<uint64_t> words_;  ///< empty, or (num_bits + 63) / 64 words
 };
 
 /// Optimal k for a filter of m bits expected to hold n keys: round(m/n · ln 2).

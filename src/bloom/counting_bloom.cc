@@ -5,11 +5,12 @@
 namespace locaware::bloom {
 
 CountingBloomFilter::CountingBloomFilter(size_t num_bits, size_t num_hashes)
-    : counters_(num_bits, 0), plain_(num_bits, num_hashes) {}
+    : plain_(num_bits, num_hashes) {}
 
 void CountingBloomFilter::Insert(std::string_view key) { Insert(BloomKeyHash(key)); }
 
 void CountingBloomFilter::Insert(const KeyHash128& key) {
+  if (counters_.empty()) counters_.assign(plain_.num_bits(), 0);
   for (size_t i = 0; i < plain_.num_hashes(); ++i) {
     const uint32_t pos = plain_.ProbePosition(key, i);
     uint8_t& c = counters_[pos];
@@ -21,6 +22,8 @@ void CountingBloomFilter::Insert(const KeyHash128& key) {
 void CountingBloomFilter::Remove(std::string_view key) { Remove(BloomKeyHash(key)); }
 
 void CountingBloomFilter::Remove(const KeyHash128& key) {
+  LOCAWARE_CHECK(!counters_.empty())
+      << "Remove of never-inserted key (counter underflow)";
   for (size_t i = 0; i < plain_.num_hashes(); ++i) {
     const uint32_t pos = plain_.ProbePosition(key, i);
     uint8_t& c = counters_[pos];
@@ -41,13 +44,13 @@ bool CountingBloomFilter::MayContain(const KeyHash128& key) const {
 }
 
 void CountingBloomFilter::Clear() {
-  counters_.assign(counters_.size(), 0);
+  counters_.clear();
   plain_.Clear();
 }
 
 uint8_t CountingBloomFilter::CounterAt(size_t pos) const {
-  LOCAWARE_CHECK_LT(pos, counters_.size());
-  return counters_[pos];
+  LOCAWARE_CHECK_LT(pos, plain_.num_bits());
+  return counters_.empty() ? 0 : counters_[pos];
 }
 
 size_t CountingBloomFilter::SaturatedCount() const {

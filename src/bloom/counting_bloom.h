@@ -19,6 +19,11 @@ namespace locaware::bloom {
 /// Counters saturate at 15 (and once saturated are never decremented, the
 /// standard safety rule: a saturated counter may be shared by more keys than
 /// it can count, so decrementing could introduce false negatives).
+///
+/// Storage contract (the plain filter's): empty costs nothing. The counters
+/// are allocated on the first Insert; until then CounterAt reads 0, the
+/// projection is an empty BloomFilter and Remove CHECK-fails like any other
+/// never-inserted key. Clear returns both to empty.
 class CountingBloomFilter {
  public:
   /// Same shape parameters as the plain filter it projects to.
@@ -52,7 +57,8 @@ class CountingBloomFilter {
  private:
   static constexpr uint8_t kMaxCount = 15;
 
-  std::vector<uint8_t> counters_;  // one nibble used per counter, byte-stored
+  // One nibble used per counter, byte-stored; empty until the first Insert.
+  std::vector<uint8_t> counters_;
   BloomFilter plain_;
 };
 

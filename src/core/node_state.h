@@ -35,14 +35,19 @@ struct NodeState {
   std::unique_ptr<cache::ResponseIndex> ri;
 
   // --- Bloom routing (§4.2): the filters are allocated by Locaware/Hybrid ---
+  // Every filter below follows the bloom/ storage contract: it holds no
+  // counters or words until its first write, reads as all-zero until then,
+  // copies for free while empty, and compares equal by bits, not storage.
+  // Most peers never cache a key, so their filters stay empty all run.
   /// Local deletable summary of RI keywords; its plain projection is what
   /// neighbors receive.
   std::unique_ptr<bloom::CountingBloomFilter> keyword_filter;
   /// Last projection actually gossiped; deltas are computed against it.
   std::unique_ptr<bloom::BloomFilter> advertised_filter;
-  /// Our copy of each neighbor's advertised filter. Flat tables (one
-  /// allocation, arena-bound at setup); iteration is table order, so
-  /// order-sensitive walks must collect-and-sort (common/flat_map.h).
+  /// Our copy of each neighbor's advertised filter (empty until that
+  /// neighbor advertises a key). Flat tables (one allocation, arena-bound at
+  /// setup); iteration is table order, so order-sensitive walks must
+  /// collect-and-sort (common/flat_map.h).
   FlatMap<PeerId, bloom::BloomFilter> neighbor_filters;
   /// Neighbors' group ids as learned at link establishment ("neighboring
   /// peers exchange their group Ids as well as their Bloom filters").

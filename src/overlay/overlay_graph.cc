@@ -14,6 +14,11 @@ Result<OverlayGraph> OverlayGraph::Generate(const OverlayConfig& config, Rng* rn
   if (config.avg_degree < 1.0 && config.num_peers > 1) {
     return Status::InvalidArgument("avg_degree must be >= 1 for a connected overlay");
   }
+  // A simple graph on n peers has at most n - 1 links per peer; asking for
+  // more (or for NaN) could only exhaust the placement attempts below.
+  if (!(config.avg_degree <= static_cast<double>(config.num_peers - 1))) {
+    return Status::InvalidArgument("avg_degree must be <= num_peers - 1");
+  }
 
   OverlayGraph g;
   g.adjacency_.resize(config.num_peers);

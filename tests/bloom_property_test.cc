@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -141,6 +142,85 @@ INSTANTIATE_TEST_SUITE_P(Shapes, BloomPropertyTest,
                                   std::to_string(info.param.hashes) + "s" +
                                   std::to_string(info.param.seed);
                          });
+
+/// The storage contract (empty until the first write; equality by bits)
+/// under random operations. A few filters share one small shape so clears,
+/// copies and all-zero-but-materialized states keep meeting each other; each
+/// has a dense std::vector<bool> reference, and after every operation every
+/// read — bits, popcount, diffs both ways, delta apply, equality — must agree
+/// with the references.
+TEST(BloomFilterFuzzTest, LazyStorageMirrorsDenseReference) {
+  constexpr size_t kBits = 130;  // three words, the last one partial
+  constexpr size_t kHashes = 3;
+  constexpr size_t kFilters = 4;
+  Rng rng(0x1a2b5eed);
+  std::vector<BloomFilter> filters(kFilters, BloomFilter(kBits, kHashes));
+  std::vector<std::vector<bool>> refs(kFilters, std::vector<bool>(kBits, false));
+  const auto ref_diff = [&](size_t a, size_t b) {
+    std::vector<uint32_t> diff;
+    for (size_t pos = 0; pos < kBits; ++pos) {
+      if (refs[a][pos] != refs[b][pos]) diff.push_back(static_cast<uint32_t>(pos));
+    }
+    return diff;
+  };
+  for (int step = 0; step < 4000; ++step) {
+    const size_t i = rng.UniformInt(0, kFilters - 1);
+    const size_t j = rng.UniformInt(0, kFilters - 1);
+    const size_t pos = rng.UniformInt(0, kBits - 1);
+    switch (rng.UniformInt(0, 7)) {
+      case 0:
+        filters[i].SetBit(pos);
+        refs[i][pos] = true;
+        break;
+      case 1:
+      case 2:  // weighted so filters keep returning to all-zero
+        filters[i].ClearBit(pos);
+        refs[i][pos] = false;
+        break;
+      case 3:
+        filters[i].ToggleBit(pos);
+        refs[i][pos] = !refs[i][pos];
+        break;
+      case 4:
+        filters[i].Clear();
+        refs[i].assign(kBits, false);
+        break;
+      case 5: {
+        const std::string key = "k" + std::to_string(rng.UniformInt(0, 40));
+        filters[i].Insert(key);
+        for (uint32_t p : filters[i].ProbePositions(key)) refs[i][p] = true;
+        break;
+      }
+      case 6: {
+        BloomFilter copy(filters[j]);
+        filters[i] = std::move(copy);
+        refs[i] = refs[j];
+        break;
+      }
+      default:
+        filters[i] = filters[j];
+        refs[i] = refs[j];
+        break;
+    }
+    for (size_t a = 0; a < kFilters; ++a) {
+      size_t ones = 0;
+      for (size_t p = 0; p < kBits; ++p) {
+        ASSERT_EQ(filters[a].TestBit(p), refs[a][p]) << "step " << step << " bit " << p;
+        ones += refs[a][p];
+      }
+      ASSERT_EQ(filters[a].CountOnes(), ones) << "step " << step;
+      for (size_t b = 0; b < kFilters; ++b) {
+        const std::vector<uint32_t> diff = ref_diff(a, b);
+        ASSERT_EQ(filters[a].DiffPositions(filters[b]), diff) << "step " << step;
+        ASSERT_EQ(filters[b].DiffPositions(filters[a]), diff) << "step " << step;
+        ASSERT_EQ(filters[a] == filters[b], refs[a] == refs[b]) << "step " << step;
+        BloomFilter synced = filters[a];
+        ASSERT_TRUE(ApplyDelta(kBits, diff, &synced).ok());
+        ASSERT_EQ(synced, filters[b]) << "step " << step;
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace locaware::bloom

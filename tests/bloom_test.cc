@@ -122,6 +122,72 @@ TEST(BloomFilterTest, EqualityOperator) {
   EXPECT_EQ(a, b);
 }
 
+// --- storage contract: empty until the first write, equality by bits ---
+
+TEST(BloomStorageTest, FreshEqualsSetThenCleared) {
+  // A filter whose words were materialized and then zeroed again equals one
+  // that never allocated, in both directions and in every read.
+  BloomFilter fresh(1200, 4), cleared(1200, 4);
+  cleared.SetBit(7);
+  cleared.SetBit(1199);
+  cleared.ClearBit(7);
+  cleared.ToggleBit(1199);
+  EXPECT_EQ(fresh, cleared);
+  EXPECT_EQ(cleared, fresh);
+  EXPECT_EQ(cleared.CountOnes(), 0u);
+  EXPECT_TRUE(fresh.DiffPositions(cleared).empty());
+  EXPECT_TRUE(cleared.DiffPositions(fresh).empty());
+  EXPECT_FALSE(fresh == BloomFilter(1200, 3)) << "shape still counts";
+}
+
+TEST(BloomStorageTest, ReadsAndClearBitOnFreshFilter) {
+  BloomFilter bf(100, 2);
+  EXPECT_FALSE(bf.TestBit(0));
+  EXPECT_FALSE(bf.TestBit(99));
+  bf.ClearBit(50);  // no-op on empty storage
+  EXPECT_EQ(bf, BloomFilter(100, 2));
+  // Bounds CHECKs hold on empty storage too.
+  EXPECT_DEATH(bf.TestBit(100), "CHECK");
+  EXPECT_DEATH(bf.ClearBit(100), "CHECK");
+  EXPECT_DEATH(bf.SetBit(100), "CHECK");
+  EXPECT_DEATH(bf.ToggleBit(100), "CHECK");
+}
+
+TEST(BloomStorageTest, DeltaAppliesOntoEmptyCopy) {
+  // The link handshake copies an advertised filter that is usually empty;
+  // later deltas must apply onto that copy exactly.
+  BloomFilter advertised(1200, 4);
+  BloomFilter copy = advertised;
+  BloomFilter next = advertised;
+  for (const auto& k : MakeKeys(5)) next.Insert(k);
+  ASSERT_TRUE(ApplyDelta(ComputeDelta(advertised, next), &copy).ok());
+  EXPECT_EQ(copy, next);
+  // And back to all-zero: the copy stays materialized but equals a fresh one.
+  ASSERT_TRUE(ApplyDelta(ComputeDelta(next, advertised), &copy).ok());
+  EXPECT_EQ(copy, BloomFilter(1200, 4));
+}
+
+TEST(BloomStorageTest, ClearThenApplyReproducesFullStateBootstrap) {
+  // OnBloomUpdate's full-state bootstrap: the sender diffs its advertised
+  // filter against a fresh one; the receiver clears its stale copy and
+  // applies the positions.
+  BloomFilter advertised(1200, 4);
+  for (const auto& k : MakeKeys(12, "adv")) advertised.Insert(k);
+  BloomFilter stale(1200, 4);
+  for (const auto& k : MakeKeys(30, "old")) stale.Insert(k);
+  const std::vector<uint32_t> positions =
+      advertised.DiffPositions(BloomFilter(1200, 4));
+  stale.Clear();
+  EXPECT_EQ(stale, BloomFilter(1200, 4));
+  ASSERT_TRUE(ApplyDelta(1200, positions, &stale).ok());
+  EXPECT_EQ(stale, advertised);
+  // An all-zero sender bootstraps to an all-zero copy.
+  const BloomFilter zero(1200, 4);
+  stale.Clear();
+  ASSERT_TRUE(ApplyDelta(1200, zero.DiffPositions(zero), &stale).ok());
+  EXPECT_EQ(stale, zero);
+}
+
 TEST(BloomFilterTest, InvalidShapesDie) {
   EXPECT_DEATH(BloomFilter(0, 4), "CHECK");
   EXPECT_DEATH(BloomFilter(100, 0), "CHECK");
@@ -189,8 +255,30 @@ TEST(CountingBloomTest, ProjectionMatchesBitwiseRebuild) {
 }
 
 TEST(CountingBloomTest, RemoveOfAbsentKeyDies) {
+  // A fresh filter holds no counters; Remove must still die, not no-op.
   CountingBloomFilter cbf(1200, 4);
   EXPECT_DEATH(cbf.Remove("never-inserted"), "underflow");
+  cbf.Insert("present");
+  cbf.Clear();  // back to empty storage
+  EXPECT_DEATH(cbf.Remove("present"), "underflow");
+}
+
+TEST(CountingBloomTest, FreshCountersReadZero) {
+  CountingBloomFilter cbf(1200, 4);
+  EXPECT_EQ(cbf.CounterAt(0), 0u);
+  EXPECT_EQ(cbf.CounterAt(1199), 0u);
+  EXPECT_EQ(cbf.SaturatedCount(), 0u);
+  EXPECT_FALSE(cbf.MayContain("anything"));
+  EXPECT_DEATH(cbf.CounterAt(1200), "CHECK");
+}
+
+TEST(CountingBloomTest, InsertRemoveRoundTripEqualsFresh) {
+  CountingBloomFilter cbf(1200, 4);
+  const auto keys = MakeKeys(40);
+  for (const auto& k : keys) cbf.Insert(k);
+  for (const auto& k : keys) cbf.Remove(k);
+  EXPECT_EQ(cbf.projection(), CountingBloomFilter(1200, 4).projection());
+  for (size_t pos = 0; pos < 1200; ++pos) ASSERT_EQ(cbf.CounterAt(pos), 0u);
 }
 
 TEST(CountingBloomTest, SaturationPinsCounters) {

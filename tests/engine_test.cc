@@ -104,6 +104,18 @@ TEST(EngineTest, CreateRejectsZeroIndexCapacity) {
   EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(EngineTest, CreateRejectsDegreeAbovePeerCount) {
+  // 150 peers can each have at most 149 neighbors; the overlay generator
+  // must say so up front instead of failing to place the links.
+  ExperimentConfig cfg = TinyConfig(ProtocolKind::kFlooding);
+  cfg.avg_degree = static_cast<double>(cfg.num_peers);
+  auto created = Engine::Create(cfg);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(created.status().message().find("avg_degree"), std::string::npos)
+      << created.status().ToString();
+}
+
 TEST(EngineTest, NodesInitializedPerProtocol) {
   // What each protocol allocates per peer, and whether a static run ticks.
   struct Expected {
