@@ -36,6 +36,9 @@
 //    runs only, never CI).
 //  * BM_TraceLoad — text vs binary trace parsing over the same 200k-query
 //    workload; the `speedup` counter is the headline binary-format number.
+//
+// BM_EngineCreate/shards:{1,4,8} times Engine::Create alone on the 10k-peer
+// flooding network: the set-up cost, and whether it grows with the shards.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -328,6 +331,33 @@ BENCHMARK(BM_EngineSharded)
     ->Args({8, 1})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// Engine::Create alone at the e2e benchmark's fig3_flooding_10k network
+// (10k peers, 400 routers, flooding, 150 queries), in ms of CPU per Create.
+// The fixed cost is the underlay's all-pairs shortest paths; the K x K
+// lookahead matrix is the part that could grow with K, and the
+// shards:{1,4,8} rows show whether it does.
+void BM_EngineCreate(benchmark::State& state) {
+  core::ExperimentConfig cfg =
+      core::MakePaperConfig(core::ProtocolKind::kFlooding, /*num_queries=*/150,
+                            /*seed=*/42);
+  cfg.num_peers = 10000;
+  cfg.underlay.num_routers = 400;
+  cfg.scheduler.shards = static_cast<uint32_t>(state.range(0));
+  cfg.scheduler.workers = 1;
+  for (auto _ : state) {
+    auto engine = std::move(core::Engine::Create(cfg)).ValueOrDie();
+    state.PauseTiming();
+    engine.reset();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_EngineCreate)
+    ->ArgName("shards")
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(8)
+    ->Unit(benchmark::kMillisecond);
 
 // The million-peer data plane target: full Dicas engine at scale. Routers
 // grow with the swarm (~1 per 25 peers) up to the 1000 cap that bounds the

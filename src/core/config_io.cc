@@ -1,9 +1,13 @@
 #include "core/config_io.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "common/json_writer.h"
 #include "common/string_util.h"
@@ -47,10 +51,20 @@ Result<KeyValue> ParseLine(const std::string& line, size_t lineno) {
 }
 
 Result<uint64_t> ParseU64(const KeyValue& kv) {
+  // strtoull would read "-5" as 2^64 - 5, skip leading whitespace and
+  // saturate past 2^64 - 1.
+  if (kv.value[0] == '-') {
+    return Status::InvalidArgument(kv.key + ": '" + kv.value + "' is negative");
+  }
   char* end = nullptr;
+  errno = 0;
   const uint64_t v = std::strtoull(kv.value.c_str(), &end, 10);
-  if (end == kv.value.c_str() || *end != '\0') {
+  if (end == kv.value.c_str() || *end != '\0' ||
+      std::isspace(static_cast<unsigned char>(kv.value[0]))) {
     return Status::InvalidArgument(kv.key + ": '" + kv.value + "' is not an integer");
+  }
+  if (errno == ERANGE) {
+    return Status::InvalidArgument(kv.key + ": '" + kv.value + "' is out of range");
   }
   return v;
 }
@@ -69,6 +83,28 @@ Result<bool> ParseBool(const KeyValue& kv) {
   if (v == "true" || v == "1" || v == "on") return true;
   if (v == "false" || v == "0" || v == "off") return false;
   return Status::InvalidArgument(kv.key + ": '" + kv.value + "' is not a bool");
+}
+
+/// Parses kv's value as the type of the field it sets. Unsigned fields
+/// narrower than 64 bits reject values past their maximum instead of
+/// truncating them.
+template <typename T>
+Result<T> ParseField(const KeyValue& kv) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return ParseBool(kv);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    return ParseF64(kv);
+  } else {
+    static_assert(std::is_unsigned_v<T>);
+    auto v = ParseU64(kv);
+    if (!v.ok()) return v.status();
+    constexpr T kMax = std::numeric_limits<T>::max();
+    if (v.ValueOrDie() > kMax) {
+      const std::string max = std::to_string(kMax);
+      return Status::InvalidArgument(kv.key + ": '" + kv.value + "' exceeds " + max);
+    }
+    return static_cast<T>(v.ValueOrDie());
+  }
 }
 
 }  // namespace
@@ -194,16 +230,13 @@ Result<ExperimentConfig> ParseConfig(const std::string& text) {
     if (!parsed.ok()) return parsed.status();
     const KeyValue kv = parsed.ValueOrDie();
 
-    // Dispatch. Macro-free but repetitive by design: every key is explicit,
-    // so a typo in a config file is an error rather than a silent default.
-    auto u64 = [&]() { return ParseU64(kv); };
-    auto f64 = [&]() { return ParseF64(kv); };
-    auto b = [&]() { return ParseBool(kv); };
-#define LOCAWARE_ASSIGN(parser, target, cast)                   \
-  {                                                             \
-    auto v = parser();                                          \
-    if (!v.ok()) return v.status();                             \
-    target = static_cast<cast>(v.ValueOrDie());                 \
+    // Dispatch. Repetitive by design: every key is explicit, so a typo in a
+    // config file is an error rather than a silent default.
+#define LOCAWARE_ASSIGN(target)                                         \
+  {                                                                     \
+    auto v = ParseField<std::remove_reference_t<decltype(target)>>(kv); \
+    if (!v.ok()) return v.status();                                     \
+    target = v.ValueOrDie();                                            \
   }
 
     if (kv.key == "label") {
@@ -213,29 +246,29 @@ Result<ExperimentConfig> ParseConfig(const std::string& text) {
       if (!v.ok()) return v.status();
       c.protocol = v.ValueOrDie();
     } else if (kv.key == "seed") {
-      LOCAWARE_ASSIGN(u64, c.seed, uint64_t)
+      LOCAWARE_ASSIGN(c.seed)
     } else if (kv.key == "scheduler.shards") {
-      LOCAWARE_ASSIGN(u64, c.scheduler.shards, uint32_t)
+      LOCAWARE_ASSIGN(c.scheduler.shards)
     } else if (kv.key == "scheduler.workers") {
-      LOCAWARE_ASSIGN(u64, c.scheduler.workers, uint32_t)
+      LOCAWARE_ASSIGN(c.scheduler.workers)
     } else if (kv.key == "scheduler.work_stealing") {
-      LOCAWARE_ASSIGN(b, c.scheduler.work_stealing, bool)
+      LOCAWARE_ASSIGN(c.scheduler.work_stealing)
     } else if (kv.key == "scheduler.placement") {
       auto v = ParsePlacementStrategy(kv.value);
       if (!v.ok()) return v.status();
       c.scheduler.placement = v.ValueOrDie();
     } else if (kv.key == "scheduler.event_reserve_hint") {
-      LOCAWARE_ASSIGN(u64, c.scheduler.event_reserve_hint, size_t)
+      LOCAWARE_ASSIGN(c.scheduler.event_reserve_hint)
     } else if (kv.key == "num_peers") {
-      LOCAWARE_ASSIGN(u64, c.num_peers, size_t)
+      LOCAWARE_ASSIGN(c.num_peers)
     } else if (kv.key == "avg_degree") {
-      LOCAWARE_ASSIGN(f64, c.avg_degree, double)
+      LOCAWARE_ASSIGN(c.avg_degree)
     } else if (kv.key == "num_landmarks") {
-      LOCAWARE_ASSIGN(u64, c.num_landmarks, size_t)
+      LOCAWARE_ASSIGN(c.num_landmarks)
     } else if (kv.key == "use_uniform_underlay") {
-      LOCAWARE_ASSIGN(b, c.use_uniform_underlay, bool)
+      LOCAWARE_ASSIGN(c.use_uniform_underlay)
     } else if (kv.key == "underlay.num_routers") {
-      LOCAWARE_ASSIGN(u64, c.underlay.num_routers, size_t)
+      LOCAWARE_ASSIGN(c.underlay.num_routers)
     } else if (kv.key == "underlay.model") {
       const std::string v = ToLower(kv.value);
       if (v == "waxman") {
@@ -246,80 +279,80 @@ Result<ExperimentConfig> ParseConfig(const std::string& text) {
         return Status::InvalidArgument("unknown underlay model '" + kv.value + "'");
       }
     } else if (kv.key == "underlay.min_rtt_ms") {
-      LOCAWARE_ASSIGN(f64, c.underlay.min_rtt_ms, double)
+      LOCAWARE_ASSIGN(c.underlay.min_rtt_ms)
     } else if (kv.key == "underlay.max_rtt_ms") {
-      LOCAWARE_ASSIGN(f64, c.underlay.max_rtt_ms, double)
+      LOCAWARE_ASSIGN(c.underlay.max_rtt_ms)
     } else if (kv.key == "files_per_peer") {
-      LOCAWARE_ASSIGN(u64, c.files_per_peer, size_t)
+      LOCAWARE_ASSIGN(c.files_per_peer)
     } else if (kv.key == "catalog.num_files") {
-      LOCAWARE_ASSIGN(u64, c.catalog.num_files, size_t)
+      LOCAWARE_ASSIGN(c.catalog.num_files)
     } else if (kv.key == "catalog.keyword_pool_size") {
-      LOCAWARE_ASSIGN(u64, c.catalog.keyword_pool_size, size_t)
+      LOCAWARE_ASSIGN(c.catalog.keyword_pool_size)
     } else if (kv.key == "catalog.keywords_per_file") {
-      LOCAWARE_ASSIGN(u64, c.catalog.keywords_per_file, size_t)
+      LOCAWARE_ASSIGN(c.catalog.keywords_per_file)
     } else if (kv.key == "workload.num_queries") {
-      LOCAWARE_ASSIGN(u64, c.workload.num_queries, uint64_t)
+      LOCAWARE_ASSIGN(c.workload.num_queries)
     } else if (kv.key == "workload.zipf_exponent") {
-      LOCAWARE_ASSIGN(f64, c.workload.zipf_exponent, double)
+      LOCAWARE_ASSIGN(c.workload.zipf_exponent)
     } else if (kv.key == "workload.query_rate_per_peer_s") {
-      LOCAWARE_ASSIGN(f64, c.workload.query_rate_per_peer_s, double)
+      LOCAWARE_ASSIGN(c.workload.query_rate_per_peer_s)
     } else if (kv.key == "workload.min_query_keywords") {
-      LOCAWARE_ASSIGN(u64, c.workload.min_query_keywords, size_t)
+      LOCAWARE_ASSIGN(c.workload.min_query_keywords)
     } else if (kv.key == "workload.max_query_keywords") {
-      LOCAWARE_ASSIGN(u64, c.workload.max_query_keywords, size_t)
+      LOCAWARE_ASSIGN(c.workload.max_query_keywords)
     } else if (kv.key == "trace_path") {
       c.trace_path = kv.value;
     } else if (kv.key == "churn.enabled") {
-      LOCAWARE_ASSIGN(b, c.churn.enabled, bool)
+      LOCAWARE_ASSIGN(c.churn.enabled)
     } else if (kv.key == "churn.mean_session_s") {
-      LOCAWARE_ASSIGN(f64, c.churn.mean_session_s, double)
+      LOCAWARE_ASSIGN(c.churn.mean_session_s)
     } else if (kv.key == "churn.mean_offline_s") {
-      LOCAWARE_ASSIGN(f64, c.churn.mean_offline_s, double)
+      LOCAWARE_ASSIGN(c.churn.mean_offline_s)
     } else if (kv.key == "churn.rejoin_links") {
-      LOCAWARE_ASSIGN(u64, c.churn.rejoin_links, size_t)
+      LOCAWARE_ASSIGN(c.churn.rejoin_links)
     } else if (kv.key == "params.ttl") {
-      LOCAWARE_ASSIGN(u64, c.params.ttl, uint32_t)
+      LOCAWARE_ASSIGN(c.params.ttl)
     } else if (kv.key == "params.num_groups") {
-      LOCAWARE_ASSIGN(u64, c.params.num_groups, uint16_t)
+      LOCAWARE_ASSIGN(c.params.num_groups)
     } else if (kv.key == "params.fallback_fanout") {
-      LOCAWARE_ASSIGN(u64, c.params.fallback_fanout, size_t)
+      LOCAWARE_ASSIGN(c.params.fallback_fanout)
     } else if (kv.key == "params.bloom_bits") {
-      LOCAWARE_ASSIGN(u64, c.params.bloom_bits, size_t)
+      LOCAWARE_ASSIGN(c.params.bloom_bits)
     } else if (kv.key == "params.bloom_hashes") {
-      LOCAWARE_ASSIGN(u64, c.params.bloom_hashes, size_t)
+      LOCAWARE_ASSIGN(c.params.bloom_hashes)
     } else if (kv.key == "params.maintenance_interval_s") {
-      auto v = f64();
+      auto v = ParseF64(kv);
       if (!v.ok()) return v.status();
       c.params.maintenance_interval = sim::FromSeconds(v.ValueOrDie());
     } else if (kv.key == "params.query_deadline_s") {
-      auto v = f64();
+      auto v = ParseF64(kv);
       if (!v.ok()) return v.status();
       c.params.query_deadline = sim::FromSeconds(v.ValueOrDie());
     } else if (kv.key == "params.max_response_providers") {
-      LOCAWARE_ASSIGN(u64, c.params.max_response_providers, size_t)
+      LOCAWARE_ASSIGN(c.params.max_response_providers)
     } else if (kv.key == "params.requester_becomes_provider") {
-      LOCAWARE_ASSIGN(b, c.params.requester_becomes_provider, bool)
+      LOCAWARE_ASSIGN(c.params.requester_becomes_provider)
     } else if (kv.key == "params.loc_aware_routing") {
-      LOCAWARE_ASSIGN(b, c.params.loc_aware_routing, bool)
+      LOCAWARE_ASSIGN(c.params.loc_aware_routing)
     } else if (kv.key == "params.selection") {
       auto v = ParseSelectionStrategy(kv.value);
       if (!v.ok()) return v.status();
       c.params.selection = v.ValueOrDie();
     } else if (kv.key == "dht.successors") {
-      LOCAWARE_ASSIGN(u64, c.params.dht_successors, size_t)
+      LOCAWARE_ASSIGN(c.params.dht_successors)
     } else if (kv.key == "dht.fingers") {
-      LOCAWARE_ASSIGN(u64, c.params.dht_fingers, size_t)
+      LOCAWARE_ASSIGN(c.params.dht_fingers)
     } else if (kv.key == "dht.republish_interval_ms") {
-      auto v = u64();
+      auto v = ParseU64(kv);
       if (!v.ok()) return v.status();
       c.params.dht_republish_interval =
           sim::FromMs(static_cast<double>(v.ValueOrDie()));
     } else if (kv.key == "ri.max_filenames") {
-      LOCAWARE_ASSIGN(u64, c.params.ri.max_filenames, size_t)
+      LOCAWARE_ASSIGN(c.params.ri.max_filenames)
     } else if (kv.key == "ri.max_providers_per_file") {
-      LOCAWARE_ASSIGN(u64, c.params.ri.max_providers_per_file, size_t)
+      LOCAWARE_ASSIGN(c.params.ri.max_providers_per_file)
     } else if (kv.key == "ri.entry_ttl_s") {
-      auto v = f64();
+      auto v = ParseF64(kv);
       if (!v.ok()) return v.status();
       c.params.ri.entry_ttl = sim::FromSeconds(v.ValueOrDie());
     } else if (kv.key == "ri.eviction") {

@@ -275,20 +275,41 @@ Status Engine::Setup() {
 
 std::vector<sim::SimTime> Engine::BuildLookaheadMatrix(
     sim::SimTime scalar_lookahead) const {
+  // matrix[s][d] is the min of the underlay's pairwise bounds over the cross
+  // product of s's and d's location sets: the tightest claim the underlay
+  // makes about that shard pair. Scanning each pair's cross product costs
+  // O(K^2 * L^2) bound calls; instead, each occupied location pair is asked
+  // once and folded into near[a][d] = min over d's locations b of
+  // bound(a, b), and matrix[s][d] = min over s's locations a of near[a][d].
+  // That is O(L^2 + L * sum |S_d|) work, and since min over finite doubles is
+  // exact and order-free, the same matrix.
   const uint32_t k = num_shards_;
+  const size_t num_locs = underlay_->num_locations();
+  std::vector<std::vector<sim::ShardId>> shards_at(num_locs);
+  for (sim::ShardId d = 0; d < k; ++d) {
+    for (size_t loc : placement_.ShardLocations(d)) shards_at[loc].push_back(d);
+  }
+  const double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> near(num_locs * k, kInf);
+  for (size_t a = 0; a < num_locs; ++a) {
+    if (shards_at[a].empty()) continue;
+    double* near_a = &near[a * k];
+    for (size_t b = 0; b < num_locs; ++b) {
+      if (shards_at[b].empty()) continue;
+      const double bound = underlay_->PairRttLowerBoundMs(a, b);
+      for (sim::ShardId d : shards_at[b]) near_a[d] = std::min(near_a[d], bound);
+    }
+  }
+
   std::vector<sim::SimTime> matrix(static_cast<size_t>(k) * k, 0);
   for (sim::ShardId src = 0; src < k; ++src) {
     for (sim::ShardId dst = 0; dst < k; ++dst) {
       if (src == dst) continue;
-      // The tightest claim the underlay makes about this shard pair: the min
-      // of its pairwise bounds over every (src location, dst location)
-      // combination. Empty digests (a shard with no peers) cannot send, so
-      // any positive bound is valid; use the scalar.
-      double bound_ms = std::numeric_limits<double>::infinity();
-      for (size_t loc_a : placement_.ShardLocations(src)) {
-        for (size_t loc_b : placement_.ShardLocations(dst)) {
-          bound_ms = std::min(bound_ms, underlay_->PairRttLowerBoundMs(loc_a, loc_b));
-        }
+      // Empty digests (a shard with no peers) cannot send, so any positive
+      // bound is valid; use the scalar.
+      double bound_ms = kInf;
+      for (size_t a : placement_.ShardLocations(src)) {
+        bound_ms = std::min(bound_ms, near[a * k + dst]);
       }
       sim::SimTime la = std::isfinite(bound_ms) ? sim::FromMs(bound_ms / 2.0)
                                                 : scalar_lookahead;

@@ -228,7 +228,10 @@ class Engine {
   /// [src * K + dst] is the one-way bound for events src's peers create for
   /// dst's peers, clamped to [scalar lookahead, query_deadline] (the deadline
   /// cap keeps cross-shard cleanup events schedulable; any clamp-down is
-  /// still a valid conservative bound).
+  /// still a valid conservative bound). Each occupied location pair's bound
+  /// is asked for once and folded per destination shard, so the cost is
+  /// O(L^2 + L * sum over d of |S_d|) for L locations and location sets S_d,
+  /// not O(K^2 * L^2); the matrix is the same, min being exact.
   std::vector<sim::SimTime> BuildLookaheadMatrix(sim::SimTime scalar_lookahead) const;
 
   /// Event source id of peer `p` (source 0 is the pre-run controller).

@@ -188,6 +188,44 @@ TEST(ConfigIoTest, RejectsMalformedLines) {
   EXPECT_FALSE(ParseConfig("params.selection = psychic\n").ok());
 }
 
+TEST(ConfigIoTest, RejectsNegativeAndOutOfRangeIntegers) {
+  // Each key narrower than 64 bits takes its type's max and rejects max + 1
+  // by name, instead of truncating it (4294967300 used to load as 4).
+  const auto rejected = [](const std::string& key, const std::string& value) {
+    auto parsed = ParseConfig(key + " = " + value + "\n");
+    if (parsed.ok()) return ::testing::AssertionFailure() << key << "=" << value;
+    if (parsed.status().code() != StatusCode::kInvalidArgument ||
+        parsed.status().message().find(key) == std::string::npos) {
+      return ::testing::AssertionFailure() << parsed.status().ToString();
+    }
+    return ::testing::AssertionSuccess();
+  };
+  auto max32 = ParseConfig(
+      "scheduler.shards = 4294967295\nscheduler.workers = 4294967295\n"
+      "params.ttl = 4294967295\nparams.num_groups = 65535\n");
+  ASSERT_TRUE(max32.ok()) << max32.status().ToString();
+  EXPECT_EQ(max32.ValueOrDie().scheduler.shards, 4294967295u);
+  EXPECT_EQ(max32.ValueOrDie().scheduler.workers, 4294967295u);
+  EXPECT_EQ(max32.ValueOrDie().params.ttl, 4294967295u);
+  EXPECT_EQ(max32.ValueOrDie().params.num_groups, 65535u);
+  for (const char* key : {"scheduler.shards", "scheduler.workers", "params.ttl"}) {
+    EXPECT_TRUE(rejected(key, "4294967296"));
+    EXPECT_TRUE(rejected(key, "4294967300"));
+  }
+  EXPECT_TRUE(rejected("params.num_groups", "65536"));
+  EXPECT_TRUE(rejected("params.num_groups", "65537"));
+
+  // 64-bit keys: 2^64 - 1 loads, 2^64 overflows, and no key takes a sign.
+  auto max64 = ParseConfig("seed = 18446744073709551615\n");
+  ASSERT_TRUE(max64.ok()) << max64.status().ToString();
+  EXPECT_EQ(max64.ValueOrDie().seed, 18446744073709551615u);
+  EXPECT_TRUE(rejected("seed", "18446744073709551616"));
+  EXPECT_TRUE(rejected("num_peers", "-5"));
+  EXPECT_TRUE(rejected("num_peers", "-0"));
+  EXPECT_TRUE(rejected("params.ttl", "-1"));
+  EXPECT_TRUE(rejected("dht.republish_interval_ms", "-1"));
+}
+
 TEST(ConfigIoTest, SaveLoadFile) {
   const std::string path = ::testing::TempDir() + "/locaware_cfg_test.cfg";
   ExperimentConfig original = MakePaperConfig(ProtocolKind::kFlooding, 77, 3);

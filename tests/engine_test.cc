@@ -1,10 +1,12 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -681,6 +683,46 @@ TEST(ShardConfigTest, PairwiseLookaheadHonorsScalarFloorAndDeadlineCap) {
       const sim::SimTime la = e->simulator().LookaheadBetween(s, d);
       EXPECT_GE(la, scalar) << s << "->" << d;
       EXPECT_LE(la, cfg.params.query_deadline) << s << "->" << d;
+    }
+  }
+}
+
+TEST(ShardConfigTest, LookaheadMatrixEqualsCrossProductScan) {
+  // The matrix is built per location, not per shard pair; it must equal the
+  // direct definition — the min bound over each pair's location cross
+  // product, clamped to [scalar, deadline] — entry for entry. Clustered
+  // placement gives disjoint location sets, modulo overlapping ones.
+  for (sim::PlacementStrategy placement :
+       {sim::PlacementStrategy::kModulo, sim::PlacementStrategy::kClustered}) {
+    for (uint32_t shards : {2u, 4u, 8u}) {
+      ExperimentConfig cfg = TinyConfig(ProtocolKind::kDicas);
+      cfg.scheduler.shards = shards;
+      cfg.scheduler.placement = placement;
+      auto e = std::move(Engine::Create(cfg)).ValueOrDie();
+      const sim::SimTime scalar = sim::FromMs(e->underlay().MinPairRttMs() / 2.0);
+      const std::string where = std::string(sim::PlacementStrategyName(placement)) +
+                                " shards=" + std::to_string(shards);
+      bool overlap = false;
+      for (sim::ShardId s = 0; s < shards; ++s) {
+        const std::vector<size_t>& src = e->placement().ShardLocations(s);
+        for (sim::ShardId d = 0; d < shards; ++d) {
+          if (s == d) continue;
+          const std::vector<size_t>& dst = e->placement().ShardLocations(d);
+          double bound_ms = std::numeric_limits<double>::infinity();
+          for (size_t a : src) {
+            for (size_t b : dst) {
+              bound_ms = std::min(bound_ms, e->underlay().PairRttLowerBoundMs(a, b));
+              overlap |= a == b;
+            }
+          }
+          sim::SimTime want =
+              std::isfinite(bound_ms) ? sim::FromMs(bound_ms / 2.0) : scalar;
+          want = std::min(std::max(want, scalar), cfg.params.query_deadline);
+          EXPECT_EQ(e->simulator().LookaheadBetween(s, d), want)
+              << where << " " << s << "->" << d;
+        }
+      }
+      EXPECT_EQ(overlap, placement == sim::PlacementStrategy::kModulo) << where;
     }
   }
 }

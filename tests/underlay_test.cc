@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
+#include <string>
+
 #include "common/rng.h"
 
 namespace locaware::net {
@@ -297,6 +301,84 @@ TEST(UniformUnderlayTest, RejectsBadConfig) {
   cfg.min_rtt_ms = 100;
   cfg.max_rtt_ms = 100;
   EXPECT_FALSE(UniformUnderlay::Build(cfg, &rng).ok());
+}
+
+/// Word-wise FNV-1a over the bit patterns of every router-pair latency,
+/// row-major. Equal digests mean a bit-identical APSP table.
+uint64_t ApspDigest(const GeometricUnderlay& u) {
+  uint64_t h = 1469598103934665603ULL;
+  for (RouterId a = 0; a < u.num_routers(); ++a) {
+    for (RouterId b = 0; b < u.num_routers(); ++b) {
+      h = (h ^ std::bit_cast<uint64_t>(u.RouterLatencyMs(a, b))) * 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+std::string Hex(uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// The router table feeds every RTT, so any change to its bits shifts every
+/// seed's results. The goldens come from a plain lazy-deletion binary-heap
+/// Dijkstra; a kernel rewrite must reproduce them exactly (the GeometricUnderlay
+/// comment in underlay.h says which rewrites can and which cannot).
+TEST(GeometricUnderlayTest, ApspTableIsPinnedBitForBit) {
+  struct Golden {
+    RouterGraphModel model;
+    size_t routers;
+    uint64_t seed;
+    uint64_t digest;
+  };
+  const Golden kGoldens[] = {
+      {RouterGraphModel::kWaxman, 1, 1, 0x44bd2bd473ccf799ULL},
+      {RouterGraphModel::kWaxman, 1, 2, 0x44bd2bd473ccf799ULL},
+      {RouterGraphModel::kWaxman, 1, 3, 0x44bd2bd473ccf799ULL},
+      {RouterGraphModel::kWaxman, 2, 1, 0x710fc6a086a23133ULL},
+      {RouterGraphModel::kWaxman, 2, 2, 0x6869b1a081bd15b1ULL},
+      {RouterGraphModel::kWaxman, 2, 3, 0x710fc6a086a23133ULL},
+      {RouterGraphModel::kWaxman, 50, 1, 0xdc8bbfe04ff4e4ebULL},
+      {RouterGraphModel::kWaxman, 50, 2, 0xa8df60e1102ece31ULL},
+      {RouterGraphModel::kWaxman, 50, 3, 0xab94a6353408c0a1ULL},
+      {RouterGraphModel::kWaxman, 400, 1, 0xbb6df0351d75af0fULL},
+      {RouterGraphModel::kWaxman, 400, 2, 0x93a25d650059ef8bULL},
+      {RouterGraphModel::kWaxman, 400, 3, 0xc66e0f4286a2c995ULL},
+      {RouterGraphModel::kBarabasiAlbert, 1, 1, 0x44bd2bd473ccf799ULL},
+      {RouterGraphModel::kBarabasiAlbert, 1, 2, 0x44bd2bd473ccf799ULL},
+      {RouterGraphModel::kBarabasiAlbert, 1, 3, 0x44bd2bd473ccf799ULL},
+      {RouterGraphModel::kBarabasiAlbert, 2, 1, 0x710fc6a086a23133ULL},
+      {RouterGraphModel::kBarabasiAlbert, 2, 2, 0x6869b1a081bd15b1ULL},
+      {RouterGraphModel::kBarabasiAlbert, 2, 3, 0x710fc6a086a23133ULL},
+      {RouterGraphModel::kBarabasiAlbert, 50, 1, 0x61fb9d210497db17ULL},
+      {RouterGraphModel::kBarabasiAlbert, 50, 2, 0xc73177a0f9b06f99ULL},
+      {RouterGraphModel::kBarabasiAlbert, 50, 3, 0xdc0058a91fa307c4ULL},
+      {RouterGraphModel::kBarabasiAlbert, 400, 1, 0x04a77e6086d3c16bULL},
+      {RouterGraphModel::kBarabasiAlbert, 400, 2, 0xe0d30a397d7a6e9fULL},
+      {RouterGraphModel::kBarabasiAlbert, 400, 3, 0x06db1ce2b13beb4bULL},
+  };
+  for (const Golden& g : kGoldens) {
+    GeometricUnderlayConfig cfg;
+    cfg.model = g.model;
+    cfg.num_routers = g.routers;
+    cfg.num_peers = 100;
+    cfg.num_landmarks = 1;
+    Rng rng(g.seed);
+    auto built = GeometricUnderlay::Build(cfg, &rng);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    EXPECT_EQ(Hex(ApspDigest(*built.ValueOrDie())), Hex(g.digest))
+        << RouterGraphModelName(g.model) << "/" << g.routers << "/" << g.seed;
+  }
+
+  // The end-to-end benchmark's underlay: the 10k-peer workloads' network.
+  GeometricUnderlayConfig e2e;
+  e2e.num_routers = 400;
+  e2e.num_peers = 10000;
+  Rng e2e_rng = Rng(42).Split("underlay");
+  auto built = GeometricUnderlay::Build(e2e, &e2e_rng);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_EQ(Hex(ApspDigest(*built.ValueOrDie())), Hex(0xf7e03942eab55856ULL));
 }
 
 class UnderlayScaleTest : public ::testing::TestWithParam<size_t> {};
