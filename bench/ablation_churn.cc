@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
           core::MakePaperConfig(cell.kind, queries, options.seed);
       cfg.scheduler.shards = options.shards;
       cfg.scheduler.workers = options.workers;
-      cfg.scheduler.work_stealing = options.steal;
       cfg.scheduler.placement = options.placement;
       cfg.churn.enabled = cell.churn;
       cfg.churn.mean_session_s = 1800;

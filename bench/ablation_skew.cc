@@ -47,7 +47,6 @@ int main(int argc, char** argv) {
           core::MakePaperConfig(cell.kind, queries, options.seed);
       cfg.scheduler.shards = options.shards;
       cfg.scheduler.workers = options.workers;
-      cfg.scheduler.work_stealing = options.steal;
       cfg.scheduler.placement = options.placement;
       cfg.workload.zipf_exponent = cell.zipf;
       char label[64];

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
                        "Figure 2: comparison of download distance", "ms RTT", options);
   bench::MaybeWriteJson(results, options);
 
-  bench::PrintSummaries(results);
+  bench::PrintSummaries(results, options);
 
   // Paper-vs-measured headline: Locaware's reduction vs the best baseline,
   // and its first-bucket -> last-bucket trend.

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
                        options);
   bench::MaybeWriteJson(results, options);
 
-  bench::PrintSummaries(results);
+  bench::PrintSummaries(results, options);
   std::printf("\nwire bytes per query (Gnutella 0.4 framing estimate):\n");
   for (const auto& r : results) {
     std::printf("  %-12s %10.0f bytes/query\n", r.label.c_str(),

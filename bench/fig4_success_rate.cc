@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
                        options);
   bench::MaybeWriteJson(results, options);
 
-  bench::PrintSummaries(results);
+  bench::PrintSummaries(results, options);
 
   const double locaware = results[3].summary.success_rate;
   const double dicas = results[1].summary.success_rate;

@@ -6,8 +6,6 @@
 #include <cstring>
 #include <future>
 
-#include "catalog/workload.h"
-
 #include "core/config_io.h"
 #include "metrics/svg_plot.h"
 
@@ -27,8 +25,6 @@ FigOptions ParseArgs(int argc, char** argv) {
       options.shards = static_cast<uint32_t>(std::strtoul(arg + 9, nullptr, 10));
     } else if (std::strncmp(arg, "--workers=", 10) == 0) {
       options.workers = static_cast<uint32_t>(std::strtoul(arg + 10, nullptr, 10));
-    } else if (std::strncmp(arg, "--steal=", 8) == 0) {
-      options.steal = std::strtoul(arg + 8, nullptr, 10) != 0;
     } else if (std::strncmp(arg, "--placement=", 12) == 0) {
       auto parsed = core::ParsePlacementStrategy(arg + 12);
       if (!parsed.ok()) {
@@ -48,7 +44,7 @@ FigOptions ParseArgs(int argc, char** argv) {
       std::fprintf(stderr,
                    "unknown argument '%s'\n"
                    "usage: %s [--queries=N] [--seed=S] [--buckets=B] [--shards=K] "
-                   "[--workers=W] [--steal=0|1] [--placement=modulo|clustered] "
+                   "[--workers=W] [--placement=modulo|clustered] "
                    "[--peers=N] [--trace=PATH] [--svg=PATH] [--json=PATH]\n",
                    arg, argv[0]);
       std::exit(2);
@@ -66,19 +62,6 @@ std::vector<core::ExperimentResult> RunAllProtocols(
       core::ProtocolKind::kDicasKeys,
       core::ProtocolKind::kLocaware,
   };
-  // Peek the trace once so every protocol's run pre-reserves its per-shard
-  // event queues for the whole storm (zero heap growth at startup).
-  size_t event_hint = 0;
-  if (!options.trace_path.empty()) {
-    auto count = catalog::PeekTraceQueryCount(options.trace_path);
-    if (!count.ok()) {
-      std::fprintf(stderr, "trace %s: %s\n", options.trace_path.c_str(),
-                   count.status().ToString().c_str());
-      std::exit(1);
-    }
-    const uint32_t shards = options.shards == 0 ? 1 : options.shards;
-    event_hint = static_cast<size_t>(count.ValueOrDie()) / shards + 1024;
-  }
   std::vector<std::future<core::ExperimentResult>> futures;
   for (core::ProtocolKind kind : kinds) {
     futures.push_back(std::async(std::launch::async, [=] {
@@ -86,7 +69,6 @@ std::vector<core::ExperimentResult> RunAllProtocols(
           core::MakePaperConfig(kind, options.num_queries, options.seed);
       config.scheduler.shards = options.shards;
       config.scheduler.workers = options.workers;
-      config.scheduler.work_stealing = options.steal;
       config.scheduler.placement = options.placement;
       if (options.peers != 0) {
         config.num_peers = options.peers;
@@ -96,10 +78,7 @@ std::vector<core::ExperimentResult> RunAllProtocols(
             std::min<size_t>(1000, std::max(config.underlay.num_routers,
                                             options.peers / 25));
       }
-      if (!options.trace_path.empty()) {
-        config.trace_path = options.trace_path;
-        config.scheduler.event_reserve_hint = event_hint;
-      }
+      config.trace_path = options.trace_path;
       if (tweak) tweak(&config);
       auto result = core::RunExperiment(config, options.buckets);
       if (!result.ok()) {
@@ -171,7 +150,8 @@ void MaybeWriteJson(const std::vector<core::ExperimentResult>& results,
   std::printf("wrote %s\n", options.json_path.c_str());
 }
 
-void PrintSummaries(const std::vector<core::ExperimentResult>& results) {
+void PrintSummaries(const std::vector<core::ExperimentResult>& results,
+                    const FigOptions& options) {
   std::printf("\n%-12s %10s %12s %12s %10s %10s\n", "protocol", "success",
               "msgs/query", "download ms", "loc-match", "cache-hit");
   for (const auto& r : results) {
@@ -183,8 +163,8 @@ void PrintSummaries(const std::vector<core::ExperimentResult>& results) {
   // Scheduler shape, multi-shard runs only. Stays on stdout: windows/steals
   // depend on shard/worker counts and idle on the wall clock, so none of it
   // belongs in the byte-compared --json artifact.
+  if (options.shards <= 1) return;
   for (const auto& r : results) {
-    if (r.summary.scheduler_windows == 0) continue;
     std::printf("%-12s scheduler: windows=%llu steals=%llu idle=%.1fms\n",
                 r.label.c_str(),
                 static_cast<unsigned long long>(r.summary.scheduler_windows),

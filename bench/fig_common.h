@@ -22,11 +22,9 @@ struct FigOptions {
   /// the --json output of --shards=1 against --shards={4,8} to prove it.
   uint32_t shards = 1;
   /// Worker threads per experiment (SchedulerConfig::workers; 0 = one per
-  /// shard). Wall-clock only, like shards.
+  /// shard). Wall-clock only, like shards; the gate diffs an 8-shard,
+  /// 1-worker run too.
   uint32_t workers = 0;
-  /// Intra-window work stealing (SchedulerConfig::work_stealing). Results
-  /// are byte-identical on or off; the gate runs both.
-  bool steal = true;
   /// Peer → shard placement strategy (SchedulerConfig::placement). Like the
   /// rest of the scheduler block it never changes results — the gate diffs
   /// --placement=clustered JSON against the modulo baseline byte-for-byte.
@@ -36,8 +34,7 @@ struct FigOptions {
   /// all-pairs underlay precompute stays tractable at 100k-1M peers).
   size_t peers = 0;
   /// When non-empty, every experiment replays this trace file (text or
-  /// binary, sniffed) instead of generating its workload, and the per-shard
-  /// event queues are pre-reserved from the trace's query count.
+  /// binary, sniffed) instead of generating its workload.
   std::string trace_path;
   /// When non-empty, the bench also renders its figure to this SVG path.
   std::string svg_path;
@@ -74,8 +71,10 @@ std::vector<core::ExperimentResult> RunAllProtocols(
 std::vector<metrics::LabeledSeries> ToSeries(
     const std::vector<core::ExperimentResult>& results);
 
-/// Prints the standard run header (config echo) and per-protocol summaries.
+/// Prints the standard run header (config echo) and per-protocol summaries
+/// (plus the scheduler's shape when options.shards > 1).
 void PrintHeader(const std::string& figure, const FigOptions& options);
-void PrintSummaries(const std::vector<core::ExperimentResult>& results);
+void PrintSummaries(const std::vector<core::ExperimentResult>& results,
+                    const FigOptions& options);
 
 }  // namespace locaware::bench

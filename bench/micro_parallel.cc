@@ -11,14 +11,14 @@
 // Two scenarios exercise the topology-aware scheduler:
 //  * BM_ShardedSimulatorClusteredLocality — shards hold latency clusters
 //    (cheap intra-shard traffic, 100 ms cross-shard links). The per-pair
-//    lookahead matrix lets every shard run ~100 ms windows where the scalar
+//    lookahead matrix lets every shard run ~100 ms windows where the uniform
 //    global-min bound forces ~2 ms ones: compare the `windows` counter (and
 //    events/s) between the /matrix:0 and /matrix:1 rows.
 //  * BM_ShardedSimulatorSkewedStorm — half the load lands on shard 0, eight
-//    shards over two workers. With stealing off, shard 0's home worker also
-//    owns three light shards while the other worker parks at the barrier;
-//    with stealing on the idle worker takes those shards over. Compare
-//    `idle_ns/window` (and steals/window) between /steal:0 and /steal:1.
+//    shards over two workers. Shard 0's home worker also owns three light
+//    shards; the other worker steals those once its own block drains.
+//    `idle_ns/window` and `steals/window` show how much of the skew it
+//    absorbs.
 //  * BM_EngineSharded/shards:8 — the same comparison end-to-end: the
 //    /clustered:1 row swaps the modulo peer → shard map for the
 //    locality-clustered ShardPlacement; compare `windows`, `events/s` and
@@ -104,7 +104,7 @@ void BM_ShardedSimulatorStorm(benchmark::State& state) {
   for (auto _ : state) {
     sim::ShardedSimulatorConfig cfg;
     cfg.num_shards = shards;
-    cfg.lookahead = kLook;
+    cfg.lookahead_matrix.assign(static_cast<size_t>(shards) * shards, kLook);
     cfg.num_sources = kSources;
     sim::ShardedSimulator sim(cfg);
     // Each source keeps one event outstanding; reserving that up front makes
@@ -138,27 +138,25 @@ BENCHMARK(BM_ShardedSimulatorStorm)
 
 // Locality-clustered fleet: intra-shard chatter every 1 ms, cross-shard
 // links all >= 100 ms (the Locaware picture — tight groups, long inter-group
-// RTTs). The scalar row uses the 2 ms global-min bound such a network would
-// yield (its closest peer pair is intra-shard); the matrix row gives every
-// shard pair its true 100 ms bound. Identical event streams — only the
-// window schedule changes.
+// RTTs). The /matrix:0 row bounds every pair by the 2 ms global minimum such
+// a network would yield (its closest peer pair is intra-shard); the
+// /matrix:1 row gives every shard pair its true 100 ms bound. Identical event
+// streams — only the window schedule changes.
 void BM_ShardedSimulatorClusteredLocality(benchmark::State& state) {
   const bool use_matrix = state.range(0) != 0;
   constexpr uint32_t kShards = 4;
   constexpr uint32_t kSourcesPerShard = 64;
   constexpr sim::SimTime kIntraStep = sim::FromMs(1);
   constexpr sim::SimTime kCrossRtt = sim::FromMs(100);
-  constexpr sim::SimTime kScalarLook = sim::FromMs(2);
+  constexpr sim::SimTime kGlobalMinLook = sim::FromMs(2);
   constexpr int kRounds = 400;
   uint64_t events = 0;
   uint64_t windows = 0;
   for (auto _ : state) {
     sim::ShardedSimulatorConfig cfg;
     cfg.num_shards = kShards;
-    cfg.lookahead = kScalarLook;
-    if (use_matrix) {
-      cfg.lookahead_matrix.assign(kShards * kShards, kCrossRtt);
-    }
+    cfg.lookahead_matrix.assign(kShards * kShards,
+                                use_matrix ? kCrossRtt : kGlobalMinLook);
     cfg.num_sources = kShards * kSourcesPerShard;
     sim::ShardedSimulator sim(cfg);
     // Up to two outstanding events per source (tick chain + cross ping).
@@ -180,7 +178,7 @@ void BM_ShardedSimulatorClusteredLocality(benchmark::State& state) {
     }
     sim.Run();
     events += sim.executed_count();
-    windows += sim.windows();
+    windows += sim.stats().windows;
   }
   state.counters["events/s"] =
       benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
@@ -194,14 +192,12 @@ BENCHMARK(BM_ShardedSimulatorClusteredLocality)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Skewed fleet: 8 shards, 2 workers, half the sources hash to shard 0. The
-// steal:0 row statically binds home blocks (worker 0 owns the hot shard plus
-// three light ones); the steal:1 row lets the other worker take the light
-// shards over once its own block drains. Event order — and therefore every
-// simulation result — is identical in both rows; only `idle_ns/window` and
-// `steals/window` move.
+// Skewed fleet: 8 shards, 2 workers, half the sources hash to shard 0.
+// Worker 0's home block holds the hot shard plus three light ones; worker 1
+// takes the light shards over once its own block drains. Event order — and
+// therefore every simulation result — is what one worker would produce; only
+// `idle_ns/window` and `steals/window` depend on the thread schedule.
 void BM_ShardedSimulatorSkewedStorm(benchmark::State& state) {
-  const bool steal = state.range(0) != 0;
   constexpr uint32_t kShards = 8;
   constexpr uint32_t kWorkers = 2;
   constexpr uint32_t kSources = 4096;
@@ -218,8 +214,7 @@ void BM_ShardedSimulatorSkewedStorm(benchmark::State& state) {
     sim::ShardedSimulatorConfig cfg;
     cfg.num_shards = kShards;
     cfg.num_workers = kWorkers;
-    cfg.work_stealing = steal;
-    cfg.lookahead = kLook;
+    cfg.lookahead_matrix.assign(kShards * kShards, kLook);
     cfg.num_sources = kSources;
     sim::ShardedSimulator sim(cfg);
     // Half the sources hash to shard 0, so size every queue for the hot one.
@@ -249,9 +244,6 @@ void BM_ShardedSimulatorSkewedStorm(benchmark::State& state) {
                    : static_cast<double>(idle_ns) / static_cast<double>(windows);
 }
 BENCHMARK(BM_ShardedSimulatorSkewedStorm)
-    ->ArgName("steal")
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

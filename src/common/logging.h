@@ -9,7 +9,8 @@ namespace locaware {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kOff = 4 };
 
-/// Global log sink. Thread-compatible (the simulator is single-threaded).
+/// Global log sink. Write may be called from any thread (one fprintf per
+/// line); set_level is unsynchronized, so set the level before a run starts.
 class Logger {
  public:
   static Logger& Instance();

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -72,10 +73,31 @@ Result<uint64_t> ParseU64(const KeyValue& kv) {
 Result<double> ParseF64(const KeyValue& kv) {
   char* end = nullptr;
   const double v = std::strtod(kv.value.c_str(), &end);
-  if (end == kv.value.c_str() || *end != '\0') {
+  if (end == kv.value.c_str() || *end != '\0' || !std::isfinite(v)) {
     return Status::InvalidArgument(kv.key + ": '" + kv.value + "' is not a number");
   }
   return v;
+}
+
+/// Parses a duration: whole milliseconds for `*_ms` keys, decimal seconds
+/// otherwise. sim::FromMs casts to int64_t, which is undefined at or past
+/// 2^63 us, so those values are rejected by name, and so are negative ones.
+Result<sim::SimTime> ParseDuration(const KeyValue& kv) {
+  double ms = 0;
+  if (kv.key.ends_with("_ms")) {
+    auto v = ParseU64(kv);
+    if (!v.ok()) return v.status();
+    ms = static_cast<double>(v.ValueOrDie());
+  } else {
+    auto v = ParseF64(kv);
+    if (!v.ok()) return v.status();
+    ms = v.ValueOrDie() * 1000.0;
+  }
+  if (!(ms >= 0) || ms * 1000.0 + 0.5 >= 0x1p63) {
+    return Status::InvalidArgument(kv.key + ": '" + kv.value +
+                                   "' is negative or past INT64_MAX us");
+  }
+  return sim::FromMs(ms);
 }
 
 Result<bool> ParseBool(const KeyValue& kv) {
@@ -87,13 +109,15 @@ Result<bool> ParseBool(const KeyValue& kv) {
 
 /// Parses kv's value as the type of the field it sets. Unsigned fields
 /// narrower than 64 bits reject values past their maximum instead of
-/// truncating them.
+/// truncating them; SimTime fields are durations.
 template <typename T>
 Result<T> ParseField(const KeyValue& kv) {
   if constexpr (std::is_same_v<T, bool>) {
     return ParseBool(kv);
   } else if constexpr (std::is_floating_point_v<T>) {
     return ParseF64(kv);
+  } else if constexpr (std::is_same_v<T, sim::SimTime>) {
+    return ParseDuration(kv);
   } else {
     static_assert(std::is_unsigned_v<T>);
     auto v = ParseU64(kv);
@@ -147,14 +171,8 @@ std::string FormatConfig(const ExperimentConfig& c) {
   out << "\n# parallel scheduler (wall-clock only: results never depend on it)\n";
   out << "scheduler.shards = " << c.scheduler.shards << "\n";
   out << "scheduler.workers = " << c.scheduler.workers << "\n";
-  out << "scheduler.work_stealing = "
-      << (c.scheduler.work_stealing ? "true" : "false") << "\n";
   out << "scheduler.placement = "
       << sim::PlacementStrategyName(c.scheduler.placement) << "\n";
-  if (c.scheduler.event_reserve_hint != 0) {
-    out << "scheduler.event_reserve_hint = " << c.scheduler.event_reserve_hint
-        << "\n";
-  }
   out << "\n# network\n";
   out << "num_peers = " << c.num_peers << "\n";
   out << "avg_degree = " << FormatDouble(c.avg_degree) << "\n";
@@ -251,14 +269,10 @@ Result<ExperimentConfig> ParseConfig(const std::string& text) {
       LOCAWARE_ASSIGN(c.scheduler.shards)
     } else if (kv.key == "scheduler.workers") {
       LOCAWARE_ASSIGN(c.scheduler.workers)
-    } else if (kv.key == "scheduler.work_stealing") {
-      LOCAWARE_ASSIGN(c.scheduler.work_stealing)
     } else if (kv.key == "scheduler.placement") {
       auto v = ParsePlacementStrategy(kv.value);
       if (!v.ok()) return v.status();
       c.scheduler.placement = v.ValueOrDie();
-    } else if (kv.key == "scheduler.event_reserve_hint") {
-      LOCAWARE_ASSIGN(c.scheduler.event_reserve_hint)
     } else if (kv.key == "num_peers") {
       LOCAWARE_ASSIGN(c.num_peers)
     } else if (kv.key == "avg_degree") {
@@ -321,13 +335,9 @@ Result<ExperimentConfig> ParseConfig(const std::string& text) {
     } else if (kv.key == "params.bloom_hashes") {
       LOCAWARE_ASSIGN(c.params.bloom_hashes)
     } else if (kv.key == "params.maintenance_interval_s") {
-      auto v = ParseF64(kv);
-      if (!v.ok()) return v.status();
-      c.params.maintenance_interval = sim::FromSeconds(v.ValueOrDie());
+      LOCAWARE_ASSIGN(c.params.maintenance_interval)
     } else if (kv.key == "params.query_deadline_s") {
-      auto v = ParseF64(kv);
-      if (!v.ok()) return v.status();
-      c.params.query_deadline = sim::FromSeconds(v.ValueOrDie());
+      LOCAWARE_ASSIGN(c.params.query_deadline)
     } else if (kv.key == "params.max_response_providers") {
       LOCAWARE_ASSIGN(c.params.max_response_providers)
     } else if (kv.key == "params.requester_becomes_provider") {
@@ -343,18 +353,13 @@ Result<ExperimentConfig> ParseConfig(const std::string& text) {
     } else if (kv.key == "dht.fingers") {
       LOCAWARE_ASSIGN(c.params.dht_fingers)
     } else if (kv.key == "dht.republish_interval_ms") {
-      auto v = ParseU64(kv);
-      if (!v.ok()) return v.status();
-      c.params.dht_republish_interval =
-          sim::FromMs(static_cast<double>(v.ValueOrDie()));
+      LOCAWARE_ASSIGN(c.params.dht_republish_interval)
     } else if (kv.key == "ri.max_filenames") {
       LOCAWARE_ASSIGN(c.params.ri.max_filenames)
     } else if (kv.key == "ri.max_providers_per_file") {
       LOCAWARE_ASSIGN(c.params.ri.max_providers_per_file)
     } else if (kv.key == "ri.entry_ttl_s") {
-      auto v = ParseF64(kv);
-      if (!v.ok()) return v.status();
-      c.params.ri.entry_ttl = sim::FromSeconds(v.ValueOrDie());
+      LOCAWARE_ASSIGN(c.params.ri.entry_ttl)
     } else if (kv.key == "ri.eviction") {
       const std::string v = ToLower(kv.value);
       if (v == "lru") {

@@ -132,7 +132,7 @@ Status Engine::Setup() {
     }
   }
 
-  // 3b. The simulator. The scalar fallback lookahead is half the underlay's
+  // 3b. The simulator. The scalar lookahead floor is half the underlay's
   // minimum distinct-pair RTT: no cross-shard message can arrive sooner, so
   // every shard may safely run that far past the global minimum event time.
   // On top of it, each shard *pair* gets a tighter bound from the underlay's
@@ -155,8 +155,6 @@ Status Engine::Setup() {
   sim::ShardedSimulatorConfig sim_cfg;
   sim_cfg.num_shards = num_shards_;
   sim_cfg.num_workers = config_.scheduler.workers;
-  sim_cfg.lookahead = lookahead;
-  sim_cfg.work_stealing = config_.scheduler.work_stealing;
   if (num_shards_ > 1) {
     sim_cfg.lookahead_matrix = BuildLookaheadMatrix(lookahead);
   }
@@ -421,14 +419,8 @@ void Engine::Run() {
   }
 
   // Pre-size the event heaps: one submission event per query up front, plus
-  // headroom for the per-query message churn that replaces it. Callers who
-  // know the workload shape (fig_common derives it from the trace size) can
-  // override via the config hint.
-  size_t event_hint = config_.scheduler.event_reserve_hint;
-  if (event_hint == 0) {
-    event_hint = *std::max_element(submissions.begin(), submissions.end()) + 1024;
-  }
-  sim_->ReserveEvents(event_hint);
+  // headroom for the per-query message churn that replaces it.
+  sim_->ReserveEvents(*std::max_element(submissions.begin(), submissions.end()) + 1024);
   for (const catalog::QueryEvent& ev : queries) {
     sim_->ScheduleAt(shard_of(ev.requester), /*src=*/0, ev.submit_time,
                      [this, &ev] { SubmitQuery(ev); });

@@ -14,9 +14,8 @@
 // underlay's locality structure (each shard's peer locations digested
 // against every other's — far-apart shards run deep windows), and all
 // event-time randomness is derived from stable identities (DecisionRng), so
-// the run's metrics are identical for every shard count, worker count,
-// stealing mode, and placement strategy — the whole scheduler block is
-// purely a wall-clock knob.
+// the run's metrics are identical for every shard count, worker count and
+// placement strategy — the whole scheduler block is purely a wall-clock knob.
 //
 // Churn composes with sharding: the per-peer on/off schedule is a precomputed
 // immutable ChurnTimeline (stable per-(peer, cycle) streams), departures and

@@ -17,40 +17,31 @@ namespace locaware::core {
 
 /// How the parallel scheduler decomposes and drives the run. One contract
 /// covers the whole block: every knob here is wall-clock-only — any shard
-/// count, worker count, stealing mode, placement strategy, or reserve hint
-/// produces byte-identical metrics for the same seed (the determinism
-/// contract CI enforces). Peers are partitioned across `shards` simulation
-/// shards by a placement-defined partition (sim::ShardPlacement, built once
-/// at Engine::Create); each shard owns its peers' events and synchronizes
-/// with the others through conservative windows bounded by a per-shard-pair
-/// lookahead matrix derived from the underlay's locality structure. Composes
-/// with churn: lifecycle transitions run as owner-shard events and overlay
-/// repair travels as LinkDrop/LinkProbe/LinkAccept messages.
+/// count, worker count or placement strategy produces byte-identical metrics
+/// for the same seed (the determinism contract CI enforces). Peers are
+/// partitioned across `shards` simulation shards by a placement-defined
+/// partition (sim::ShardPlacement, built once at Engine::Create); each shard
+/// owns its peers' events and synchronizes with the others through
+/// conservative windows bounded by a per-shard-pair lookahead matrix derived
+/// from the underlay's locality structure. Composes with churn: lifecycle
+/// transitions run as owner-shard events and overlay repair travels as
+/// LinkDrop/LinkProbe/LinkAccept messages.
 struct SchedulerConfig {
-  /// Simulation shards (event partitions). 1 runs inline with no windows;
+  /// Simulation shards (event partitions). 1 runs on the caller's thread;
   /// > 1 trades barrier overhead for multi-core wall-clock.
   uint32_t shards = 1;
 
   /// Worker threads driving the shards (0 = one per shard). Fewer workers
-  /// than shards over-decomposes the run so work stealing can absorb skewed
-  /// shards.
+  /// than shards over-decomposes the run: a worker that finishes its own
+  /// shards steals whole remaining ones (which moves the thread that runs a
+  /// shard, never event order), so skewed shards are absorbed.
   uint32_t workers = 0;
-
-  /// Allow idle workers to steal whole remaining shard sub-queues inside a
-  /// window (stealing moves which thread runs a shard, never event order);
-  /// off pins every shard to its static home worker.
-  bool work_stealing = true;
 
   /// Peer → shard mapping strategy. kModulo is the historical p % shards;
   /// kClustered groups peers by underlay location (weighted by the
   /// workload's requester histogram) so the per-shard-pair lookahead matrix
   /// sees spatially tight shards and runs deeper windows.
   sim::PlacementStrategy placement = sim::PlacementStrategy::kModulo;
-
-  /// Per-shard event-queue capacity to pre-reserve before the run. 0 derives
-  /// it from the workload's per-shard submission counts; fig_common sets it
-  /// from the trace size so storm startup does zero heap growth.
-  size_t event_reserve_hint = 0;
 };
 
 /// Everything RunExperiment needs. All nested sizes (peers, landmarks) are
@@ -65,8 +56,8 @@ struct ExperimentConfig {
   size_t files_per_peer = 3;     ///< paper: 3 initial shared files
   size_t num_landmarks = 4;      ///< paper: 4 landmarks → 24 locIds
 
-  /// Parallel-scheduler decomposition (shards, workers, stealing, placement,
-  /// reserve hint). See SchedulerConfig for the shared determinism contract.
+  /// Parallel-scheduler decomposition (shards, workers, placement). See
+  /// SchedulerConfig for the shared determinism contract.
   SchedulerConfig scheduler;
 
   /// Use the geometry-free control underlay (locality ablation) instead of

@@ -42,8 +42,8 @@ class Underlay {
   virtual double LandmarkRttMs(PeerId peer, size_t landmark) const = 0;
 
   /// Lower bound (> 0) on RttMs(a, b) over all DISTINCT peer pairs, or 0 when
-  /// the implementation cannot bound it. The sharded engine's scalar fallback
-  /// lookahead comes from this: every cross-shard delivery takes at least
+  /// the implementation cannot bound it. The sharded engine's scalar
+  /// lookahead floor comes from this: every cross-shard delivery takes at least
   /// MinPairRttMs()/2 one-way, so no shard ever needs to wait on a remote
   /// event closer than that. Implementations may return any valid lower
   /// bound; tighter bounds mean wider windows and fewer barriers.

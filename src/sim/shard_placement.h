@@ -89,7 +89,7 @@ class ShardPlacement {
   /// Sorted distinct underlay locations of shard `s`'s peers — the digest the
   /// per-shard-pair lookahead matrix is derived from (all empty when
   /// num_shards == 1, which needs no matrix; an empty digest also marks a
-  /// peer-less shard, which gets the scalar fallback bound).
+  /// peer-less shard, which gets the scalar floor bound).
   const std::vector<size_t>& ShardLocations(ShardId s) const;
 
   /// Peers owned by each shard (size num_shards). Sized arenas and reserve

@@ -25,13 +25,12 @@ inline SimTime SaturatingAdd(SimTime t, SimTime delta) {
 ShardedSimulator::ShardedSimulator(const ShardedSimulatorConfig& config)
     : shards_(config.num_shards),
       next_seq_(config.num_sources, 0),
-      lookahead_(config.lookahead),
       lookahead_matrix_(config.lookahead_matrix),
       num_workers_(config.num_workers == 0
                        ? config.num_shards
                        : std::min(config.num_workers, config.num_shards)),
-      work_stealing_(config.work_stealing),
-      barrier_(num_workers_),
+      barrier_(num_workers_, WindowHook{this}),
+      claims_(std::make_unique<std::atomic<uint64_t>[]>(config.num_shards)),
       local_min_(config.num_shards, kNoHorizon),
       earliest_(config.num_shards, kNoHorizon),
       window_ends_(config.num_shards, 0),
@@ -39,28 +38,17 @@ ShardedSimulator::ShardedSimulator(const ShardedSimulatorConfig& config)
       occupancy_(config.num_shards + 1, 0) {
   LOCAWARE_CHECK_GT(config.num_shards, 0u);
   LOCAWARE_CHECK_GT(config.num_sources, 0u);
-  LOCAWARE_CHECK_GT(num_workers_, 0u);
   const uint32_t k = config.num_shards;
   if (k > 1) {
-    if (lookahead_matrix_.empty()) {
-      LOCAWARE_CHECK_GT(lookahead_, 0) << "multi-shard runs need positive lookahead";
-    } else {
-      LOCAWARE_CHECK_EQ(lookahead_matrix_.size(), static_cast<size_t>(k) * k)
-          << "lookahead matrix must be num_shards^2 row-major";
-      for (ShardId s = 0; s < k; ++s) {
-        for (ShardId d = 0; d < k; ++d) {
-          if (s == d) continue;
-          LOCAWARE_CHECK_GT(lookahead_matrix_[s * k + d], 0)
-              << "pairwise lookahead " << s << "->" << d << " must be positive";
-        }
+    LOCAWARE_CHECK_EQ(lookahead_matrix_.size(), static_cast<size_t>(k) * k)
+        << "lookahead matrix must be num_shards^2 row-major";
+    for (ShardId s = 0; s < k; ++s) {
+      for (ShardId d = 0; d < k; ++d) {
+        if (s == d) continue;
+        LOCAWARE_CHECK_GT(lookahead_matrix_[s * k + d], 0)
+            << "pairwise lookahead " << s << "->" << d << " must be positive";
       }
     }
-  }
-  drain_claims_ = std::make_unique<std::atomic<uint8_t>[]>(k);
-  exec_claims_ = std::make_unique<std::atomic<uint8_t>[]>(k);
-  for (ShardId s = 0; s < k; ++s) {
-    drain_claims_[s].store(0, std::memory_order_relaxed);
-    exec_claims_[s].store(0, std::memory_order_relaxed);
   }
   for (Shard& shard : shards_) shard.outbox.resize(k);
 }
@@ -70,6 +58,7 @@ ShardId ShardedSimulator::current_shard() { return tls_current_shard; }
 SimTime ShardedSimulator::LookaheadBetween(ShardId src, ShardId dst) const {
   LOCAWARE_CHECK_LT(src, shards_.size());
   LOCAWARE_CHECK_LT(dst, shards_.size());
+  LOCAWARE_CHECK_NE(src, dst);
   return La(src, dst);
 }
 
@@ -135,30 +124,6 @@ SchedulerStats ShardedSimulator::stats() const {
   return stats;
 }
 
-uint64_t ShardedSimulator::RunSingle(SimTime horizon) {
-  Shard& shard = shards_[0];
-  tls_current_shard = 0;
-  // A single shard has no remote senders, so windows are unnecessary: this is
-  // the plain sequential loop over the same keyed queue, guaranteeing the
-  // identical execution order the windowed path produces.
-  uint64_t executed_this_run = 0;
-  while (!shard.queue.empty() && shard.queue.PeekTime() <= horizon) {
-    SimTime t;
-    EventFn fn = shard.queue.Pop(&t);
-    LOCAWARE_CHECK_GE(t, shard.now);
-    shard.now = t;
-    ++shard.executed;
-    ++executed_this_run;
-    fn();
-  }
-  tls_current_shard = kNoShard;
-  if (shard.queue.empty() && horizon != kNoHorizon && shard.now < horizon) {
-    shard.now = horizon;  // idle advance so repeated Run(horizon) calls compose
-  }
-  controller_now_ = shard.now;
-  return executed_this_run;
-}
-
 void ShardedSimulator::DrainInbound(ShardId sid) {
   Shard& me = shards_[sid];
   for (Shard& sender : shards_) {
@@ -170,18 +135,20 @@ void ShardedSimulator::DrainInbound(ShardId sid) {
   }
 }
 
-ShardId ShardedSimulator::ClaimShard(uint32_t worker, std::atomic<uint8_t>* claims) {
+ShardId ShardedSimulator::ClaimShard(uint32_t worker, uint64_t round) {
   const uint32_t k = static_cast<uint32_t>(shards_.size());
+  // Within a phase the only write to a stamp is a claim to `round`, so one
+  // strong CAS from an older stamp decides the race.
   const auto try_claim = [&](ShardId s) {
-    uint8_t expected = 0;
-    return claims[s].compare_exchange_strong(expected, 1, std::memory_order_acq_rel);
+    uint64_t seen = claims_[s].load(std::memory_order_relaxed);
+    return seen < round &&
+           claims_[s].compare_exchange_strong(seen, round, std::memory_order_acq_rel);
   };
   // Home block first (shard s is worker s % W's home): keeps a shard's state
   // on the same core window after window when the load is balanced.
   for (ShardId s = worker; s < k; s += num_workers_) {
     if (try_claim(s)) return s;
   }
-  if (!work_stealing_) return kNoShard;
   for (ShardId s = 0; s < k; ++s) {
     if (s % num_workers_ == worker) continue;  // home block already scanned
     if (try_claim(s)) return s;
@@ -207,14 +174,23 @@ void ShardedSimulator::RunShardWindow(ShardId sid) {
   tls_current_shard = kNoShard;
 }
 
-void ShardedSimulator::BeginWindow(SimTime horizon) {
+void ShardedSimulator::OnBarrier() {
+  ++claim_round_;
+  if (in_window_) {
+    EndWindow();
+    in_window_ = false;
+  } else {
+    BeginWindow();
+    in_window_ = !done_;
+  }
+}
+
+void ShardedSimulator::BeginWindow() {
   const uint32_t k = static_cast<uint32_t>(shards_.size());
   SimTime t_min = kNoHorizon;
   for (SimTime t : local_min_) t_min = std::min(t_min, t);
-  if (t_min == kNoHorizon || t_min > horizon) {
-    done_ = true;
-    return;
-  }
+  done_ = t_min == kNoHorizon || t_min > horizon_;
+  if (done_) return;
   ++windows_;
 
   // earliest_[s]: a lower bound on the next instant shard s could execute
@@ -246,12 +222,12 @@ void ShardedSimulator::BeginWindow(SimTime horizon) {
       if (s == d || earliest_[s] == kNoHorizon) continue;
       end = std::min(end, SaturatingAdd(earliest_[s], La(s, d)));
     }
-    // Events at exactly `horizon` still run; the +1 keeps the strict `<`
-    // window comparison while never overflowing (horizon < kNoHorizon here).
-    if (horizon != kNoHorizon) end = std::min(end, horizon + 1);
+    // Events at exactly `horizon_` still run; the +1 keeps the strict `<`
+    // window comparison while never overflowing (horizon_ < kNoHorizon here).
+    // With one shard nothing else bounds the window, so it drains the run.
+    if (horizon_ != kNoHorizon) end = std::min(end, horizon_ + 1);
     window_ends_[d] = end;
     executed_at_window_start_[d] = shards_[d].executed;
-    exec_claims_[d].store(0, std::memory_order_relaxed);
   }
 }
 
@@ -259,25 +235,28 @@ void ShardedSimulator::EndWindow() {
   uint32_t busy = 0;
   for (ShardId s = 0; s < shards_.size(); ++s) {
     if (shards_[s].executed > executed_at_window_start_[s]) ++busy;
-    drain_claims_[s].store(0, std::memory_order_relaxed);
   }
   ++occupancy_[busy];
 }
 
-void ShardedSimulator::WorkerLoop(uint32_t worker, SimTime horizon) {
+void ShardedSimulator::WorkerLoop(uint32_t worker) {
   while (true) {
     // 1. Pull everything other shards batched in the last window and publish
     // each drained shard's next-event time (claimed, like execution, so a
     // lopsided inbound burst does not serialize on one worker).
-    for (ShardId sid = ClaimShard(worker, drain_claims_.get()); sid != kNoShard;
-         sid = ClaimShard(worker, drain_claims_.get())) {
+    uint64_t round = claim_round_;
+    for (ShardId sid = ClaimShard(worker, round); sid != kNoShard;
+         sid = ClaimShard(worker, round)) {
       DrainInbound(sid);
       local_min_[sid] = shards_[sid].queue.empty() ? kNoHorizon
                                                    : shards_[sid].queue.PeekTime();
     }
 
-    // 2. Reduce to this window's per-shard bounds (or completion).
-    barrier_.ArriveAndWait([this, horizon] { BeginWindow(horizon); });
+    // 2. Reduce to this window's per-shard bounds (or completion). The
+    // standard orders every arrival before the completion step and the
+    // completion before any wait returns, which is what makes the lock-free
+    // mailbox handoff and the window state sound.
+    barrier_.arrive_and_wait();
     if (done_) break;
 
     // 3. Execute claimed shards inside their windows, batching remote sends.
@@ -285,8 +264,9 @@ void ShardedSimulator::WorkerLoop(uint32_t worker, SimTime horizon) {
     // steal — whole remaining sub-queues, never event-level interleaving. A
     // steal only counts when the shard actually ran events this window, so
     // the stat measures relocated work, not claim churn over idle shards.
-    for (ShardId sid = ClaimShard(worker, exec_claims_.get()); sid != kNoShard;
-         sid = ClaimShard(worker, exec_claims_.get())) {
+    round = claim_round_;
+    for (ShardId sid = ClaimShard(worker, round); sid != kNoShard;
+         sid = ClaimShard(worker, round)) {
       RunShardWindow(sid);
       if (sid % num_workers_ != worker &&
           shards_[sid].executed > executed_at_window_start_[sid]) {
@@ -298,7 +278,7 @@ void ShardedSimulator::WorkerLoop(uint32_t worker, SimTime horizon) {
     // the idle time stealing exists to shrink: a worker parked at this
     // barrier has run out of claimable shard windows.
     const auto idle_start = std::chrono::steady_clock::now();
-    barrier_.ArriveAndWait([this] { EndWindow(); });
+    barrier_.arrive_and_wait();
     idle_ns_.fetch_add(static_cast<uint64_t>(
                            std::chrono::duration_cast<std::chrono::nanoseconds>(
                                std::chrono::steady_clock::now() - idle_start)
@@ -309,20 +289,18 @@ void ShardedSimulator::WorkerLoop(uint32_t worker, SimTime horizon) {
 
 uint64_t ShardedSimulator::Run(SimTime horizon) {
   const uint64_t executed_before = executed_count();
-  if (shards_.size() == 1) return RunSingle(horizon);
-
+  horizon_ = horizon;
   running_ = true;
-  done_ = false;
-  for (ShardId s = 0; s < shards_.size(); ++s) {
-    drain_claims_[s].store(0, std::memory_order_relaxed);
-    exec_claims_[s].store(0, std::memory_order_relaxed);
+  if (shards_.size() == 1) {
+    WorkerLoop(0);
+  } else {
+    std::vector<std::thread> workers;
+    workers.reserve(num_workers_);
+    for (uint32_t w = 0; w < num_workers_; ++w) {
+      workers.emplace_back([this, w] { WorkerLoop(w); });
+    }
+    for (std::thread& worker : workers) worker.join();
   }
-  std::vector<std::thread> workers;
-  workers.reserve(num_workers_);
-  for (uint32_t w = 0; w < num_workers_; ++w) {
-    workers.emplace_back([this, w, horizon] { WorkerLoop(w, horizon); });
-  }
-  for (std::thread& worker : workers) worker.join();
   running_ = false;
 
   SimTime now = 0;

@@ -1,7 +1,7 @@
 // Sharded parallel discrete-event engine — the PeerSim substitute. The paper
 // evaluates Locaware on PeerSim's event-driven framework, which models
 // per-link latencies but neither bandwidth nor CPU (paper §5.1); this engine
-// reproduces that model over K event queues (K = 1 runs inline).
+// reproduces that model over K event queues.
 //
 // Peers (event destinations) are partitioned across K shards; a pool of W
 // worker threads (W <= K, default W = K) executes them under a
@@ -21,8 +21,8 @@
 //    matters: an empty shard still relays causality at its incoming-edge
 //    horizons). Shards whose incoming edges are all long-latency run deep
 //    windows while nearby shards stay tightly coupled, so one close pair no
-//    longer throttles the whole fleet. A scalar lookahead is the uniform
-//    matrix, and the single-shard case runs inline with no windows at all.
+//    longer throttles the whole fleet. With one shard nothing bounds the
+//    window, so a single window runs to the horizon on the caller's thread.
 //
 //  * Deterministic intra-window work stealing. Within a window each shard's
 //    runnable prefix (its events strictly before end[d]) is one sequential
@@ -30,7 +30,7 @@
 //    whole remaining shard sub-queues. A stolen shard's events still execute
 //    one at a time in (time, source, seq) order against that shard's own
 //    state — stealing moves *which thread* runs a shard, never the order or
-//    the ownership — so results are byte-identical with stealing on or off.
+//    the ownership — so results are byte-identical for every worker count.
 //    Over-decomposition (K > W) is what gives the thief something to take:
 //    a skewed shard keeps one worker busy while the others drain the rest.
 //
@@ -67,14 +67,14 @@
 // cross-shard event is enqueued before any event with a larger key executes
 // at its destination.
 // Per-destination execution order is therefore a pure function of the
-// simulation — identical for every shard count, worker count, lookahead
-// bound, and stealing mode, including 1 shard. Callers must keep event
-// handlers shard-local (mutate only state owned by the destination's shard)
-// and derive any randomness from stable identities rather than shared
-// sequential streams.
+// simulation — identical for every shard count, worker count and lookahead
+// bound, including 1 shard. Callers must keep event handlers shard-local
+// (mutate only state owned by the destination's shard) and derive any
+// randomness from stable identities rather than shared sequential streams.
 #pragma once
 
 #include <atomic>
+#include <barrier>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -87,36 +87,28 @@ namespace locaware::sim {
 
 /// Construction parameters for the sharded engine.
 struct ShardedSimulatorConfig {
-  /// Number of shards (event-queue partitions). 1 runs inline on the
-  /// caller's thread with no windows or barriers — the sequential fast path.
+  /// Number of shards (event-queue partitions). 1 runs on the caller's
+  /// thread; more spawn the worker threads for each Run.
   uint32_t num_shards = 1;
   /// Worker threads executing the shards. 0 means one per shard; values
   /// above num_shards are clamped down. Fewer workers than shards
   /// over-decomposes the run, which is what makes work stealing bite.
   uint32_t num_workers = 0;
-  /// Scalar conservative lookahead: a positive lower bound on the delay of
-  /// every cross-shard event. Used for every shard pair without a matrix
-  /// entry. Unused (may be 0) when num_shards == 1 or a full matrix is given.
-  SimTime lookahead = 0;
-  /// Optional K x K row-major matrix of per-shard-pair lower bounds:
-  /// entry [src * K + dst] bounds the delay of events src creates for dst.
-  /// Off-diagonal entries must be positive; diagonal entries are ignored
-  /// (intra-shard scheduling is unconstrained). Empty means "use the scalar
-  /// lookahead everywhere".
+  /// K x K row-major matrix of per-shard-pair lower bounds: entry
+  /// [src * K + dst] bounds the delay of events src creates for dst.
+  /// Required when num_shards > 1 (may be empty for one shard). Off-diagonal
+  /// entries must be positive; diagonal entries are ignored (intra-shard
+  /// scheduling is unconstrained). A single bound is the uniform matrix.
   std::vector<SimTime> lookahead_matrix;
-  /// Allow idle workers to claim other shards' window work. Never changes
-  /// results; off restores the static home-block binding (worker w runs
-  /// shards w, w + W, w + 2W, ... and nothing else).
-  bool work_stealing = true;
   /// Size of the source-id space (ids are [0, num_sources)). Source 0 is
   /// conventionally the controller; the engine maps peer p to source p + 1.
   SourceId num_sources = 1;
 };
 
-/// Lifetime counters of the parallel scheduler (all zero for single-shard
-/// runs, which need no windows). `idle_ns` is wall-clock and therefore the
-/// one non-deterministic quantity here — report it in benches, never in
-/// byte-compared artifacts.
+/// Lifetime counters of the parallel scheduler. A single shard needs one
+/// window per Run that executes events, and never steals. `idle_ns` is
+/// wall-clock and therefore the one non-deterministic quantity here — report
+/// it in benches, never in byte-compared artifacts.
 struct SchedulerStats {
   uint64_t windows = 0;   ///< synchronization windows completed
   /// Non-empty shard windows executed by a non-home worker (idle claims of
@@ -132,9 +124,9 @@ struct SchedulerStats {
 /// windows with intra-window work stealing.
 ///
 /// Typical use:
-///   ShardedSimulator sim({.num_shards = 4, .lookahead = FromMs(5), ...});
+///   ShardedSimulator sim({.num_shards = 2, .lookahead_matrix = {0, la, la, 0}});
 ///   sim.ScheduleAt(dst_shard, src, at, fn);   // pre-run, from the controller
-///   sim.Run(horizon);                          // spawns workers, joins them
+///   sim.Run(horizon);                          // K > 1: spawns workers, joins them
 ///
 /// Scheduling rules:
 ///  - Before/after Run(): any (dst, src, at) is accepted (controller phase).
@@ -162,8 +154,8 @@ class ShardedSimulator {
 
   /// Runs until every queue and mailbox drains, or `horizon` is crossed
   /// (events at t > horizon stay queued). Returns events executed by this
-  /// call. num_shards == 1 runs inline; otherwise spawns the worker pool and
-  /// joins it before returning.
+  /// call. num_shards == 1 runs on the caller's thread; otherwise spawns the
+  /// workers and joins them before returning.
   uint64_t Run(SimTime horizon = kNoHorizon);
 
   /// Pre-allocates per-shard event-queue capacity.
@@ -176,16 +168,13 @@ class ShardedSimulator {
   uint32_t num_shards() const { return static_cast<uint32_t>(shards_.size()); }
   uint32_t num_workers() const { return num_workers_; }
   /// The lookahead bound the scheduler uses for events src creates for dst
-  /// (the matrix entry, or the scalar fallback). Meaningless for src == dst.
+  /// (the matrix entry). Requires src != dst.
   SimTime LookaheadBetween(ShardId src, ShardId dst) const;
 
   /// Total events executed over the simulator's lifetime.
   uint64_t executed_count() const;
   /// Events currently queued across all shards and mailboxes.
   size_t pending_count() const;
-  /// Synchronization windows completed over the simulator's lifetime (0 for
-  /// single-shard runs, which need none).
-  uint64_t windows() const { return windows_; }
   /// Snapshot of the scheduler counters. Call between runs, not during one.
   SchedulerStats stats() const;
 
@@ -202,46 +191,54 @@ class ShardedSimulator {
     std::vector<std::vector<ShardEvent>> outbox;
   };
 
-  uint64_t RunSingle(SimTime horizon);
-  void WorkerLoop(uint32_t worker, SimTime horizon);
+  /// The barrier's completion step: BeginWindow and EndWindow alternate.
+  struct WindowHook {
+    ShardedSimulator* sim;
+    void operator()() noexcept { sim->OnBarrier(); }
+  };
+
+  void WorkerLoop(uint32_t worker);
   /// Moves every shard's outbox[sid] into shard sid's queue.
   void DrainInbound(ShardId sid);
   /// Executes shard `sid`'s events strictly before window_ends_[sid].
   void RunShardWindow(ShardId sid);
-  /// Barrier hook: derives every shard's window end from the per-pair
-  /// lookahead fixpoint, or flags completion.
-  void BeginWindow(SimTime horizon);
-  /// Barrier hook: occupancy accounting + claim reset for the next window.
+  /// Runs on the last arrival at each barrier phase, before any worker
+  /// leaves it: opens the next claim round, then begins or ends a window.
+  void OnBarrier();
+  /// Derives every shard's window end from the per-pair lookahead fixpoint,
+  /// or flags completion.
+  void BeginWindow();
+  /// Occupancy accounting for the window that just ended.
   void EndWindow();
-  /// Claims the next unclaimed shard for `worker` (home block first, then
-  /// steals), or kNoShard when none remain. `phase` selects the claim array.
-  ShardId ClaimShard(uint32_t worker, std::atomic<uint8_t>* claims);
+  /// Claims the next shard not yet claimed in `round` for `worker` (home
+  /// block first, then steals), or kNoShard when none remain.
+  ShardId ClaimShard(uint32_t worker, uint64_t round);
 
   SimTime La(ShardId src, ShardId dst) const {
-    return lookahead_matrix_.empty() ? lookahead_
-                                     : lookahead_matrix_[src * shards_.size() + dst];
+    return lookahead_matrix_[src * shards_.size() + dst];
   }
 
   std::vector<Shard> shards_;
   std::vector<uint64_t> next_seq_;  ///< per-source; single-writer by contract
-  SimTime lookahead_ = 0;
-  std::vector<SimTime> lookahead_matrix_;  ///< K*K row-major, empty = scalar
+  std::vector<SimTime> lookahead_matrix_;  ///< K*K row-major
   uint32_t num_workers_ = 1;
-  bool work_stealing_ = true;
-  ShardBarrier barrier_;
+  std::barrier<WindowHook> barrier_;
 
-  // Per-window claim state: one flag per shard and phase, reset under the
-  // barrier lock. Claiming is the only inter-worker communication inside a
-  // window; the shard a worker wins is run exactly once, sequentially.
-  std::unique_ptr<std::atomic<uint8_t>[]> drain_claims_;
-  std::unique_ptr<std::atomic<uint8_t>[]> exec_claims_;
+  // claims_[s]: the last claim round that won shard s. Every barrier phase
+  // opens a round, and a claim CASes an older stamp to it, so nothing is ever
+  // reset. Claiming is the only inter-worker communication inside a phase;
+  // the shard a worker wins is run exactly once, sequentially.
+  std::unique_ptr<std::atomic<uint64_t>[]> claims_;
+  uint64_t claim_round_ = 1;  ///< written only by OnBarrier
 
-  // Window state, written only by the barrier completion hooks (and
+  // Window state, written only by the barrier completion step (and
   // therefore ordered by the barrier) or before workers start.
   std::vector<SimTime> local_min_;    ///< per-shard published next-event time
   std::vector<SimTime> earliest_;     ///< fixpoint scratch (hook-only)
   std::vector<SimTime> window_ends_;  ///< per-shard window bound
   std::vector<uint64_t> executed_at_window_start_;
+  SimTime horizon_ = kNoHorizon;  ///< the current Run's horizon
+  bool in_window_ = false;        ///< the next barrier phase ends a window
   bool done_ = false;
   bool running_ = false;
   SimTime controller_now_ = 0;

@@ -66,9 +66,7 @@ TEST(ConfigIoTest, RoundTripNonDefaultEverything) {
   original.params.ri.eviction = cache::EvictionPolicy::kRandom;
   original.scheduler.shards = 6;
   original.scheduler.workers = 3;
-  original.scheduler.work_stealing = false;
   original.scheduler.placement = sim::PlacementStrategy::kClustered;
-  original.scheduler.event_reserve_hint = 4096;
 
   auto parsed = ParseConfig(FormatConfig(original));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -106,16 +104,18 @@ TEST(ConfigIoTest, RoundTripNonDefaultEverything) {
   EXPECT_EQ(c.params.ri.eviction, cache::EvictionPolicy::kRandom);
   EXPECT_EQ(c.scheduler.shards, 6u);
   EXPECT_EQ(c.scheduler.workers, 3u);
-  EXPECT_FALSE(c.scheduler.work_stealing);
   EXPECT_EQ(c.scheduler.placement, sim::PlacementStrategy::kClustered);
-  EXPECT_EQ(c.scheduler.event_reserve_hint, 4096u);
 }
 
 TEST(ConfigIoTest, FlatSchedulerKeysAreRejected) {
   // The pre-SchedulerConfig flat spellings are gone: only the scheduler.*
-  // keys set these fields.
+  // keys set these fields. The stealing and reserve-hint knobs are gone
+  // under both spellings: stealing is always on, and the engine derives the
+  // event reserve from the workload.
   for (const char* line : {"shards = 4\n", "workers = 2\n", "work_stealing = false\n",
-                           "event_reserve_hint = 512\n"}) {
+                           "event_reserve_hint = 512\n",
+                           "scheduler.work_stealing = false\n",
+                           "scheduler.event_reserve_hint = 512\n"}) {
     auto parsed = ParseConfig(line);
     ASSERT_FALSE(parsed.ok()) << line;
     EXPECT_NE(parsed.status().ToString().find("unknown key"), std::string::npos)
@@ -188,18 +188,21 @@ TEST(ConfigIoTest, RejectsMalformedLines) {
   EXPECT_FALSE(ParseConfig("params.selection = psychic\n").ok());
 }
 
+/// Succeeds when `key = value` fails to parse with an InvalidArgument that
+/// names the key.
+::testing::AssertionResult Rejected(const std::string& key, const std::string& value) {
+  auto parsed = ParseConfig(key + " = " + value + "\n");
+  if (parsed.ok()) return ::testing::AssertionFailure() << key << "=" << value;
+  if (parsed.status().code() != StatusCode::kInvalidArgument ||
+      parsed.status().message().find(key) == std::string::npos) {
+    return ::testing::AssertionFailure() << parsed.status().ToString();
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(ConfigIoTest, RejectsNegativeAndOutOfRangeIntegers) {
   // Each key narrower than 64 bits takes its type's max and rejects max + 1
   // by name, instead of truncating it (4294967300 used to load as 4).
-  const auto rejected = [](const std::string& key, const std::string& value) {
-    auto parsed = ParseConfig(key + " = " + value + "\n");
-    if (parsed.ok()) return ::testing::AssertionFailure() << key << "=" << value;
-    if (parsed.status().code() != StatusCode::kInvalidArgument ||
-        parsed.status().message().find(key) == std::string::npos) {
-      return ::testing::AssertionFailure() << parsed.status().ToString();
-    }
-    return ::testing::AssertionSuccess();
-  };
   auto max32 = ParseConfig(
       "scheduler.shards = 4294967295\nscheduler.workers = 4294967295\n"
       "params.ttl = 4294967295\nparams.num_groups = 65535\n");
@@ -209,21 +212,52 @@ TEST(ConfigIoTest, RejectsNegativeAndOutOfRangeIntegers) {
   EXPECT_EQ(max32.ValueOrDie().params.ttl, 4294967295u);
   EXPECT_EQ(max32.ValueOrDie().params.num_groups, 65535u);
   for (const char* key : {"scheduler.shards", "scheduler.workers", "params.ttl"}) {
-    EXPECT_TRUE(rejected(key, "4294967296"));
-    EXPECT_TRUE(rejected(key, "4294967300"));
+    EXPECT_TRUE(Rejected(key, "4294967296"));
+    EXPECT_TRUE(Rejected(key, "4294967300"));
   }
-  EXPECT_TRUE(rejected("params.num_groups", "65536"));
-  EXPECT_TRUE(rejected("params.num_groups", "65537"));
+  EXPECT_TRUE(Rejected("params.num_groups", "65536"));
+  EXPECT_TRUE(Rejected("params.num_groups", "65537"));
 
   // 64-bit keys: 2^64 - 1 loads, 2^64 overflows, and no key takes a sign.
   auto max64 = ParseConfig("seed = 18446744073709551615\n");
   ASSERT_TRUE(max64.ok()) << max64.status().ToString();
   EXPECT_EQ(max64.ValueOrDie().seed, 18446744073709551615u);
-  EXPECT_TRUE(rejected("seed", "18446744073709551616"));
-  EXPECT_TRUE(rejected("num_peers", "-5"));
-  EXPECT_TRUE(rejected("num_peers", "-0"));
-  EXPECT_TRUE(rejected("params.ttl", "-1"));
-  EXPECT_TRUE(rejected("dht.republish_interval_ms", "-1"));
+  EXPECT_TRUE(Rejected("seed", "18446744073709551616"));
+  EXPECT_TRUE(Rejected("num_peers", "-5"));
+  EXPECT_TRUE(Rejected("num_peers", "-0"));
+  EXPECT_TRUE(Rejected("params.ttl", "-1"));
+  EXPECT_TRUE(Rejected("dht.republish_interval_ms", "-1"));
+}
+
+TEST(ConfigIoTest, RejectsNonFiniteNegativeAndOverflowingDurations) {
+  // Durations become int64 microseconds; NaN, infinities, negatives and
+  // anything past INT64_MAX us used to reach an undefined double-to-int64
+  // cast (nan and 1e300 seconds saved back as -9.223372037e+12).
+  for (const char* key : {"params.maintenance_interval_s", "params.query_deadline_s",
+                          "ri.entry_ttl_s", "dht.republish_interval_ms"}) {
+    for (const char* value : {"nan", "inf", "-inf", "-1"}) {
+      EXPECT_TRUE(Rejected(key, value));
+    }
+  }
+  // INT64_MAX us is 9223372036854.775807 s: the whole second below it
+  // loads, the one above it does not.
+  for (const char* key : {"params.maintenance_interval_s", "params.query_deadline_s",
+                          "ri.entry_ttl_s"}) {
+    EXPECT_TRUE(Rejected(key, "9223372036855"));
+    EXPECT_TRUE(Rejected(key, "1e300"));
+    auto parsed = ParseConfig(std::string(key) + " = 9223372036854\n");
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  }
+  // 9e12 s is 9e18 us, exact in a double all the way through.
+  auto s = ParseConfig("ri.entry_ttl_s = 9000000000000\n");
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  EXPECT_EQ(s.ValueOrDie().params.ri.entry_ttl, 9000000000000 * sim::kSecond);
+  EXPECT_TRUE(Rejected("dht.republish_interval_ms", "9223372036854776"));
+  EXPECT_TRUE(Rejected("dht.republish_interval_ms", "18446744073709551615"));
+  auto ms = ParseConfig("dht.republish_interval_ms = 9223372036854\n");
+  ASSERT_TRUE(ms.ok()) << ms.status().ToString();
+  EXPECT_EQ(ms.ValueOrDie().params.dht_republish_interval,
+            9223372036854 * sim::kMillisecond);
 }
 
 TEST(ConfigIoTest, SaveLoadFile) {

@@ -507,11 +507,11 @@ INSTANTIATE_TEST_SUITE_P(Kinds, AllProtocolsTest,
 std::vector<metrics::QueryRecord> RunSharded(
     ProtocolKind kind, uint32_t shards, uint64_t seed = 7,
     sim::PlacementStrategy placement = sim::PlacementStrategy::kModulo,
-    bool steal = true) {
+    uint32_t workers = 0) {
   ExperimentConfig cfg = TinyConfig(kind, seed);
   cfg.scheduler.shards = shards;
   cfg.scheduler.placement = placement;
-  cfg.scheduler.work_stealing = steal;
+  cfg.scheduler.workers = workers;
   auto e = std::move(Engine::Create(cfg)).ValueOrDie();
   e->Run();
   EXPECT_EQ(e->pending_query_count(), 0u);
@@ -611,36 +611,35 @@ class SkewedShardInvarianceTest : public ::testing::TestWithParam<ProtocolKind> 
 
 TEST_P(SkewedShardInvarianceTest, StealingOnAndOffMatchSequentialPerQuery) {
   // Byte-equality under the worst case for the scheduler: every query
-  // originates on shard 0 while 8 shards share 2 workers. Stealing (and its
-  // absence) may only move wall-clock, never a single per-query field.
+  // originates on shard 0 while up to 8 shards share 1 or 2 workers.
+  // Stealing may only move wall-clock, never a single per-query field.
   ExperimentConfig base = TinyConfig(GetParam(), /*seed=*/11);
   base.trace_path = WriteSkewedTrace(base, ProtocolKindName(GetParam()));
-  const auto run = [&](uint32_t shards, uint32_t workers, bool steal) {
+  const auto run = [&](uint32_t shards, uint32_t workers) {
     ExperimentConfig cfg = base;
     cfg.scheduler.shards = shards;
     cfg.scheduler.workers = workers;
-    cfg.scheduler.work_stealing = steal;
     auto e = std::move(Engine::Create(cfg)).ValueOrDie();
     e->Run();
     EXPECT_EQ(e->pending_query_count(), 0u);
     EXPECT_EQ(e->tracked_query_count(), 0u);
     return e->metrics().records();
   };
-  const auto seq = run(1, 0, true);
+  const auto seq = run(1, 0);
   ASSERT_EQ(seq.size(), 200u);
   size_t successes = 0;
   for (const auto& r : seq) successes += r.success ? 1 : 0;
   ASSERT_GT(successes, 0u) << "skewed trace produced no hits at all";
   for (uint32_t shards : {2u, 4u, 8u}) {
-    for (bool steal : {false, true}) {
-      const auto par = run(shards, /*workers=*/2, steal);
+    for (uint32_t workers : {1u, 2u}) {
+      const auto par = run(shards, workers);
       ASSERT_EQ(par.size(), seq.size());
       for (size_t i = 0; i < seq.size(); ++i) {
         const metrics::QueryRecord& a = seq[i];
         const metrics::QueryRecord& b = par[i];
         const std::string where = "slot " + std::to_string(i) + " shards " +
-                                  std::to_string(shards) +
-                                  (steal ? " steal" : " pinned");
+                                  std::to_string(shards) + " workers " +
+                                  std::to_string(workers);
         EXPECT_EQ(a.success, b.success) << where;
         EXPECT_EQ(a.source, b.source) << where;
         EXPECT_EQ(a.query_msgs, b.query_msgs) << where;
@@ -749,24 +748,24 @@ TEST(ShardConfigTest, CreateRejectsZeroShards) {
 class PlacementShardInvarianceTest : public ::testing::TestWithParam<ProtocolKind> {};
 
 TEST_P(PlacementShardInvarianceTest, ClusteredMatchesSequentialModuloPerQuery) {
-  // Placement joins shards/workers/stealing in the wall-clock-only club: the
+  // Placement joins shards/workers in the wall-clock-only club: the
   // locality-clustered peer → shard map may only change window depth, never a
   // per-query field. The baseline is the sequential *modulo* run, so this
   // also proves the two strategies agree with each other at every shard
-  // count, with and without stealing.
+  // count, on one worker and on one per shard.
   const auto seq = RunSharded(GetParam(), 1);
   ASSERT_EQ(seq.size(), 200u);
   for (uint32_t shards : {4u, 8u}) {
-    for (bool steal : {false, true}) {
+    for (uint32_t workers : {1u, 0u}) {
       const auto par = RunSharded(GetParam(), shards, /*seed=*/7,
-                                  sim::PlacementStrategy::kClustered, steal);
+                                  sim::PlacementStrategy::kClustered, workers);
       ASSERT_EQ(par.size(), seq.size());
       for (size_t i = 0; i < seq.size(); ++i) {
         const metrics::QueryRecord& a = seq[i];
         const metrics::QueryRecord& b = par[i];
         const std::string where = "slot " + std::to_string(i) + " shards " +
-                                  std::to_string(shards) +
-                                  (steal ? " steal" : " pinned");
+                                  std::to_string(shards) + " workers " +
+                                  std::to_string(workers);
         EXPECT_EQ(a.qid, b.qid) << where;
         EXPECT_EQ(a.success, b.success) << where;
         EXPECT_EQ(a.source, b.source) << where;

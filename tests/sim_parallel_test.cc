@@ -1,11 +1,11 @@
 // Tests for the sharded parallel simulator: conservative-window causality
 // (a cross-shard event landing exactly at the lookahead bound is never
-// missed — for the scalar bound and for every per-shard-pair matrix entry),
+// missed — for a uniform matrix and for every per-shard-pair entry),
 // shard-count-invariant ordering (per-destination execution order is
-// identical for K = 1, 2, 4, 8, with and without work stealing, for any
-// worker count), and the Run/horizon semantics the engine relies on. The
-// TSan CI job runs exactly this binary's SimParallel* suite over the
-// threaded paths, stealing included.
+// identical for K = 1, 2, 4, 8 and for any worker count), and the
+// Run/horizon semantics the engine relies on. The TSan CI job runs exactly
+// this binary's SimParallel* suite over the threaded paths, stealing
+// included.
 #include "sim/sharded_simulator.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/shard.h"
@@ -23,11 +24,12 @@ namespace {
 
 constexpr SimTime kLook = FromMs(5);
 
+/// `shards` shards under a uniform lookahead matrix.
 ShardedSimulatorConfig Config(uint32_t shards, SourceId sources,
                               SimTime lookahead = kLook) {
   ShardedSimulatorConfig config;
   config.num_shards = shards;
-  config.lookahead = lookahead;
+  config.lookahead_matrix.assign(static_cast<size_t>(shards) * shards, lookahead);
   config.num_sources = sources;
   return config;
 }
@@ -45,6 +47,28 @@ TEST(SimParallelTest, SingleShardRunsInKeyOrder) {
   EXPECT_EQ(order, (std::vector<int>{9, 0, 1, 2}));
   EXPECT_EQ(sim.executed_count(), 4u);
   EXPECT_EQ(sim.pending_count(), 0u);
+}
+
+// One shard runs the same window loop as many, on the caller's thread, and
+// nothing bounds its window but the horizon: a Run that executes events
+// takes exactly one window, including the events its handlers schedule.
+TEST(SimParallelTest, OneShardIsOneWindowOnTheCallersThread) {
+  ShardedSimulator sim(Config(1, 1));
+  std::vector<std::thread::id> threads;
+  std::function<void(int)> chain = [&](int round) {
+    threads.push_back(std::this_thread::get_id());
+    if (round == 5) return;
+    sim.ScheduleAt(0, 0, sim.Now() + kLook, [&, round] { chain(round + 1); });
+  };
+  sim.ScheduleAt(0, 0, 0, [&] { chain(0); });
+  EXPECT_EQ(sim.Run(), 6u);
+  ASSERT_EQ(threads.size(), 6u);
+  for (const std::thread::id& id : threads) EXPECT_EQ(id, std::this_thread::get_id());
+  EXPECT_EQ(sim.stats().windows, 1u);
+  EXPECT_EQ(sim.stats().steals, 0u);
+  // A Run with nothing to execute opens no window.
+  EXPECT_EQ(sim.Run(), 0u);
+  EXPECT_EQ(sim.stats().windows, 1u);
 }
 
 TEST(SimParallelTest, HorizonLeavesLaterEventsQueuedAndIdleAdvances) {
@@ -150,8 +174,7 @@ TEST(SimParallelTest, PairwiseMatrixDeepensWindows) {
   static constexpr SimTime kCross = FromMs(50);
   static constexpr int kTicks = 100;
   const auto run = [&](bool use_matrix) {
-    ShardedSimulatorConfig config = Config(2, 2, kIntra);
-    if (use_matrix) config.lookahead_matrix = {0, kCross, kCross, 0};
+    ShardedSimulatorConfig config = Config(2, 2, use_matrix ? kCross : kIntra);
     ShardedSimulator sim(config);
     // Each shard ticks a private 1 ms chain and fires one far message at the
     // cross-link latency midway — cross traffic exists, but never closer
@@ -173,7 +196,7 @@ TEST(SimParallelTest, PairwiseMatrixDeepensWindows) {
     // Per shard: ticks 0..kTicks (the last returns immediately) plus the one
     // inbound cross event.
     EXPECT_EQ(sim.executed_count(), static_cast<uint64_t>(2 * (kTicks + 2)));
-    return sim.windows();
+    return sim.stats().windows;
   };
   const uint64_t scalar_windows = run(false);
   const uint64_t matrix_windows = run(true);
@@ -182,8 +205,8 @@ TEST(SimParallelTest, PairwiseMatrixDeepensWindows) {
 }
 
 // The determinism contract: per-destination execution order is a pure
-// function of the simulation, not of the shard count, the worker count, or
-// the stealing mode. Each source floods a deterministic cascade of messages
+// function of the simulation, not of the shard count or the worker count.
+// Each source floods a deterministic cascade of messages
 // (with deliberate time ties) at a fixed set of destinations; the
 // per-destination logs must be identical for every partitioning of
 // destinations over shards and every thread assignment.
@@ -195,13 +218,11 @@ struct LogEntry {
 };
 
 std::vector<std::vector<LogEntry>> RunCascade(uint32_t num_shards,
-                                              uint32_t num_workers = 0,
-                                              bool work_stealing = true) {
+                                              uint32_t num_workers = 0) {
   constexpr uint32_t kNodes = 12;
   constexpr int kDepth = 5;
   ShardedSimulatorConfig cascade_config = Config(num_shards, kNodes);
   cascade_config.num_workers = num_workers;
-  cascade_config.work_stealing = work_stealing;
   ShardedSimulator sim(cascade_config);
   // logs[d] is only ever appended by destination d's handler, which always
   // runs on shard d % num_shards — single-writer, no lock needed.
@@ -245,28 +266,23 @@ TEST(SimParallelTest, PerDestinationOrderInvariantAcrossShardCounts) {
 }
 
 // Stealing moves which thread runs a shard, never the order: the cascade
-// must replay byte-identically when 8 shards are over-decomposed onto 2 or
-// 3 workers, with stealing both allowed and pinned to the static home-block
-// binding.
+// must replay byte-identically when 8 shards are over-decomposed onto 1, 2
+// or 3 workers (one worker runs every shard in turn on a spawned thread).
 TEST(SimParallelTest, PerDestinationOrderInvariantUnderWorkStealing) {
   const auto baseline = RunCascade(1);
-  for (uint32_t workers : {2u, 3u}) {
-    for (bool steal : {false, true}) {
-      const auto sharded = RunCascade(8, workers, steal);
-      ASSERT_EQ(sharded.size(), baseline.size());
-      for (size_t d = 0; d < baseline.size(); ++d) {
-        EXPECT_EQ(sharded[d], baseline[d])
-            << "dst " << d << " workers " << workers << " steal " << steal;
-      }
+  for (uint32_t workers : {1u, 2u, 3u}) {
+    const auto sharded = RunCascade(8, workers);
+    ASSERT_EQ(sharded.size(), baseline.size());
+    for (size_t d = 0; d < baseline.size(); ++d) {
+      EXPECT_EQ(sharded[d], baseline[d]) << "dst " << d << " workers " << workers;
     }
   }
 }
 
 TEST(SimParallelTest, SchedulerStatsAccountWindowsAndOccupancy) {
-  const auto run = [](bool steal) {
+  const auto run = [](uint32_t workers) {
     ShardedSimulatorConfig config = Config(4, 4);
-    config.num_workers = 2;
-    config.work_stealing = steal;
+    config.num_workers = workers;
     ShardedSimulator sim(config);
     // Shard 0 gets a dense chain, the rest one event each: occupancy is
     // skewed and windows accumulate.
@@ -279,16 +295,16 @@ TEST(SimParallelTest, SchedulerStatsAccountWindowsAndOccupancy) {
     sim.Run();
     return sim.stats();
   };
-  const SchedulerStats pinned = run(false);
-  EXPECT_EQ(pinned.steals, 0u);  // home-block binding never crosses blocks
-  EXPECT_GT(pinned.windows, 0u);
+  const SchedulerStats one = run(1);
+  EXPECT_EQ(one.steals, 0u);  // every shard is the lone worker's home
+  EXPECT_GT(one.windows, 0u);
   uint64_t occupancy_total = 0;
-  for (uint64_t count : pinned.occupancy) occupancy_total += count;
-  EXPECT_EQ(occupancy_total, pinned.windows);
-  // Stealing mode executes the identical schedule (windows is a pure
-  // function of events + bounds); steals themselves are timing-dependent.
-  const SchedulerStats stealing = run(true);
-  EXPECT_EQ(stealing.windows, pinned.windows);
+  for (uint64_t count : one.occupancy) occupancy_total += count;
+  EXPECT_EQ(occupancy_total, one.windows);
+  // Two workers execute the identical schedule (windows is a pure function
+  // of events + bounds); steals themselves are timing-dependent.
+  const SchedulerStats two = run(2);
+  EXPECT_EQ(two.windows, one.windows);
 }
 
 // Mailbox batching: cross-shard events created inside one window are all
@@ -310,7 +326,7 @@ TEST(SimParallelTest, ManyToOneBurstDrainsInTimestampSourceOrder) {
   // Identical timestamps: tie-break is source order, independent of which
   // shard's mailbox the event traveled through.
   for (uint32_t s = 0; s < kSenders; ++s) EXPECT_EQ(arrivals[s], s);
-  EXPECT_GT(sim.windows(), 0u);
+  EXPECT_GT(sim.stats().windows, 0u);
 }
 
 // The engine's churn repair handshake is a three-message cross-shard chain
