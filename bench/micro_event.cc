@@ -20,14 +20,23 @@
 //    threshold).
 //  * BM_EventQueueBurst — 4096 pushes then 4096 pops on a Reserve()d queue,
 //    the storm shape the sharded mailboxes produce at window barriers.
+//  * BM_EventQueuePeriodicTicks/lane:{0,1} — 100k peers' self-re-arming
+//    maintenance ticks under a stream of 256 in-flight messages, the shape
+//    of a 100k-peer Locaware run (ticks are most of its events). lane:0
+//    queues the ticks as ordinary heap events (PushKeyed); lane:1 uses the
+//    tick lane (PushTick). One iteration is one pop + invoke; `bytes/tick`
+//    is the queue storage one reserved tick holds.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <new>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -38,10 +47,12 @@
 // bench/micro_cache.cc).
 namespace {
 thread_local uint64_t g_alloc_count = 0;
+thread_local uint64_t g_alloc_bytes = 0;
 }  // namespace
 
 void* operator new(std::size_t size) {
   ++g_alloc_count;
+  g_alloc_bytes += size;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
@@ -54,6 +65,7 @@ namespace {
 using locaware::sim::EventFn;
 using locaware::sim::EventQueue;
 using locaware::sim::SimTime;
+using locaware::sim::SourceId;
 
 /// Attaches the allocations-per-iteration counter for the measured region.
 void ReportAllocs(benchmark::State& state, uint64_t allocs_before) {
@@ -161,5 +173,105 @@ void BM_EventQueueBurst(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBurst);
 }
 BENCHMARK(BM_EventQueueBurst)->Unit(benchmark::kMicrosecond);
+
+/// One queue holding kPeers self-re-arming ticks and kMessages messages that
+/// each schedule their successor, keyed like the engine's events: peer p's
+/// ticks come from source p + 1, the message stream from one extra source.
+class PeriodicTickBench {
+ public:
+  static constexpr uint32_t kPeers = 100000;
+  static constexpr uint32_t kMessages = 256;
+  static constexpr SimTime kInterval = 10'000'000;  // 10 s, in microseconds
+
+  explicit PeriodicTickBench(bool lane) : lane_(lane), tick_seq_(kPeers, 0) {
+    if (lane_) {
+      queue_.ReserveTicks(kPeers);
+      queue_.Reserve(kMessages);
+    } else {
+      queue_.Reserve(kPeers + kMessages);
+    }
+    // Staggered starts, pushed in key order as the engine does.
+    std::vector<std::pair<SimTime, uint32_t>> starts(kPeers);
+    for (uint32_t p = 0; p < kPeers; ++p) {
+      starts[p] = {static_cast<SimTime>((p * 2654435761ull) % kInterval), p};
+    }
+    std::sort(starts.begin(), starts.end());
+    for (const auto& [at, p] : starts) Arm(p, at);
+    for (uint32_t i = 0; i < kMessages; ++i) Send();
+  }
+
+  /// Pops and runs the next event.
+  void Step() {
+    SimTime t;
+    EventFn fn = queue_.Pop(&t);
+    now_ = t;
+    fn();
+  }
+
+  uint64_t sink() const { return sink_; }
+
+ private:
+  void Arm(uint32_t p, SimTime at) {
+    const SourceId src = p + 1;
+    auto tick = [this, p] {
+      ++sink_;
+      Arm(p, now_ + kInterval);
+    };
+    if (lane_) {
+      queue_.PushTick(at, src, tick_seq_[p]++, tick);
+    } else {
+      queue_.PushKeyed(at, src, tick_seq_[p]++, tick);
+    }
+  }
+
+  void Send() {
+    const uint64_t seq = msg_seq_++;
+    // 1..100 ms one-way delays, spread by a multiplicative hash.
+    const auto delay = static_cast<SimTime>(1000 + (seq * 2654435761ull) % 99000);
+    queue_.PushKeyed(now_ + delay, kPeers + 1, seq, [this, seq] {
+      sink_ += seq;
+      Send();
+    });
+  }
+
+  const bool lane_;
+  EventQueue queue_;
+  std::vector<uint64_t> tick_seq_;
+  uint64_t msg_seq_ = 0;
+  SimTime now_ = 0;
+  uint64_t sink_ = 0;
+};
+
+void BM_EventQueuePeriodicTicks(benchmark::State& state) {
+  const bool lane = state.range(0) != 0;
+  // Storage one reserved tick holds: the lane's in-place entry, or a heap
+  // key plus a slab slot plus a free-list index.
+  const uint64_t bytes_before = g_alloc_bytes;
+  {
+    EventQueue probe;
+    if (lane) {
+      probe.ReserveTicks(PeriodicTickBench::kPeers);
+    } else {
+      probe.Reserve(PeriodicTickBench::kPeers);
+    }
+  }
+  const double bytes_per_tick = static_cast<double>(g_alloc_bytes - bytes_before) /
+                                PeriodicTickBench::kPeers;
+
+  PeriodicTickBench bench(lane);
+  // Warm past the staggered start so every tick has re-armed at least once.
+  for (uint32_t i = 0; i < 2 * PeriodicTickBench::kPeers; ++i) bench.Step();
+  const uint64_t allocs_before = g_alloc_count;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) bench.Step();
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  benchmark::DoNotOptimize(bench.sink());
+  ReportAllocs(state, allocs_before);
+  state.counters["ns/event"] = elapsed.count() / static_cast<double>(state.iterations());
+  state.counters["bytes/tick"] = bytes_per_tick;
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueuePeriodicTicks)->ArgName("lane")->Arg(0)->Arg(1);
 
 }  // namespace

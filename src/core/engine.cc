@@ -29,8 +29,12 @@ Result<std::unique_ptr<Engine>> Engine::Create(const ExperimentConfig& config) {
   cfg.underlay.num_landmarks = cfg.num_landmarks;
 
   // Values the run cannot honour fail here rather than abort on a CHECK
-  // later, or hang: a tick reschedules itself one interval on, and shards
-  // beyond the peer count only add empty window participants.
+  // later, hang, or run to completion with every query failing: a tick
+  // reschedules itself one interval on, shards beyond the peer count only
+  // add empty window participants, a TTL-0 query is never forwarded, and a
+  // DHT node with no successors cannot route a lookup.
+  const bool dht_routed =
+      cfg.protocol == ProtocolKind::kDht || cfg.protocol == ProtocolKind::kHybrid;
   const std::pair<bool, const char*> kRejected[] = {
       {cfg.num_peers == 0, "num_peers must be > 0"},
       {cfg.num_landmarks == 0, "num_landmarks must be > 0 (locIds need landmarks)"},
@@ -42,6 +46,10 @@ Result<std::unique_ptr<Engine>> Engine::Create(const ExperimentConfig& config) {
        "params.bloom_hashes must be in [1, 16]"},
       {cfg.params.maintenance_interval <= 0, "params.maintenance_interval_s must be > 0"},
       {cfg.params.dht_fingers == 0, "dht.fingers must be > 0"},
+      {!dht_routed && cfg.params.ttl == 0,
+       "params.ttl must be > 0 (a TTL-0 query reaches no neighbor)"},
+      {dht_routed && cfg.params.dht_successors == 0,
+       "dht.successors must be > 0 (lookups route along successor lists)"},
       {cfg.params.ri.max_filenames == 0, "ri.max_filenames must be > 0"},
   };
   for (const auto& [rejected, why] : kRejected) {
@@ -248,22 +256,33 @@ Status Engine::Setup() {
   // mid-flight departure must not strand a peer at degree 0 for its whole
   // session).
   // Start ticks are staggered so 1000 nodes do not fire in the same
-  // microsecond. The initial offset events come from the controller source;
-  // every rescheduled tick is keyed by the node itself, keeping the tick
-  // chain's tie-break order shard-count-invariant.
+  // microsecond. The initial ticks come from the controller source; every
+  // re-armed tick is keyed by the node itself, keeping the tick chain's
+  // tie-break order shard-count-invariant.
+  //
+  // Each peer has exactly one tick in flight: a [this, p] TickFn waiting on
+  // its shard's tick lane, which is reserved here to the shard's peer count
+  // so Run never grows it. The lane appends a tick whose key is not below
+  // its tail, so the initial ticks are scheduled in (offset, peer) order.
+  // The offsets are still drawn in peer order, ties still break by peer id,
+  // and the block of src-0 sequence numbers they take still sits between
+  // the churn transitions' and the query submissions', so every key keeps
+  // the relative order it had when the ticks were scheduled in peer order.
   if (protocol_->NeedsMaintenanceTicks() || config_.churn.enabled) {
     Rng stagger_rng = root_rng_.Split("maintenance");
+    std::vector<std::pair<sim::SimTime, PeerId>> starts(config_.num_peers);
     for (PeerId p = 0; p < config_.num_peers; ++p) {
-      const sim::SimTime offset = static_cast<sim::SimTime>(stagger_rng.UniformInt(
-          0, static_cast<uint64_t>(config_.params.maintenance_interval)));
-      // Each queued tick is a plain [this, p] closure that reschedules
-      // itself (MaintenanceTick); the chain lives in the event queue alone,
-      // so ticks allocate nothing and leak nothing when the queue drains.
-      // The initial event schedules before working, matching the historic
-      // per-source sequence order.
-      sim_->ScheduleAt(shard_of(p), /*src=*/0, offset, [this, p] {
-        ScheduleFromNode(p, p, config_.params.maintenance_interval,
-                         [this, p] { MaintenanceTick(p); });
+      starts[p] = {static_cast<sim::SimTime>(stagger_rng.UniformInt(
+                       0, static_cast<uint64_t>(config_.params.maintenance_interval))),
+                   p};
+    }
+    std::sort(starts.begin(), starts.end());
+    for (uint32_t s = 0; s < num_shards_; ++s) sim_->ReserveTicks(s, shard_peers[s]);
+    // The initial tick re-arms before working, matching the historic
+    // per-source sequence order.
+    for (const auto& [offset, p] : starts) {
+      sim_->ScheduleTick(shard_of(p), /*src=*/0, offset, [this, p] {
+        RearmMaintenanceTick(p);
         MaintenanceWork(p);
       });
     }
@@ -390,8 +409,13 @@ void Engine::MaintenanceWork(PeerId p) {
 
 void Engine::MaintenanceTick(PeerId p) {
   MaintenanceWork(p);
-  ScheduleFromNode(p, p, config_.params.maintenance_interval,
-                   [this, p] { MaintenanceTick(p); });
+  RearmMaintenanceTick(p);
+}
+
+void Engine::RearmMaintenanceTick(PeerId p) {
+  sim_->ScheduleTick(shard_of(p), SourceOf(p),
+                     sim_->Now() + config_.params.maintenance_interval,
+                     [this, p] { MaintenanceTick(p); });
 }
 
 void Engine::Run() {

@@ -266,11 +266,11 @@ class Engine {
   overlay::RecordVec AnswerFromFileStore(PeerId node,
                                          const overlay::QueryMessage& query);
 
-  /// One peer's recurring maintenance tick: runs the work, then schedules
-  /// the next tick as a plain (node-sourced) event. The chain needs no
-  /// self-referencing shared state — each queued event is one [this, p]
-  /// closure, so ticks never allocate.
+  /// One peer's recurring maintenance tick: runs the work, then re-arms.
   void MaintenanceTick(PeerId p);
+  /// Schedules `p`'s next tick one maintenance interval on, node-sourced, on
+  /// its shard's tick lane (sim::ShardedSimulator::ScheduleTick).
+  void RearmMaintenanceTick(PeerId p);
   /// The tick's work: the protocol's maintenance (index expiry, Bloom
   /// gossip, DHT republish), orphan re-attachment under churn.
   void MaintenanceWork(PeerId p);

@@ -47,13 +47,46 @@ void EventQueue::PushKeyed(SimTime at, SourceId src, uint64_t seq, EventFn fn) {
   SiftUp(heap_.size() - 1, entry);
 }
 
+void EventQueue::PushTick(SimTime at, SourceId src, uint64_t seq, TickFn fn) {
+  if (lane_size_ != 0) {
+    const Tick& tail = lane_[LaneIndex(lane_size_ - 1)];
+    if (FiresBefore(Entry{at, src, /*slot=*/0, seq}, tail)) {
+      PushKeyed(at, src, seq, EventFn(std::move(fn)));
+      return;
+    }
+  }
+  if (lane_size_ == lane_.size()) RegrowLane(lane_.empty() ? 16 : 2 * lane_.size());
+  lane_[LaneIndex(lane_size_)] = Tick{at, src, seq, std::move(fn)};
+  ++lane_size_;
+}
+
+void EventQueue::ReserveTicks(size_t expected_ticks) {
+  if (expected_ticks > lane_.size()) RegrowLane(expected_ticks);
+}
+
+void EventQueue::RegrowLane(size_t capacity) {
+  std::vector<Tick> ring(capacity);
+  for (size_t i = 0; i < lane_size_; ++i) {
+    ring[i] = std::move(lane_[LaneIndex(i)]);
+  }
+  lane_ = std::move(ring);
+  lane_head_ = 0;
+}
+
 SimTime EventQueue::PeekTime() const {
-  LOCAWARE_CHECK(!heap_.empty()) << "PeekTime on empty queue";
-  return heap_.front().time;
+  LOCAWARE_CHECK(!empty()) << "PeekTime on empty queue";
+  return LaneFirst() ? lane_[lane_head_].time : heap_.front().time;
 }
 
 EventFn EventQueue::Pop(SimTime* time) {
-  LOCAWARE_CHECK(!heap_.empty()) << "Pop on empty queue";
+  LOCAWARE_CHECK(!empty()) << "Pop on empty queue";
+  if (LaneFirst()) {
+    Tick& head = lane_[lane_head_];
+    *time = head.time;
+    lane_head_ = LaneIndex(1);
+    --lane_size_;
+    return EventFn(std::move(head.fn));
+  }
   const Entry root = heap_.front();
   *time = root.time;
   EventFn fn = std::move(slots_[root.slot]);

@@ -62,23 +62,24 @@ SimTime ShardedSimulator::LookaheadBetween(ShardId src, ShardId dst) const {
   return La(src, dst);
 }
 
-void ShardedSimulator::ScheduleAt(ShardId dst, SourceId src, SimTime at, EventFn fn) {
+uint64_t ShardedSimulator::NextSeq(ShardId dst, SourceId src, SimTime at) {
   LOCAWARE_CHECK_LT(dst, shards_.size());
   LOCAWARE_CHECK_LT(src, next_seq_.size());
-  const uint64_t seq = next_seq_[src]++;
-
   const ShardId cur = tls_current_shard;
   if (cur == kNoShard) {
     // Controller phase: workers are not running, direct pushes are safe.
     LOCAWARE_CHECK(!running_) << "non-worker scheduling during a parallel run";
-    shards_[dst].queue.PushKeyed(at, src, seq, std::move(fn));
-    return;
+  } else {
+    LOCAWARE_CHECK_GE(at, shards_[cur].now) << "scheduling into the past";
   }
+  return next_seq_[src]++;
+}
 
-  Shard& me = shards_[cur];
-  LOCAWARE_CHECK_GE(at, me.now) << "scheduling into the past";
-  if (dst == cur) {
-    me.queue.PushKeyed(at, src, seq, std::move(fn));
+void ShardedSimulator::ScheduleAt(ShardId dst, SourceId src, SimTime at, EventFn fn) {
+  const uint64_t seq = NextSeq(dst, src, at);
+  const ShardId cur = tls_current_shard;
+  if (cur == kNoShard || dst == cur) {
+    shards_[dst].queue.PushKeyed(at, src, seq, std::move(fn));
     return;
   }
   // Conservative-window soundness: a remote event may only land at or beyond
@@ -87,7 +88,17 @@ void ShardedSimulator::ScheduleAt(ShardId dst, SourceId src, SimTime at, EventFn
   // at = now + delay >= L[cur] + LA[cur][dst] >= end[dst].
   LOCAWARE_CHECK_GE(at, window_ends_[dst])
       << "cross-shard event inside the destination's lookahead window";
-  me.outbox[dst].push_back(ShardEvent{at, src, seq, std::move(fn)});
+  shards_[cur].outbox[dst].push_back(ShardEvent{at, src, seq, std::move(fn)});
+}
+
+void ShardedSimulator::ScheduleTick(ShardId dst, SourceId src, SimTime at, TickFn fn) {
+  const uint64_t seq = NextSeq(dst, src, at);
+  // Ticks never cross shards: the lane has no mailbox path, and a foreign
+  // shard's queue is another worker's property mid-window.
+  const ShardId cur = tls_current_shard;
+  LOCAWARE_CHECK(cur == kNoShard || dst == cur)
+      << "tick for shard " << dst << " scheduled from shard " << cur;
+  shards_[dst].queue.PushTick(at, src, seq, std::move(fn));
 }
 
 SimTime ShardedSimulator::Now() const {
@@ -98,6 +109,11 @@ SimTime ShardedSimulator::Now() const {
 
 void ShardedSimulator::ReserveEvents(size_t expected_events_per_shard) {
   for (Shard& shard : shards_) shard.queue.Reserve(expected_events_per_shard);
+}
+
+void ShardedSimulator::ReserveTicks(ShardId shard, size_t expected_ticks) {
+  LOCAWARE_CHECK_LT(shard, shards_.size());
+  shards_[shard].queue.ReserveTicks(expected_ticks);
 }
 
 uint64_t ShardedSimulator::executed_count() const {

@@ -56,9 +56,18 @@
 // relocations that never touch the allocator, and a capture that outgrows
 // kEventInlineBytes is a compile error at the ScheduleAt site rather than a
 // silent per-event malloc. Closures crossing shards must therefore carry
-// their payload by value (or share a big immutable one via shared_ptr): the
-// relocation through the mailbox is also what makes the handoff thread-safe,
-// since the capture is owned by exactly one shard's storage at every moment.
+// their payload by value (or share a big immutable one through a pooled
+// handle, as ForwardQuery does with its QueryPayloadRef): the relocation
+// through the mailbox is also what makes the handoff thread-safe, since the
+// capture is owned by exactly one shard's storage at every moment.
+//
+// Periodic per-peer ticks take a cheaper path, ScheduleTick: they wait in
+// their shard queue's in-order tick lane (see EventQueue) as 16-byte TickFn
+// closures instead of heap entries with kEventInlineBytes slab slots. A tick
+// is keyed exactly like a ScheduleAt event (same per-source sequence
+// counter), and the queue merges the lane with its heap by key, so moving an
+// event onto the lane never changes when it fires. Ticks stay on their own
+// shard: one scheduled during execution must target the executing shard.
 //
 // Determinism contract (the reason the shard count never changes results):
 // every event carries a (time, source, per-source sequence) key assigned at
@@ -136,6 +145,8 @@ struct SchedulerStats {
 ///    Violations CHECK-fail rather than silently reorder.
 ///  - Each source's events must only ever be created from one shard (the
 ///    shard owning that source's peer) — single-writer sequence counters.
+///  - ScheduleTick follows the same rules, and inside an event handler may
+///    only target the executing shard.
 class ShardedSimulator {
  public:
   explicit ShardedSimulator(const ShardedSimulatorConfig& config);
@@ -147,6 +158,11 @@ class ShardedSimulator {
   /// Schedules `fn` at absolute time `at` on shard `dst`, created by logical
   /// source `src`. See the class comment for the phase rules.
   void ScheduleAt(ShardId dst, SourceId src, SimTime at, EventFn fn);
+
+  /// Schedules a periodic tick: ScheduleAt's key and phase rules, queued on
+  /// shard `dst`'s tick lane. Inside an event handler `dst` must be the
+  /// executing shard.
+  void ScheduleTick(ShardId dst, SourceId src, SimTime at, TickFn fn);
 
   /// Current time: the executing shard's clock inside an event handler, the
   /// last Run()'s final time (max over shards) on the controller thread.
@@ -160,6 +176,8 @@ class ShardedSimulator {
 
   /// Pre-allocates per-shard event-queue capacity.
   void ReserveEvents(size_t expected_events_per_shard);
+  /// Pre-allocates shard `shard`'s tick-lane capacity.
+  void ReserveTicks(ShardId shard, size_t expected_ticks);
 
   /// Shard the calling thread is executing events for, or kNoShard outside
   /// event execution (controller thread, tests).
@@ -173,7 +191,8 @@ class ShardedSimulator {
 
   /// Total events executed over the simulator's lifetime.
   uint64_t executed_count() const;
-  /// Events currently queued across all shards and mailboxes.
+  /// Events currently queued across all shards (tick lanes included) and
+  /// mailboxes.
   size_t pending_count() const;
   /// Snapshot of the scheduler counters. Call between runs, not during one.
   SchedulerStats stats() const;
@@ -197,6 +216,10 @@ class ShardedSimulator {
     void operator()() noexcept { sim->OnBarrier(); }
   };
 
+  /// Checks ScheduleAt/ScheduleTick's shared rules (ids in range, no
+  /// controller-phase scheduling during a run, no scheduling into the past)
+  /// and takes `src`'s next sequence number.
+  uint64_t NextSeq(ShardId dst, SourceId src, SimTime at);
   void WorkerLoop(uint32_t worker);
   /// Moves every shard's outbox[sid] into shard sid's queue.
   void DrainInbound(ShardId sid);

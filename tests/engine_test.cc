@@ -98,6 +98,41 @@ TEST(EngineTest, CreateRejectsZeroDhtFingers) {
   }
 }
 
+TEST(EngineTest, CreateRejectsZeroTtlForFloodedProtocols) {
+  // A TTL-0 query is never forwarded, so every query used to fail quietly.
+  for (ProtocolKind kind : {ProtocolKind::kFlooding, ProtocolKind::kDicas,
+                            ProtocolKind::kDicasKeys, ProtocolKind::kLocaware}) {
+    ExperimentConfig cfg = TinyConfig(kind);
+    cfg.params.ttl = 0;
+    auto created = Engine::Create(cfg);
+    ASSERT_FALSE(created.ok()) << ProtocolKindName(kind);
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(created.status().message().find("params.ttl"), std::string::npos)
+        << created.status().ToString();
+  }
+  // Pure DHT lookups do not flood, so the TTL does not bind there.
+  ExperimentConfig dht = TinyConfig(ProtocolKind::kDht);
+  dht.params.ttl = 0;
+  EXPECT_TRUE(Engine::Create(dht).ok());
+}
+
+TEST(EngineTest, CreateRejectsZeroDhtSuccessors) {
+  // With no successor list a lookup cannot route; every query used to fail.
+  for (ProtocolKind kind : {ProtocolKind::kDht, ProtocolKind::kHybrid}) {
+    ExperimentConfig cfg = TinyConfig(kind);
+    cfg.params.dht_successors = 0;
+    auto created = Engine::Create(cfg);
+    ASSERT_FALSE(created.ok()) << ProtocolKindName(kind);
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(created.status().message().find("dht.successors"), std::string::npos)
+        << created.status().ToString();
+  }
+  // Protocols without a DHT plane never read the successor count.
+  ExperimentConfig locaware = TinyConfig(ProtocolKind::kLocaware);
+  locaware.params.dht_successors = 0;
+  EXPECT_TRUE(Engine::Create(locaware).ok());
+}
+
 TEST(EngineTest, CreateRejectsZeroIndexCapacity) {
   ExperimentConfig cfg = TinyConfig(ProtocolKind::kLocaware);
   cfg.params.ri.max_filenames = 0;
