@@ -92,6 +92,7 @@ ResponseIndex::UpdateOutcome ResponseIndex::AddProvider(
 
   ProviderEntry stamped = entry;
   stamped.added_at = now;
+  oldest_added_at_ = std::min(oldest_added_at_, now);
   e.providers.insert(e.providers.begin(), stamped);
   if (e.providers.size() > config_.max_providers_per_file) {
     e.providers.pop_back();  // most-recent replaces oldest (§4.1.2)
@@ -183,16 +184,24 @@ std::optional<ResponseIndex::Hit> ResponseIndex::LookupFile(FileId file,
 
 std::vector<ResponseIndex::EvictedFile> ResponseIndex::ExpireStale(sim::SimTime now) {
   std::vector<EvictedFile> removed;
-  if (config_.entry_ttl <= 0) return removed;
+  if (config_.entry_ttl <= 0 || now - config_.entry_ttl <= oldest_added_at_) {
+    return removed;
+  }
   // Collect-and-sort before acting: the table is unordered, so sweeping in
   // iteration order would let table layout leak into the removal report (and
   // through it into any order-sensitive consumer). Sorted keys make the
   // sweep a pure function of the index's *contents*, whatever container
   // backs it.
+  oldest_added_at_ = std::numeric_limits<sim::SimTime>::max();
   for (FileId file : Files()) {
     auto it = entries_.find(file);
     LOCAWARE_CHECK(it != entries_.end());
-    if (PruneStale(&it->second, now)) continue;
+    if (PruneStale(&it->second, now)) {
+      for (const ProviderEntry& p : it->second.providers) {
+        oldest_added_at_ = std::min(oldest_added_at_, p.added_at);
+      }
+      continue;
+    }
     removed.push_back(EvictedFile{file, std::move(it->second.keywords)});
     EraseIt(it, removed.back().keywords);
   }

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <list>
 #include <optional>
 #include <span>
@@ -123,7 +124,8 @@ class ResponseIndex {
   /// Removes every provider older than the ttl (no-op when ttl = 0); returns
   /// the files that became empty and were removed, sorted by FileId — the
   /// sweep collects keys and processes them in sorted order, so the backing
-  /// table's layout never leaks into the report.
+  /// table's layout never leaks into the report. Returns at once, without
+  /// the sweep, while no provider can be stale yet (see oldest_added_at_).
   std::vector<EvictedFile> ExpireStale(sim::SimTime now);
 
   /// Invalidates every entry naming `provider` (a peer known to have left the
@@ -195,6 +197,11 @@ class ResponseIndex {
   /// LRU/FIFO order: front = next victim, back = most recent.
   std::list<FileId> use_order_;
   uint64_t eviction_rng_state_;
+  /// Lower bound on every provider's added_at (max while the index is
+  /// empty): inserts lower it, a full ExpireStale sweep recomputes it
+  /// exactly, and removals only raise the true minimum. While now minus
+  /// this is within the ttl, no provider is stale and the sweep is skipped.
+  sim::SimTime oldest_added_at_ = std::numeric_limits<sim::SimTime>::max();
   Stats stats_;
 };
 

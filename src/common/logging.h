@@ -2,6 +2,7 @@
 // its stream arguments only when the level is enabled.
 #pragma once
 
+#include <atomic>
 #include <sstream>
 #include <string>
 
@@ -9,22 +10,24 @@ namespace locaware {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kOff = 4 };
 
-/// Global log sink. Write may be called from any thread (one fprintf per
-/// line); set_level is unsynchronized, so set the level before a run starts.
+/// Global log sink. Any thread may call every member: Write emits one
+/// fprintf per line, and the level is an atomic read with relaxed loads, so
+/// set_level during a threaded run is not a data race (lines already past
+/// their Enabled check still print at the old level).
 class Logger {
  public:
   static Logger& Instance();
 
-  void set_level(LogLevel level) { level_ = level; }
-  LogLevel level() const { return level_; }
-  bool Enabled(LogLevel level) const { return level >= level_; }
+  void set_level(LogLevel level) { level_.store(level, std::memory_order_relaxed); }
+  LogLevel level() const { return level_.load(std::memory_order_relaxed); }
+  bool Enabled(LogLevel level) const { return level >= this->level(); }
 
   /// Writes one formatted line ("[LEVEL] message\n") to stderr.
   void Write(LogLevel level, const std::string& message);
 
  private:
   Logger() = default;
-  LogLevel level_ = LogLevel::kWarning;
+  std::atomic<LogLevel> level_{LogLevel::kWarning};
 };
 
 namespace internal {

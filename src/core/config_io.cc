@@ -1,5 +1,6 @@
 #include "core/config_io.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cinttypes>
@@ -20,7 +21,25 @@ namespace {
 std::string FormatDouble(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.10g", v);
+  // Ten digits keep files readable; a value they do not pin exactly (or
+  // round past the double range) gets the 17 digits that always read back.
+  if (std::strtod(buf, nullptr) != v) std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
+}
+
+/// Exact decimal seconds ("12", "0.25"): what ParseDuration reads back to
+/// the same microsecond.
+std::string FormatSeconds(sim::SimTime t) {
+  const uint64_t mag = t < 0 ? 0 - static_cast<uint64_t>(t) : static_cast<uint64_t>(t);
+  const uint64_t per_second = sim::kSecond;
+  std::string out = (t < 0 ? "-" : "") + std::to_string(mag / per_second);
+  if (mag % per_second != 0) {
+    char frac[8];
+    std::snprintf(frac, sizeof(frac), ".%06" PRIu64, mag % per_second);
+    out += frac;
+    while (out.back() == '0') out.pop_back();
+  }
+  return out;
 }
 
 /// One parsed `key = value` line.
@@ -80,23 +99,52 @@ Result<double> ParseF64(const KeyValue& kv) {
 }
 
 /// Parses a duration: whole milliseconds for `*_ms` keys, decimal seconds
-/// otherwise. sim::FromMs casts to int64_t, which is undefined at or past
-/// 2^63 us, so those values are rejected by name, and so are negative ones.
+/// otherwise. Whole milliseconds and plain `digits[.digits]` seconds convert
+/// exactly in integers (sub-microsecond digits round half up), so formatted
+/// configs read back to the same microsecond; other forms ("1e3") go through
+/// sim::FromMs. Values past INT64_MAX us, where FromMs's cast is undefined,
+/// are rejected by name, and so are negative ones.
 Result<sim::SimTime> ParseDuration(const KeyValue& kv) {
-  double ms = 0;
+  constexpr uint64_t kMaxUs = std::numeric_limits<sim::SimTime>::max();
+  const auto out_of_range = [&] {
+    return Status::InvalidArgument(kv.key + ": '" + kv.value +
+                                   "' is negative or past INT64_MAX us");
+  };
   if (kv.key.ends_with("_ms")) {
     auto v = ParseU64(kv);
     if (!v.ok()) return v.status();
-    ms = static_cast<double>(v.ValueOrDie());
-  } else {
-    auto v = ParseF64(kv);
-    if (!v.ok()) return v.status();
-    ms = v.ValueOrDie() * 1000.0;
+    if (v.ValueOrDie() > kMaxUs / sim::kMillisecond) return out_of_range();
+    return static_cast<sim::SimTime>(v.ValueOrDie()) * sim::kMillisecond;
   }
-  if (!(ms >= 0) || ms * 1000.0 + 0.5 >= 0x1p63) {
-    return Status::InvalidArgument(kv.key + ": '" + kv.value +
-                                   "' is negative or past INT64_MAX us");
+  const std::string& text = kv.value;
+  const size_t dot = std::min(text.find('.'), text.size());
+  const auto digits = [&](size_t from, size_t to) {
+    for (size_t i = from; i < to; ++i) {
+      if (!std::isdigit(static_cast<unsigned char>(text[i]))) return false;
+    }
+    return true;
+  };
+  if (dot > 0 && digits(0, dot) && digits(dot + 1, text.size())) {
+    uint64_t seconds = 0;
+    for (size_t i = 0; i < dot; ++i) {
+      seconds = seconds * 10 + static_cast<uint64_t>(text[i] - '0');
+      if (seconds > kMaxUs / sim::kSecond) return out_of_range();
+    }
+    uint64_t us = seconds * sim::kSecond;
+    uint64_t scale = sim::kSecond;
+    for (size_t i = dot + 1; i < text.size() && scale > 1; ++i) {
+      scale /= 10;
+      us += static_cast<uint64_t>(text[i] - '0') * scale;
+    }
+    const size_t round_digit = dot + 7;
+    if (round_digit < text.size() && text[round_digit] >= '5') ++us;
+    if (us > kMaxUs) return out_of_range();
+    return static_cast<sim::SimTime>(us);
   }
+  auto v = ParseF64(kv);
+  if (!v.ok()) return v.status();
+  const double ms = v.ValueOrDie() * 1000.0;
+  if (!(ms >= 0) || ms * 1000.0 + 0.5 >= 0x1p63) return out_of_range();
   return sim::FromMs(ms);
 }
 
@@ -207,9 +255,9 @@ std::string FormatConfig(const ExperimentConfig& c) {
   out << "params.bloom_bits = " << c.params.bloom_bits << "\n";
   out << "params.bloom_hashes = " << c.params.bloom_hashes << "\n";
   out << "params.maintenance_interval_s = "
-      << FormatDouble(sim::ToSeconds(c.params.maintenance_interval)) << "\n";
+      << FormatSeconds(c.params.maintenance_interval) << "\n";
   out << "params.query_deadline_s = "
-      << FormatDouble(sim::ToSeconds(c.params.query_deadline)) << "\n";
+      << FormatSeconds(c.params.query_deadline) << "\n";
   out << "params.max_response_providers = " << c.params.max_response_providers << "\n";
   out << "params.requester_becomes_provider = "
       << (c.params.requester_becomes_provider ? "true" : "false") << "\n";
@@ -222,12 +270,11 @@ std::string FormatConfig(const ExperimentConfig& c) {
   out << "dht.successors = " << c.params.dht_successors << "\n";
   out << "dht.fingers = " << c.params.dht_fingers << "\n";
   out << "dht.republish_interval_ms = "
-      << static_cast<uint64_t>(sim::ToMs(c.params.dht_republish_interval)) << "\n";
+      << c.params.dht_republish_interval / sim::kMillisecond << "\n";
   out << "\n# response index\n";
   out << "ri.max_filenames = " << c.params.ri.max_filenames << "\n";
   out << "ri.max_providers_per_file = " << c.params.ri.max_providers_per_file << "\n";
-  out << "ri.entry_ttl_s = " << FormatDouble(sim::ToSeconds(c.params.ri.entry_ttl))
-      << "\n";
+  out << "ri.entry_ttl_s = " << FormatSeconds(c.params.ri.entry_ttl) << "\n";
   out << "ri.eviction = " << cache::EvictionPolicyName(c.params.ri.eviction) << "\n";
   return out.str();
 }

@@ -33,6 +33,8 @@ class DhtProtocol final : public Protocol {
 
   /// Stabilization under churn, republish, record expiry.
   void OnMaintenanceTick(Engine& engine, PeerId node) override;
+  /// Never idle: stabilization and republish always have work.
+  bool MaintenanceIdle(const NodeState& /*node*/) const override { return false; }
   void OnDeparture(Engine& engine, PeerId node) override;
   void OnRejoin(Engine& engine, PeerId node) override;
 

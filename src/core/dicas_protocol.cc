@@ -59,6 +59,7 @@ void DicasProtocol::ObserveResponse(Engine& engine, PeerId node,
     state.ri->AddProvider(record.file, engine.catalog().sorted_keywords(record.file),
                           cache::ProviderEntry{p.peer, p.loc_id, 0},
                           engine.Now());
+    engine.WakeMaintenance(node);
   }
 }
 

@@ -201,6 +201,7 @@ Status Engine::Setup() {
   protocol_ = MakeProtocol(config_.protocol, config_.params);
   Rng gid_rng = root_rng_.Split("gids");
   nodes_.resize(config_.num_peers);
+  maintenance_quiet_.resize(config_.num_peers);
   for (PeerId p = 0; p < config_.num_peers; ++p) {
     NodeState& n = nodes_[p];
     n.id = p;
@@ -215,6 +216,7 @@ Status Engine::Setup() {
     n.neighbor_gids.set_arena(arena);
     n.neighbor_degree.set_arena(arena);
     protocol_->InitNodeState(n, config_.seed, arena);
+    maintenance_quiet_[p] = protocol_->MaintenanceIdle(n) ? 1 : 0;
   }
 
   // 5. Initial link handshakes.
@@ -342,7 +344,7 @@ std::vector<sim::SimTime> Engine::BuildLookaheadMatrix(
   return matrix;
 }
 
-NodeState& Engine::node(PeerId p) {
+void Engine::CheckOwner(PeerId p) const {
   LOCAWARE_CHECK_LT(p, nodes_.size());
   if (num_shards_ > 1) {
     // Shard-local ownership: inside a parallel run, mutable node state may
@@ -353,6 +355,10 @@ NodeState& Engine::node(PeerId p) {
       LOCAWARE_CHECK_EQ(cur, shard_of(p)) << "cross-shard mutable node access";
     }
   }
+}
+
+NodeState& Engine::node(PeerId p) {
+  CheckOwner(p);
   return nodes_[p];
 }
 
@@ -401,10 +407,19 @@ void Engine::Send(PeerId from, PeerId to, sim::EventFn deliver) {
 
 void Engine::MaintenanceWork(PeerId p) {
   if (!graph_->IsAlive(p)) return;
-  protocol_->OnMaintenanceTick(*this, p);
+  CheckOwner(p);
+  if (maintenance_quiet_[p] == 0) {
+    protocol_->OnMaintenanceTick(*this, p);
+    if (protocol_->MaintenanceIdle(nodes_[p])) maintenance_quiet_[p] = 1;
+  }
   if (config_.churn.enabled && graph_->Degree(p) == 0) {
     StartLinkProbes(p, 1);
   }
+}
+
+void Engine::WakeMaintenance(PeerId p) {
+  CheckOwner(p);
+  if (maintenance_quiet_[p] != 0) maintenance_quiet_[p] = 0;
 }
 
 void Engine::MaintenanceTick(PeerId p) {

@@ -141,6 +141,16 @@ class Engine {
   /// handshake announced (0 if none survives). Deterministic either way.
   size_t NeighborDegree(PeerId self, PeerId neighbor);
 
+  /// Marks `p`'s maintenance busy: its next tick runs the protocol's hook.
+  /// Every path that writes a new entry into `p`'s response index calls this
+  /// (the wake rule, Protocol::MaintenanceIdle). Runs on `p`'s shard; writes
+  /// the quiet byte only when it flips.
+  void WakeMaintenance(PeerId p);
+
+  /// Whether `p`'s quiet byte is set: its ticks skip the protocol's hook,
+  /// which would provably change nothing (Protocol::MaintenanceIdle).
+  bool maintenance_quiet(PeerId p) const { return maintenance_quiet_[p] != 0; }
+
   /// The immutable per-peer on/off schedule (empty unless churn is enabled).
   const overlay::ChurnTimeline& churn_timeline() const { return churn_timeline_; }
 
@@ -272,8 +282,12 @@ class Engine {
   /// its shard's tick lane (sim::ShardedSimulator::ScheduleTick).
   void RearmMaintenanceTick(PeerId p);
   /// The tick's work: the protocol's maintenance (index expiry, Bloom
-  /// gossip, DHT republish), orphan re-attachment under churn.
+  /// gossip, DHT republish) unless `p` is quiet, orphan re-attachment under
+  /// churn. A tick that ran recomputes the quiet byte.
   void MaintenanceWork(PeerId p);
+
+  /// CHECK-fails when a multi-shard run's executing shard does not own `p`.
+  void CheckOwner(PeerId p) const;
 
   // --- churn lifecycle (shard-safe: owner events + routed repair links) ---
 
@@ -337,6 +351,13 @@ class Engine {
   overlay::ChurnTimeline churn_timeline_;
 
   std::vector<NodeState> nodes_;
+  /// One byte per peer, set while Protocol::MaintenanceIdle holds for it, so
+  /// a quiet tick reads this byte instead of the peer's cold index and
+  /// filters. Written only by the peer's owner shard: seeded at Create,
+  /// cleared by WakeMaintenance, recomputed after every tick that ran. Writes
+  /// happen only on a flip, so a busy peer's inserts and ticks do not keep
+  /// dirtying a cache line that other shards' peers share.
+  std::vector<uint8_t> maintenance_quiet_;
   std::vector<ShardState> shards_;
 
   metrics::MetricsCollector metrics_;  ///< merged from shards at Run() exit

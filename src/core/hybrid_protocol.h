@@ -39,6 +39,8 @@ class HybridProtocol final : public LocawareProtocol {
 
   /// Locaware's tick (expiry, Bloom gossip), then the DHT's.
   void OnMaintenanceTick(Engine& engine, PeerId node) override;
+  /// Never idle: stabilization and republish always have work.
+  bool MaintenanceIdle(const NodeState& /*node*/) const override { return false; }
   void OnDeparture(Engine& engine, PeerId node) override;
   void OnRejoin(Engine& engine, PeerId node) override;
 

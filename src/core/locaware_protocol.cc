@@ -106,6 +106,7 @@ void LocawareProtocol::AddToIndex(Engine& engine, NodeState& state, FileId file,
   const auto outcome = state.ri->AddProvider(
       file, sorted_keywords, cache::ProviderEntry{provider, provider_loc, 0},
       engine.Now());
+  engine.WakeMaintenance(state.id);
   // Keep the counting filter consistent: one Insert per file arrival,
   // one Remove per file eviction (§4.2: "built incrementally as new
   // filenames are inserted in RI and existing ones discarded").
@@ -216,6 +217,11 @@ void LocawareProtocol::OnMaintenanceTick(Engine& engine, PeerId node) {
     engine.SendBloomUpdate(node, nb, update);
   }
   *state.advertised_filter = current;
+}
+
+bool LocawareProtocol::MaintenanceIdle(const NodeState& node) const {
+  return Protocol::MaintenanceIdle(node) &&
+         node.keyword_filter->projection() == *node.advertised_filter;
 }
 
 void LocawareProtocol::OnBloomUpdate(Engine& engine, PeerId node,

@@ -43,6 +43,9 @@ class LocawareProtocol : public Protocol {
   /// Expires stale index entries (keeping the Bloom filter in sync) and
   /// gossips a delta of the keyword filter to every neighbor when it changed.
   void OnMaintenanceTick(Engine& engine, PeerId node) override;
+  /// The base predicate, and the counting filter's projection equals the
+  /// advertised filter (no delta left to gossip).
+  bool MaintenanceIdle(const NodeState& node) const override;
   /// Applies a neighbor's delta to our copy of its filter.
   void OnBloomUpdate(Engine& engine, PeerId node,
                      const overlay::BloomUpdateMessage& update) override;

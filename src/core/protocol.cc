@@ -102,6 +102,10 @@ void Protocol::OnMaintenanceTick(Engine& engine, PeerId node) {
   }
 }
 
+bool Protocol::MaintenanceIdle(const NodeState& node) const {
+  return node.ri == nullptr || node.ri->num_filenames() == 0;
+}
+
 void Protocol::OnBloomUpdate(Engine& /*engine*/, PeerId /*node*/,
                              const overlay::BloomUpdateMessage& /*update*/) {}
 

@@ -98,6 +98,20 @@ class Protocol {
   /// and gossips deltas.
   virtual void OnMaintenanceTick(Engine& engine, PeerId node);
 
+  /// Whether OnMaintenanceTick would provably change nothing at `node`. The
+  /// engine keeps one quiet byte per peer from it and skips the hook while
+  /// the byte is set; the tick itself still fires and re-arms, so events and
+  /// results are unchanged. Base: no response index, or an empty one (an
+  /// empty index has nothing to expire). Locaware adds that the advertised
+  /// filter is current; the DHT-backed protocols always have work.
+  ///
+  /// The wake contract: the predicate may only turn false through a new
+  /// response-index entry, so every path that writes one must call
+  /// Engine::WakeMaintenance on the peer. Removals and lookups cannot wake a
+  /// quiet peer (its index is empty), and only the tick itself writes
+  /// derived maintenance state such as the advertised filter.
+  virtual bool MaintenanceIdle(const NodeState& node) const;
+
   /// Bloom-update delivery (Locaware only; default ignores).
   virtual void OnBloomUpdate(Engine& engine, PeerId node,
                              const overlay::BloomUpdateMessage& update);

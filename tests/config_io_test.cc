@@ -1,5 +1,6 @@
 #include "core/config_io.h"
 
+#include <cstdint>
 #include <cstdio>
 
 #include <gtest/gtest.h>
@@ -258,6 +259,38 @@ TEST(ConfigIoTest, RejectsNonFiniteNegativeAndOverflowingDurations) {
   ASSERT_TRUE(ms.ok()) << ms.status().ToString();
   EXPECT_EQ(ms.ValueOrDie().params.dht_republish_interval,
             9223372036854 * sim::kMillisecond);
+}
+
+TEST(ConfigIoTest, DurationsAndDoublesReadBackExactly) {
+  // Plain decimal seconds and whole milliseconds convert in integers, so the
+  // largest duration loads and saves to the same microsecond (ten digits
+  // would print 9223372036854 s as 9.223372037e+12, past the limit).
+  auto max_s = ParseConfig("ri.entry_ttl_s = 9223372036854.775807\n");
+  ASSERT_TRUE(max_s.ok()) << max_s.status().ToString();
+  EXPECT_EQ(max_s.ValueOrDie().params.ri.entry_ttl, INT64_MAX);
+  EXPECT_TRUE(Rejected("ri.entry_ttl_s", "9223372036854.775808"));
+  auto max_ms = ParseConfig("dht.republish_interval_ms = 9223372036854775\n");
+  ASSERT_TRUE(max_ms.ok()) << max_ms.status().ToString();
+  EXPECT_EQ(max_ms.ValueOrDie().params.dht_republish_interval,
+            9223372036854775 * sim::kMillisecond);
+  auto rounded = ParseConfig("params.query_deadline_s = 1.0000005\n");
+  ASSERT_TRUE(rounded.ok()) << rounded.status().ToString();
+  EXPECT_EQ(rounded.ValueOrDie().params.query_deadline, sim::kSecond + 1);
+
+  ExperimentConfig original = MakePaperConfig(ProtocolKind::kLocaware);
+  original.params.ri.entry_ttl = INT64_MAX;
+  original.params.maintenance_interval = 9223372036854 * sim::kSecond;
+  original.params.query_deadline = 1;
+  original.workload.zipf_exponent = 1.7976931348623157e308;  // DBL_MAX
+  original.avg_degree = 4.0000000001234567;
+  auto parsed = ParseConfig(FormatConfig(original));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const ExperimentConfig& c = parsed.ValueOrDie();
+  EXPECT_EQ(c.params.ri.entry_ttl, original.params.ri.entry_ttl);
+  EXPECT_EQ(c.params.maintenance_interval, original.params.maintenance_interval);
+  EXPECT_EQ(c.params.query_deadline, 1);
+  EXPECT_EQ(c.workload.zipf_exponent, original.workload.zipf_exponent);
+  EXPECT_EQ(c.avg_degree, original.avg_degree);
 }
 
 TEST(ConfigIoTest, SaveLoadFile) {

@@ -164,6 +164,35 @@ TEST_P(EngineInvariantsTest, LocawareBloomStaysConsistent) {
   }
 }
 
+TEST_P(EngineInvariantsTest, QuietPeersAreMaintenanceIdle) {
+  // A set quiet byte skips the protocol's tick hook, which is only sound if
+  // the hook would change nothing: every write that could give a quiet peer
+  // work must have woken it. Three shards put adjacent peers' bytes under
+  // different worker threads.
+  for (uint32_t shards : {1u, 3u}) {
+    ExperimentConfig cfg = Config(GetParam());
+    cfg.scheduler.shards = shards;
+    auto e = std::move(Engine::Create(cfg)).ValueOrDie();
+    e->Run();
+    size_t quiet = 0;
+    for (PeerId p = 0; p < e->num_peers(); ++p) {
+      if (!e->maintenance_quiet(p)) continue;
+      ++quiet;
+      EXPECT_TRUE(e->protocol().MaintenanceIdle(e->node(p)))
+          << "peer " << p << ", " << shards << " shards";
+    }
+    // The DHT-backed protocols always have tick work; the others leave most
+    // peers with nothing cached.
+    const bool dht_backed =
+        GetParam().kind == ProtocolKind::kDht || GetParam().kind == ProtocolKind::kHybrid;
+    if (dht_backed) {
+      EXPECT_EQ(quiet, 0u);
+    } else {
+      EXPECT_GT(quiet, 0u);
+    }
+  }
+}
+
 TEST_P(EngineInvariantsTest, FileStoresOnlyGrowWithValidFiles) {
   auto e = std::move(Engine::Create(Config(GetParam()))).ValueOrDie();
   e->Run();

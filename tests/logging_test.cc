@@ -1,5 +1,9 @@
 #include "common/logging.h"
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace locaware {
@@ -52,6 +56,30 @@ TEST_F(LoggingTest, MacroEvaluatesWhenEnabled) {
   };
   LOG_ERROR << "x" << counted();
   EXPECT_EQ(evaluations, 1);
+}
+
+TEST_F(LoggingTest, LevelFlipsWhileThreadsLog) {
+  // Four threads log while the main thread flips the level between two that
+  // print nothing at kDebug, until the threads have logged a while; a data
+  // race on the level shows up under ThreadSanitizer.
+  std::atomic<bool> stop{false};
+  std::atomic<int> logged{0};
+  std::vector<std::thread> loggers;
+  for (int t = 0; t < 4; ++t) {
+    loggers.emplace_back([&stop, &logged] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        LOG_DEBUG << "never printed";
+        logged.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (int i = 0; i < 1000 || logged.load(std::memory_order_relaxed) < 4000; ++i) {
+    Logger::Instance().set_level(LogLevel::kOff);
+    Logger::Instance().set_level(LogLevel::kError);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : loggers) t.join();
+  EXPECT_EQ(Logger::Instance().level(), LogLevel::kError);
 }
 
 TEST_F(LoggingTest, SingletonIdentity) {

@@ -61,6 +61,80 @@ GroupId KeywordGroup(Engine& e, KeywordId kw) {
   return GroupOfKeywordFnv(e.catalog().KeywordFnv(kw), e.params().num_groups);
 }
 
+/// One sample of a peer's maintenance state while its only cached response
+/// lives and expires.
+struct LifecycleSample {
+  sim::SimTime t = 0;
+  bool quiet = false;
+  size_t files = 0;          ///< response-index files at the peer
+  uint64_t bloom_msgs = 0;   ///< Bloom updates charged so far (1 shard)
+  size_t neighbors_see = 0;  ///< neighbors whose filter copy has the probe
+};
+
+/// Runs the engine's own simulator, with no workload, through `resp`
+/// landing at `node` at t0 and then past its index expiry, sampling every
+/// quarter maintenance interval until t0 + ttl + 2 intervals. `*woke` is
+/// whether the insert cleared the quiet byte, read inside the event. With a
+/// `probe`, samples count the neighbors whose filter copy of `node` has it.
+std::vector<LifecycleSample> RunIndexLifecycle(Engine& e, PeerId node,
+                                               const overlay::ResponseMessage& resp,
+                                               sim::SimTime t0, bool* woke,
+                                               const KeyHash128* probe = nullptr) {
+  sim::ShardedSimulator& sim = e.simulator();
+  sim.ScheduleAt(e.shard_of(node), /*src=*/0, t0, [&e, node, &resp, woke] {
+    e.protocol().ObserveResponse(e, node, resp);
+    *woke = !e.maintenance_quiet(node);
+  });
+  const sim::SimTime interval = e.params().maintenance_interval;
+  const sim::SimTime end = t0 + e.params().ri.entry_ttl + 2 * interval;
+  std::vector<LifecycleSample> samples;
+  for (sim::SimTime t = t0 + interval / 4; t <= end; t += interval / 4) {
+    sim.Run(t);
+    LifecycleSample sample;
+    sample.t = t;
+    sample.quiet = e.maintenance_quiet(node);
+    sample.files = e.node(node).ri->num_filenames();
+    sample.bloom_msgs = e.CollectorAt(node).bloom_update_msgs();
+    for (PeerId nb : e.graph().Neighbors(node)) {
+      const auto& copies = e.node(nb).neighbor_filters;
+      const auto it = copies.find(node);
+      if (probe != nullptr && it != copies.end() && it->second.MayContain(*probe)) {
+        ++sample.neighbors_see;
+      }
+    }
+    samples.push_back(sample);
+  }
+  return samples;
+}
+
+/// A response for `file` from provider 8, requested by peer 9.
+overlay::ResponseMessage ResponseFor(Engine& e, FileId file) {
+  overlay::ResponseMessage resp;
+  resp.qid = 1;
+  resp.responder = 8;
+  resp.origin = 9;
+  resp.origin_loc = e.loc_of(9);
+  resp.query_keywords = e.catalog().sorted_keywords(file);
+  overlay::ResponseRecord rec;
+  rec.file = file;
+  rec.providers = {{8, e.loc_of(8)}};
+  resp.records.push_back(rec);
+  return resp;
+}
+
+/// Index of the first sample whose index is empty again (samples.size() if
+/// none), after checking that every earlier sample is busy with a cached file.
+size_t FirstEmptySample(const std::vector<LifecycleSample>& samples) {
+  size_t k = 0;
+  while (k < samples.size() && samples[k].files > 0) {
+    EXPECT_FALSE(samples[k].quiet) << "quiet with a cached file at t=" << samples[k].t;
+    ++k;
+  }
+  return k;
+}
+
+void ShortTtl(ExperimentConfig* cfg) { cfg->params.ri.entry_ttl = 25 * sim::kSecond; }
+
 // ---------------------------------------------------------------- Flooding
 
 TEST(FloodingBehaviorTest, ForwardsToAllNeighborsExceptSender) {
@@ -193,6 +267,28 @@ TEST(DicasBehaviorTest, CachesOnlyAtMatchingGidWithSingleProvider) {
   ASSERT_TRUE(hit.has_value());
   ASSERT_EQ(hit->providers.size(), 1u);
   EXPECT_EQ(hit->providers[0].provider, 8u);
+}
+
+TEST(DicasBehaviorTest, QuietByteFollowsIndexLifecycle) {
+  // The base predicate: quiet exactly while the index is empty.
+  auto e = MakeEngine(ProtocolKind::kDicas, 5, ShortTtl);
+  const PeerId node = 10;
+  const FileId file = 0;
+  e->node(node).gid = FileGroup(*e, file);
+  EXPECT_TRUE(e->maintenance_quiet(node));
+
+  const auto resp = ResponseFor(*e, file);
+  const sim::SimTime t0 = 3 * sim::kSecond + 7;
+  bool woke = false;
+  const auto samples = RunIndexLifecycle(*e, node, resp, t0, &woke);
+  EXPECT_TRUE(woke);
+  const size_t k = FirstEmptySample(samples);
+  ASSERT_LT(k, samples.size()) << "the cached file never expired";
+  EXPECT_GT(samples[k].t, t0 + e->params().ri.entry_ttl);
+  for (size_t i = k; i < samples.size(); ++i) {
+    EXPECT_TRUE(samples[i].quiet) << "t=" << samples[i].t;
+    EXPECT_EQ(samples[i].files, 0u);
+  }
 }
 
 // -------------------------------------------------------------- Dicas-Keys
@@ -401,6 +497,54 @@ TEST(LocawareBehaviorTest, CachingKeepsBloomInSync) {
   for (const auto& p : hit->providers) providers.insert(p.provider);
   EXPECT_TRUE(providers.contains(8u));
   EXPECT_TRUE(providers.contains(9u));
+}
+
+TEST(LocawareBehaviorTest, QuietByteFollowsIndexLifecycle) {
+  auto e = MakeEngine(ProtocolKind::kLocaware, 5, ShortTtl);
+  const PeerId node = PeerWithNeighbors(*e, 2);
+  const size_t degree = e->graph().Degree(node);
+  const FileId file = 0;
+  const KeywordId kw = e->catalog().sorted_keywords(file)[0];
+  const KeyHash128 kw_hash = e->catalog().KeywordBloomHash(kw);
+  const sim::SimTime interval = e->params().maintenance_interval;
+  NodeState& n = e->node(node);
+  n.gid = FileGroup(*e, file);
+
+  // 1. A fresh peer is quiet.
+  EXPECT_TRUE(e->maintenance_quiet(node));
+  const uint64_t msgs_before = e->CollectorAt(node).bloom_update_msgs();
+
+  // 2. The insert (through AddToIndex) wakes it.
+  const auto resp = ResponseFor(*e, file);
+  const sim::SimTime t0 = 3 * sim::kSecond + 7;
+  bool woke = false;
+  const auto samples = RunIndexLifecycle(*e, node, resp, t0, &woke, &kw_hash);
+  EXPECT_TRUE(woke);
+
+  // 3. The first tick after the insert gossips the insert delta to every
+  // neighbor, and the later busy ticks send nothing; the peer stays busy
+  // while the file is cached.
+  const size_t k = FirstEmptySample(samples);
+  ASSERT_LT(k, samples.size()) << "the cached file never expired";
+  size_t gossiped = 0;
+  for (size_t i = 0; i < k; ++i) {
+    if (samples[i].t >= t0 + interval) {
+      EXPECT_EQ(samples[i].bloom_msgs, msgs_before + degree) << "t=" << samples[i].t;
+    }
+    if (samples[i].neighbors_see == degree) ++gossiped;
+  }
+  EXPECT_GT(gossiped, 0u) << "no sample saw the insert delta at every neighbor";
+
+  // 4. The expiry tick empties the index and gossips the removal delta;
+  // 5. only then is the peer quiet again, and its later ticks send nothing.
+  EXPECT_GT(samples[k].t, t0 + e->params().ri.entry_ttl);
+  for (size_t i = k; i < samples.size(); ++i) {
+    EXPECT_TRUE(samples[i].quiet) << "t=" << samples[i].t;
+    EXPECT_EQ(samples[i].bloom_msgs, msgs_before + 2 * degree) << "t=" << samples[i].t;
+  }
+  EXPECT_EQ(*n.advertised_filter, n.keyword_filter->projection());
+  EXPECT_FALSE(n.advertised_filter->MayContain(kw_hash));
+  EXPECT_EQ(samples.back().neighbors_see, 0u);
 }
 
 TEST(LocawareBehaviorTest, StopsForwardingAfterHit) {

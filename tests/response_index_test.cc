@@ -214,6 +214,69 @@ TEST(ResponseIndexTest, ExpireStaleNoTtlIsNoOp) {
   EXPECT_TRUE(ri.Contains(kAbc));
 }
 
+// ExpireStale skips its sweep while a lower bound on the oldest provider's
+// age says nothing can be stale. The three cases below pin that the skip is
+// exact: at the ttl boundary, after a refresh, and after the oldest provider
+// left through another path.
+TEST(ResponseIndexTest, ExpireStaleTtlBoundaryIsExact) {
+  ResponseIndexConfig cfg = SmallConfig();
+  cfg.entry_ttl = 10 * kSecond;
+  ResponseIndex ri(cfg);
+  const sim::SimTime added = 3 * kSecond;
+  ri.AddProvider(kAbc, kAbcKws, P(1), added);
+
+  EXPECT_TRUE(ri.ExpireStale(added + cfg.entry_ttl - 1).empty());
+  EXPECT_TRUE(ri.ExpireStale(added + cfg.entry_ttl).empty());  // age == ttl: live
+  EXPECT_TRUE(ri.Contains(kAbc));
+  const auto removed = ri.ExpireStale(added + cfg.entry_ttl + 1);
+  ASSERT_EQ(removed.size(), 1u);
+  EXPECT_EQ(removed[0].file, kAbc);
+  EXPECT_EQ(ri.stats().expirations, 1u);
+
+  // Emptied by the sweep, then refilled: the bound follows the new insert.
+  ri.AddProvider(kAd, kAdKws, P(2), 40 * kSecond);
+  EXPECT_TRUE(ri.ExpireStale(50 * kSecond).empty());
+  EXPECT_EQ(ri.ExpireStale(50 * kSecond + 1).size(), 1u);
+}
+
+TEST(ResponseIndexTest, ExpireStaleHonoursRefreshedProvider) {
+  ResponseIndexConfig cfg = SmallConfig();
+  cfg.entry_ttl = 10 * kSecond;
+  ResponseIndex ri(cfg);
+  ri.AddProvider(kAbc, kAbcKws, P(1), 0);
+  ri.AddProvider(kAbc, kAbcKws, P(1), 8 * kSecond);  // refresh
+
+  // The bound still says 0, so this sweep runs, finds the refreshed provider
+  // live, and tightens the bound to 8 s.
+  EXPECT_TRUE(ri.ExpireStale(12 * kSecond).empty());
+  EXPECT_EQ(ri.stats().expirations, 0u);
+  EXPECT_TRUE(ri.ExpireStale(18 * kSecond).empty());
+  EXPECT_TRUE(ri.Contains(kAbc));
+  EXPECT_EQ(ri.ExpireStale(18 * kSecond + 1).size(), 1u);
+  EXPECT_FALSE(ri.Contains(kAbc));
+}
+
+TEST(ResponseIndexTest, ExpireStaleAfterOldestProviderRemoved) {
+  ResponseIndexConfig cfg = SmallConfig();
+  cfg.entry_ttl = 10 * kSecond;
+  ResponseIndex ri(cfg);
+  ri.AddProvider(kAbc, kAbcKws, P(1), 0);
+  ri.AddProvider(kAbc, kAbcKws, P(2), 5 * kSecond);
+  ri.AddProvider(kAd, kAdKws, P(3), 7 * kSecond);
+  EXPECT_TRUE(ri.RemoveProvider(1).empty());  // kAbc keeps provider 2
+
+  // Provider 1 would have been stale at 11 s; the survivors are not.
+  EXPECT_TRUE(ri.ExpireStale(11 * kSecond).empty());
+  EXPECT_EQ(ri.stats().expirations, 0u);
+  EXPECT_TRUE(ri.ExpireStale(15 * kSecond).empty());
+  const auto removed = ri.ExpireStale(15 * kSecond + 1);
+  ASSERT_EQ(removed.size(), 1u);
+  EXPECT_EQ(removed[0].file, kAbc);
+  EXPECT_TRUE(ri.Contains(kAd));
+  EXPECT_EQ(ri.ExpireStale(17 * kSecond + 1).size(), 1u);
+  EXPECT_EQ(ri.num_filenames(), 0u);
+}
+
 TEST(ResponseIndexTest, EraseRemovesEntry) {
   ResponseIndex ri(SmallConfig());
   ri.AddProvider(kAbc, kAbcKws, P(1), 0);
