@@ -11,11 +11,11 @@
 
 #include "bloom/bloom_filter.h"
 #include "core/experiment.h"
+#include "fig_common.h"
 
 int main(int argc, char** argv) {
   using namespace locaware;
-  const uint64_t queries =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2500;
+  const uint64_t queries = bench::ParseQueryCount(argc, argv, 2500);
 
   // Standalone saturation check at the paper's design point (150 keys).
   std::printf("== filter saturation at 150 keys (50 filenames x 3 keywords) ==\n");

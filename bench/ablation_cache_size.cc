@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/experiment.h"
+#include "fig_common.h"
 
 namespace {
 
@@ -33,8 +34,7 @@ std::string RunCell(core::ProtocolKind kind, size_t capacity, size_t providers,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const uint64_t queries =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2500;
+  const uint64_t queries = bench::ParseQueryCount(argc, argv, 2500);
 
   std::printf("== Ablation: response-index capacity (%llu queries) ==\n\n",
               static_cast<unsigned long long>(queries));

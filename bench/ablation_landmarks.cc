@@ -15,11 +15,11 @@
 #include "core/engine.h"
 #include "core/experiment.h"
 #include "net/landmark.h"
+#include "fig_common.h"
 
 int main(int argc, char** argv) {
   using namespace locaware;
-  const uint64_t queries =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2500;
+  const uint64_t queries = bench::ParseQueryCount(argc, argv, 2500);
 
   std::printf("== Ablation: number of landmarks (Locaware, %llu queries) ==\n\n",
               static_cast<unsigned long long>(queries));

@@ -9,11 +9,11 @@
 #include <vector>
 
 #include "core/experiment.h"
+#include "fig_common.h"
 
 int main(int argc, char** argv) {
   using namespace locaware;
-  const uint64_t queries =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 4000;
+  const uint64_t queries = bench::ParseQueryCount(argc, argv, 4000);
 
   std::printf("== Ablation: requester-becomes-provider (Locaware, %llu queries) ==\n\n",
               static_cast<unsigned long long>(queries));

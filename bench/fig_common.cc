@@ -5,35 +5,59 @@
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <string_view>
 
 #include "core/config_io.h"
 #include "metrics/svg_plot.h"
 
 namespace locaware::bench {
 
+namespace {
+
+/// Exits 2, like a usage error, when a flag's value did not parse.
+void ExitUnlessOk(const Status& st) {
+  if (st.ok()) return;
+  std::fprintf(stderr, "%s\n", st.ToString().c_str());
+  std::exit(2);
+}
+
+uint64_t UnsignedOrExit(const char* flag, const char* text) {
+  auto parsed = core::ParseUnsigned(flag, text);
+  ExitUnlessOk(parsed.status());
+  return parsed.ValueOrDie();
+}
+
+}  // namespace
+
 FigOptions ParseArgs(int argc, char** argv) {
   FigOptions options;
+  // Flags that name a config field parse through that key's row of the
+  // config table, so a bad value fails as it would in a config file.
+  core::ExperimentConfig parsed;
+  const auto set = [&parsed](std::string_view key, const char* value) {
+    ExitUnlessOk(core::SetConfigValue(&parsed, key, value));
+  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--queries=", 10) == 0) {
-      options.num_queries = std::strtoull(arg + 10, nullptr, 10);
+      set("workload.num_queries", arg + 10);
+      options.num_queries = parsed.workload.num_queries;
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      options.seed = std::strtoull(arg + 7, nullptr, 10);
+      set("seed", arg + 7);
+      options.seed = parsed.seed;
     } else if (std::strncmp(arg, "--buckets=", 10) == 0) {
-      options.buckets = std::strtoull(arg + 10, nullptr, 10);
+      options.buckets = UnsignedOrExit("--buckets", arg + 10);
     } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      options.shards = static_cast<uint32_t>(std::strtoul(arg + 9, nullptr, 10));
+      set("scheduler.shards", arg + 9);
+      options.shards = parsed.scheduler.shards;
     } else if (std::strncmp(arg, "--workers=", 10) == 0) {
-      options.workers = static_cast<uint32_t>(std::strtoul(arg + 10, nullptr, 10));
+      set("scheduler.workers", arg + 10);
+      options.workers = parsed.scheduler.workers;
     } else if (std::strncmp(arg, "--placement=", 12) == 0) {
-      auto parsed = core::ParsePlacementStrategy(arg + 12);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-        std::exit(2);
-      }
-      options.placement = parsed.ValueOrDie();
+      set("scheduler.placement", arg + 12);
+      options.placement = parsed.scheduler.placement;
     } else if (std::strncmp(arg, "--peers=", 8) == 0) {
-      options.peers = std::strtoull(arg + 8, nullptr, 10);
+      options.peers = UnsignedOrExit("--peers", arg + 8);
     } else if (std::strncmp(arg, "--trace=", 8) == 0) {
       options.trace_path = arg + 8;
     } else if (std::strncmp(arg, "--svg=", 6) == 0) {
@@ -51,6 +75,15 @@ FigOptions ParseArgs(int argc, char** argv) {
     }
   }
   return options;
+}
+
+uint64_t ParseQueryCount(int argc, char** argv, uint64_t default_queries) {
+  if (argc == 1) return default_queries;
+  auto parsed = core::ParseUnsigned("queries", argv[1]);
+  if (argc == 2 && parsed.ok()) return parsed.ValueOrDie();
+  if (!parsed.ok()) std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
+  std::fprintf(stderr, "usage: %s [QUERIES]\n", argv[0]);
+  std::exit(2);
 }
 
 std::vector<core::ExperimentResult> RunAllProtocols(

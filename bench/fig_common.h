@@ -43,12 +43,19 @@ struct FigOptions {
   std::string json_path;
 };
 
-/// Parses --queries=N --seed=S --buckets=B --shards=K --peers=N --trace=PATH
-/// --svg=PATH --json=PATH (unknown flags are fatal, so a typo cannot
-/// silently run the default experiment). The ablation mains share this
-/// parser; the figure benches and ablation_churn (CI's churn determinism
-/// gate) write --json output.
+/// Parses --queries=N --seed=S --buckets=B --shards=K --workers=W
+/// --placement=P --peers=N --trace=PATH --svg=PATH --json=PATH for the
+/// figure benches, ablation_churn and ablation_skew (CI's determinism gates
+/// read their --json output). The flags that name a config field parse
+/// through its key (core::SetConfigValue), the other counts through
+/// core::ParseUnsigned; an unknown flag or a bad value exits 2, so a typo
+/// cannot silently run the default experiment.
 FigOptions ParseArgs(int argc, char** argv);
+
+/// The other ablation mains' one optional positional argument, a query
+/// count: `default_queries` without it; anything but one unsigned integer
+/// exits 2 with a usage line.
+uint64_t ParseQueryCount(int argc, char** argv, uint64_t default_queries);
 
 /// Writes the figure as an SVG chart when options.svg_path is set.
 void MaybeWriteSvg(const std::vector<metrics::LabeledSeries>& series,

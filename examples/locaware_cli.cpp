@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "catalog/workload.h"
@@ -47,6 +48,14 @@ int Usage(const char* argv0) {
                "(direction chosen by OUT's extension: .bin selects binary).\n",
                argv0, argv0);
   return 2;
+}
+
+// Flag values parse through the config's key table (or its unsigned
+// parser), so a bad one fails exactly as it would in a config file; like a
+// usage error, it exits 2 before anything runs.
+bool FlagOk(const Status& st, const char* arg) {
+  if (!st.ok()) std::fprintf(stderr, "error in '%s': %s\n", arg, st.ToString().c_str());
+  return st.ok();
 }
 
 bool EndsWithBin(const std::string& path) {
@@ -145,20 +154,19 @@ int main(int argc, char** argv) {
     if (std::strncmp(arg, "--config=", 9) == 0) {
       continue;  // handled above
     } else if (std::strncmp(arg, "--protocol=", 11) == 0) {
-      auto kind = core::ParseProtocolKind(arg + 11);
-      if (!kind.ok()) {
-        std::fprintf(stderr, "error: %s\n", kind.status().ToString().c_str());
-        return 1;
-      }
-      config.protocol = kind.ValueOrDie();
+      if (!FlagOk(core::SetConfigValue(&config, "protocol", arg + 11), arg)) return 2;
       config.params = core::MakeDefaultParams(config.protocol);
       config.label = core::ProtocolKindName(config.protocol);
     } else if (std::strncmp(arg, "--queries=", 10) == 0) {
-      config.workload.num_queries = std::strtoull(arg + 10, nullptr, 10);
+      if (!FlagOk(core::SetConfigValue(&config, "workload.num_queries", arg + 10), arg)) {
+        return 2;
+      }
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      config.seed = std::strtoull(arg + 7, nullptr, 10);
+      if (!FlagOk(core::SetConfigValue(&config, "seed", arg + 7), arg)) return 2;
     } else if (std::strncmp(arg, "--buckets=", 10) == 0) {
-      buckets = std::strtoull(arg + 10, nullptr, 10);
+      auto parsed = core::ParseUnsigned("--buckets", arg + 10);
+      if (!FlagOk(parsed.status(), arg)) return 2;
+      buckets = parsed.ValueOrDie();
     } else if (std::strcmp(arg, "--set") == 0 && i + 1 < argc) {
       overrides.emplace_back(argv[++i]);
     } else if (std::strncmp(arg, "--save-config=", 14) == 0) {
@@ -176,17 +184,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --set overrides reuse the config parser: each KEY=VALUE is one line.
+  // --set overrides apply last, each through the key's row of the config
+  // table, as a `key = value` line of a config file would.
   for (const std::string& kv : overrides) {
-    // Re-serialize, append the override, re-parse: keeps one source of truth
-    // for key names and validation.
-    auto patched = core::ParseConfig(core::FormatConfig(config) + "\n" + kv + "\n");
-    if (!patched.ok()) {
-      std::fprintf(stderr, "error in --set '%s': %s\n", kv.c_str(),
-                   patched.status().ToString().c_str());
-      return 1;
-    }
-    config = patched.ValueOrDie();
+    const size_t eq = kv.find('=');
+    const Status st =
+        eq == std::string::npos
+            ? Status::InvalidArgument("expected KEY=VALUE")
+            : core::SetConfigValue(&config, std::string_view(kv).substr(0, eq),
+                                   std::string_view(kv).substr(eq + 1));
+    if (!FlagOk(st, ("--set " + kv).c_str())) return 2;
   }
 
   if (!save_config_path.empty()) {

@@ -10,12 +10,22 @@
 #include <future>
 #include <vector>
 
+#include "core/config_io.h"
 #include "core/experiment.h"
 #include "metrics/report.h"
 
 int main(int argc, char** argv) {
   using namespace locaware;
-  const uint64_t num_queries = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1500;
+  uint64_t num_queries = 1500;
+  if (argc > 1) {
+    auto parsed = core::ParseUnsigned("queries", argv[1]);
+    if (argc > 2 || !parsed.ok()) {
+      if (!parsed.ok()) std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
+      std::fprintf(stderr, "usage: %s [QUERIES]\n", argv[0]);
+      return 2;
+    }
+    num_queries = parsed.ValueOrDie();
+  }
 
   // One scaled-down §5.1 configuration per protocol; identical seed, so every
   // system faces the same topology, catalog and query stream.

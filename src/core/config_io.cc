@@ -1,14 +1,15 @@
 #include "core/config_io.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <tuple>
 #include <type_traits>
 
 #include "common/json_writer.h"
@@ -31,406 +32,317 @@ std::string FormatDouble(double v) {
 /// the same microsecond.
 std::string FormatSeconds(sim::SimTime t) {
   const uint64_t mag = t < 0 ? 0 - static_cast<uint64_t>(t) : static_cast<uint64_t>(t);
-  const uint64_t per_second = sim::kSecond;
-  std::string out = (t < 0 ? "-" : "") + std::to_string(mag / per_second);
-  if (mag % per_second != 0) {
-    char frac[8];
-    std::snprintf(frac, sizeof(frac), ".%06" PRIu64, mag % per_second);
-    out += frac;
-    while (out.back() == '0') out.pop_back();
-  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%s%" PRIu64 ".%06" PRIu64, t < 0 ? "-" : "",
+                mag / sim::kSecond, mag % sim::kSecond);
+  std::string out = buf;
+  out.erase(out.find_last_not_of('0') + 1);
+  if (out.back() == '.') out.pop_back();
   return out;
 }
 
-/// One parsed `key = value` line.
-struct KeyValue {
-  std::string key;
-  std::string value;
-};
-
-Result<KeyValue> ParseLine(const std::string& line, size_t lineno) {
-  const size_t eq = line.find('=');
-  if (eq == std::string::npos) {
-    return Status::InvalidArgument("line " + std::to_string(lineno) +
-                                   ": expected 'key = value'");
-  }
-  auto trim = [](std::string s) {
-    const size_t begin = s.find_first_not_of(" \t");
-    if (begin == std::string::npos) return std::string();
-    const size_t end = s.find_last_not_of(" \t");
-    return s.substr(begin, end - begin + 1);
-  };
-  KeyValue kv;
-  kv.key = trim(line.substr(0, eq));
-  kv.value = trim(line.substr(eq + 1));
-  if (kv.key.empty() || kv.value.empty()) {
-    return Status::InvalidArgument("line " + std::to_string(lineno) +
-                                   ": empty key or value");
-  }
-  return kv;
+Status Bad(std::string_view key, std::string_view value, std::string_view why) {
+  return Status::InvalidArgument(std::string(key) + ": '" + std::string(value) + "' " +
+                                 std::string(why));
 }
 
-Result<uint64_t> ParseU64(const KeyValue& kv) {
-  // strtoull would read "-5" as 2^64 - 5, skip leading whitespace and
-  // saturate past 2^64 - 1.
-  if (kv.value[0] == '-') {
-    return Status::InvalidArgument(kv.key + ": '" + kv.value + "' is negative");
-  }
-  char* end = nullptr;
-  errno = 0;
-  const uint64_t v = std::strtoull(kv.value.c_str(), &end, 10);
-  if (end == kv.value.c_str() || *end != '\0' ||
-      std::isspace(static_cast<unsigned char>(kv.value[0]))) {
-    return Status::InvalidArgument(kv.key + ": '" + kv.value + "' is not an integer");
-  }
-  if (errno == ERANGE) {
-    return Status::InvalidArgument(kv.key + ": '" + kv.value + "' is out of range");
-  }
-  return v;
+std::string_view Trim(std::string_view s) {
+  const size_t begin = s.find_first_not_of(" \t");
+  if (begin == std::string_view::npos) return {};
+  return s.substr(begin, s.find_last_not_of(" \t") - begin + 1);
 }
 
-Result<double> ParseF64(const KeyValue& kv) {
+Result<double> ParseF64(std::string_view key, std::string_view value) {
+  const std::string text(value);
   char* end = nullptr;
-  const double v = std::strtod(kv.value.c_str(), &end);
-  if (end == kv.value.c_str() || *end != '\0' || !std::isfinite(v)) {
-    return Status::InvalidArgument(kv.key + ": '" + kv.value + "' is not a number");
+  const double v = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(v)) {
+    return Bad(key, value, "is not a number");
   }
   return v;
 }
 
 /// Parses a duration: whole milliseconds for `*_ms` keys, decimal seconds
-/// otherwise. Whole milliseconds and plain `digits[.digits]` seconds convert
-/// exactly in integers (sub-microsecond digits round half up), so formatted
-/// configs read back to the same microsecond; other forms ("1e3") go through
-/// sim::FromMs. Values past INT64_MAX us, where FromMs's cast is undefined,
-/// are rejected by name, and so are negative ones.
-Result<sim::SimTime> ParseDuration(const KeyValue& kv) {
+/// otherwise. Both convert exactly in integers when plain digits
+/// (sub-microsecond digits round half up), so formatted configs read back to
+/// the same microsecond; other forms ("1e3", ".5") go through sim::FromMs.
+/// Negative values and values past INT64_MAX us, where FromMs's cast is
+/// undefined, are rejected by name.
+Result<sim::SimTime> ParseDuration(std::string_view key, std::string_view value) {
   constexpr uint64_t kMaxUs = std::numeric_limits<sim::SimTime>::max();
-  const auto out_of_range = [&] {
-    return Status::InvalidArgument(kv.key + ": '" + kv.value +
-                                   "' is negative or past INT64_MAX us");
-  };
-  if (kv.key.ends_with("_ms")) {
-    auto v = ParseU64(kv);
-    if (!v.ok()) return v.status();
-    if (v.ValueOrDie() > kMaxUs / sim::kMillisecond) return out_of_range();
-    return static_cast<sim::SimTime>(v.ValueOrDie()) * sim::kMillisecond;
-  }
-  const std::string& text = kv.value;
-  const size_t dot = std::min(text.find('.'), text.size());
-  const auto digits = [&](size_t from, size_t to) {
-    for (size_t i = from; i < to; ++i) {
-      if (!std::isdigit(static_cast<unsigned char>(text[i]))) return false;
-    }
-    return true;
-  };
-  if (dot > 0 && digits(0, dot) && digits(dot + 1, text.size())) {
-    uint64_t seconds = 0;
-    for (size_t i = 0; i < dot; ++i) {
-      seconds = seconds * 10 + static_cast<uint64_t>(text[i] - '0');
-      if (seconds > kMaxUs / sim::kSecond) return out_of_range();
-    }
-    uint64_t us = seconds * sim::kSecond;
-    uint64_t scale = sim::kSecond;
-    for (size_t i = dot + 1; i < text.size() && scale > 1; ++i) {
-      scale /= 10;
-      us += static_cast<uint64_t>(text[i] - '0') * scale;
-    }
-    const size_t round_digit = dot + 7;
-    if (round_digit < text.size() && text[round_digit] >= '5') ++us;
-    if (us > kMaxUs) return out_of_range();
+  const Status out_of_range = Bad(key, value, "is negative or past INT64_MAX us");
+  const bool ms = key.ends_with("_ms");
+  const size_t dot = ms ? value.size() : std::min(value.find('.'), value.size());
+  const std::string_view frac = value.substr(std::min(dot + 1, value.size()));
+  auto whole = ParseUnsigned(key, value.substr(0, dot));
+  if (ms && !whole.ok()) return whole.status();
+  if (whole.ok() && frac.find_first_not_of("0123456789") == std::string_view::npos) {
+    const uint64_t unit = ms ? sim::kMillisecond : sim::kSecond;
+    if (whole.ValueOrDie() > kMaxUs / unit) return out_of_range;
+    std::string micros(frac.substr(0, 6));  // empty for `*_ms` keys
+    micros.resize(6, '0');
+    uint64_t us = whole.ValueOrDie() * unit + ParseUnsigned(key, micros).ValueOrDie();
+    if (frac.size() > 6 && frac[6] >= '5') ++us;
+    if (us > kMaxUs) return out_of_range;
     return static_cast<sim::SimTime>(us);
   }
-  auto v = ParseF64(kv);
+  auto v = ParseF64(key, value);
   if (!v.ok()) return v.status();
-  const double ms = v.ValueOrDie() * 1000.0;
-  if (!(ms >= 0) || ms * 1000.0 + 0.5 >= 0x1p63) return out_of_range();
-  return sim::FromMs(ms);
+  const double v_ms = v.ValueOrDie() * 1000.0;
+  if (!(v_ms >= 0) || v_ms * 1000.0 + 0.5 >= 0x1p63) return out_of_range;
+  return sim::FromMs(v_ms);
 }
 
-Result<bool> ParseBool(const KeyValue& kv) {
-  const std::string v = ToLower(kv.value);
-  if (v == "true" || v == "1" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "off") return false;
-  return Status::InvalidArgument(kv.key + ": '" + kv.value + "' is not a bool");
+/// Where an enum's names come from: its module's *Name() function over the
+/// dense enumerators 0..last, plus at most one older spelling kept as an
+/// alias. Names match case-insensitively and are written lower-case.
+template <typename E>
+struct EnumNames {
+  const char* (*name)(E);
+  E last;
+  const char* alias = nullptr;
+  E alias_of{};
+};
+
+const std::tuple kEnumNames{
+    EnumNames{ProtocolKindName, ProtocolKind::kHybrid, "dicaskeys",
+              ProtocolKind::kDicasKeys},
+    EnumNames{SelectionStrategyName, SelectionStrategy::kFirstResponder},
+    EnumNames{sim::PlacementStrategyName, sim::PlacementStrategy::kClustered},
+    EnumNames{net::RouterGraphModelName, net::RouterGraphModel::kBarabasiAlbert, "ba",
+              net::RouterGraphModel::kBarabasiAlbert},
+    EnumNames{cache::EvictionPolicyName, cache::EvictionPolicy::kRandom}};
+
+template <typename E>
+Result<E> ParseEnum(std::string_view key, std::string_view value) {
+  const EnumNames<E>& names = std::get<EnumNames<E>>(kEnumNames);
+  const std::string v = ToLower(value);
+  if (names.alias != nullptr && v == names.alias) return names.alias_of;
+  std::string known;
+  for (int i = 0; i <= static_cast<int>(names.last); ++i) {
+    const std::string name = ToLower(names.name(static_cast<E>(i)));
+    if (v == name) return static_cast<E>(i);
+    known += (i == 0 ? "" : ", ") + name;
+  }
+  return Bad(key, value, "is not one of " + known);
 }
 
-/// Parses kv's value as the type of the field it sets. Unsigned fields
+template <typename T>
+constexpr bool kIsOptional = false;
+template <typename T>
+constexpr bool kIsOptional<std::optional<T>> = true;
+
+/// Parses `value` as the type of the field `key` sets. Unsigned fields
 /// narrower than 64 bits reject values past their maximum instead of
 /// truncating them; SimTime fields are durations.
 template <typename T>
-Result<T> ParseField(const KeyValue& kv) {
+Result<T> ParseField(std::string_view key, std::string_view value) {
   if constexpr (std::is_same_v<T, bool>) {
-    return ParseBool(kv);
+    const std::string v = ToLower(value);
+    if (v == "true" || v == "1" || v == "on") return true;
+    if (v == "false" || v == "0" || v == "off") return false;
+    return Bad(key, value, "is not a bool");
   } else if constexpr (std::is_floating_point_v<T>) {
-    return ParseF64(kv);
+    return ParseF64(key, value);
   } else if constexpr (std::is_same_v<T, sim::SimTime>) {
-    return ParseDuration(kv);
+    return ParseDuration(key, value);
+  } else if constexpr (std::is_enum_v<T>) {
+    return ParseEnum<T>(key, value);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return std::string(value);
+  } else if constexpr (kIsOptional<T>) {
+    auto v = ParseField<typename T::value_type>(key, value);
+    if (!v.ok()) return v.status();
+    return T(v.ValueOrDie());
   } else {
     static_assert(std::is_unsigned_v<T>);
-    auto v = ParseU64(kv);
+    auto v = ParseUnsigned(key, value);
     if (!v.ok()) return v.status();
     constexpr T kMax = std::numeric_limits<T>::max();
-    if (v.ValueOrDie() > kMax) {
-      const std::string max = std::to_string(kMax);
-      return Status::InvalidArgument(kv.key + ": '" + kv.value + "' exceeds " + max);
-    }
+    if (v.ValueOrDie() > kMax) return Bad(key, value, "exceeds " + std::to_string(kMax));
     return static_cast<T>(v.ValueOrDie());
   }
 }
 
+/// The text FormatConfig writes for a field, or nullopt to omit the key (an
+/// empty string, an unset optional). The inverse of ParseField: durations
+/// are exact seconds, or whole milliseconds for `*_ms` keys.
+template <typename T>
+std::optional<std::string> FormatField(const T& v, std::string_view key) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return v ? "true" : "false";
+  } else if constexpr (std::is_floating_point_v<T>) {
+    return FormatDouble(v);
+  } else if constexpr (std::is_same_v<T, sim::SimTime>) {
+    return key.ends_with("_ms") ? std::to_string(v / sim::kMillisecond)
+                                : FormatSeconds(v);
+  } else if constexpr (std::is_enum_v<T>) {
+    return ToLower(std::get<EnumNames<T>>(kEnumNames).name(v));
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return v.empty() ? std::nullopt : std::optional(v);
+  } else if constexpr (kIsOptional<T>) {
+    return v.has_value() ? FormatField(*v, key) : std::nullopt;
+  } else {
+    static_assert(std::is_unsigned_v<T>);
+    return std::to_string(v);
+  }
+}
+
+constexpr std::string_view kRun = "locaware experiment configuration (key = value)";
+constexpr std::string_view kScheduler =
+    "parallel scheduler (wall-clock only: results never depend on it)";
+constexpr std::string_view kNetwork = "network";
+constexpr std::string_view kWorkload = "content & workload";
+constexpr std::string_view kChurn = "churn";
+constexpr std::string_view kParams = "protocol parameters";
+constexpr std::string_view kDht = "chord dht (dht / hybrid protocols only)";
+constexpr std::string_view kIndex = "response index";
+
+/// The key table, in file order: the only place a config key is named. Calls
+/// `row(key, section, field)` once per key (`field` is const when `c` is);
+/// label adds the text written in place of an empty value.
+template <typename Config, typename Row>
+void ForEachKey(Config& c, Row&& row) {
+  row("label", kRun, c.label, ProtocolKindName(c.protocol));
+  row("protocol", kRun, c.protocol);
+  row("seed", kRun, c.seed);
+  row("scheduler.shards", kScheduler, c.scheduler.shards);
+  row("scheduler.workers", kScheduler, c.scheduler.workers);
+  row("scheduler.placement", kScheduler, c.scheduler.placement);
+  row("num_peers", kNetwork, c.num_peers);
+  row("avg_degree", kNetwork, c.avg_degree);
+  row("num_landmarks", kNetwork, c.num_landmarks);
+  row("use_uniform_underlay", kNetwork, c.use_uniform_underlay);
+  row("underlay.num_routers", kNetwork, c.underlay.num_routers);
+  row("underlay.model", kNetwork, c.underlay.model);
+  row("underlay.min_rtt_ms", kNetwork, c.underlay.min_rtt_ms);
+  row("underlay.max_rtt_ms", kNetwork, c.underlay.max_rtt_ms);
+  row("files_per_peer", kWorkload, c.files_per_peer);
+  row("catalog.num_files", kWorkload, c.catalog.num_files);
+  row("catalog.keyword_pool_size", kWorkload, c.catalog.keyword_pool_size);
+  row("catalog.keywords_per_file", kWorkload, c.catalog.keywords_per_file);
+  row("workload.num_queries", kWorkload, c.workload.num_queries);
+  row("workload.zipf_exponent", kWorkload, c.workload.zipf_exponent);
+  row("workload.query_rate_per_peer_s", kWorkload, c.workload.query_rate_per_peer_s);
+  row("workload.min_query_keywords", kWorkload, c.workload.min_query_keywords);
+  row("workload.max_query_keywords", kWorkload, c.workload.max_query_keywords);
+  row("trace_path", kWorkload, c.trace_path);
+  row("churn.enabled", kChurn, c.churn.enabled);
+  row("churn.mean_session_s", kChurn, c.churn.mean_session_s);
+  row("churn.mean_offline_s", kChurn, c.churn.mean_offline_s);
+  row("churn.rejoin_links", kChurn, c.churn.rejoin_links);
+  row("params.ttl", kParams, c.params.ttl);
+  row("params.num_groups", kParams, c.params.num_groups);
+  row("params.fallback_fanout", kParams, c.params.fallback_fanout);
+  row("params.bloom_bits", kParams, c.params.bloom_bits);
+  row("params.bloom_hashes", kParams, c.params.bloom_hashes);
+  row("params.maintenance_interval_s", kParams, c.params.maintenance_interval);
+  row("params.query_deadline_s", kParams, c.params.query_deadline);
+  row("params.max_response_providers", kParams, c.params.max_response_providers);
+  row("params.requester_becomes_provider", kParams, c.params.requester_becomes_provider);
+  row("params.loc_aware_routing", kParams, c.params.loc_aware_routing);
+  row("params.selection", kParams, c.params.selection);
+  row("dht.successors", kDht, c.params.dht_successors);
+  row("dht.fingers", kDht, c.params.dht_fingers);
+  row("dht.republish_interval_ms", kDht, c.params.dht_republish_interval);
+  row("ri.max_filenames", kIndex, c.params.ri.max_filenames);
+  row("ri.max_providers_per_file", kIndex, c.params.ri.max_providers_per_file);
+  row("ri.entry_ttl_s", kIndex, c.params.ri.entry_ttl);
+  row("ri.eviction", kIndex, c.params.ri.eviction);
+}
+
+/// FormatConfig, also reporting in `*unsaveable` the first value the text
+/// format cannot carry back.
+std::string Format(const ExperimentConfig& c, Status* unsaveable) {
+  std::string out;
+  std::string_view last_section;
+  ForEachKey(c, [&](std::string_view key, std::string_view section, const auto& field,
+                    const char* if_empty = nullptr) {
+    if (section != last_section) {
+      out += (last_section.empty() ? "# " : "\n# ") + std::string(section) + "\n";
+      last_section = section;
+    }
+    std::optional<std::string> value = FormatField(field, key);
+    if (!value.has_value() && if_empty != nullptr) value = if_empty;
+    if (!value.has_value()) return;
+    out += std::string(key) + " = " + *value + "\n";
+    // '#' would start a comment, CR or LF a new line.
+    if (unsaveable->ok() && value->find_first_of("#\r\n") != std::string::npos) {
+      *unsaveable = Status::InvalidArgument(
+          std::string(key) + ": a value holding '#', CR or LF cannot be saved");
+    }
+  });
+  return out;
+}
+
 }  // namespace
 
-Result<ProtocolKind> ParseProtocolKind(const std::string& name) {
-  const std::string v = ToLower(name);
-  if (v == "flooding") return ProtocolKind::kFlooding;
-  if (v == "dicas") return ProtocolKind::kDicas;
-  if (v == "dicas-keys" || v == "dicaskeys") return ProtocolKind::kDicasKeys;
-  if (v == "locaware") return ProtocolKind::kLocaware;
-  if (v == "dht") return ProtocolKind::kDht;
-  if (v == "hybrid") return ProtocolKind::kHybrid;
-  return Status::InvalidArgument("unknown protocol '" + name + "'");
+Result<uint64_t> ParseUnsigned(std::string_view name, std::string_view text) {
+  // Unlike strtoull, which reads "-5" as 2^64 - 5 and "7x" as 7.
+  uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec == std::errc() && end == text.data() + text.size()) return v;
+  return Bad(name, text,
+             ec == std::errc::result_out_of_range ? "is out of range"
+                                                  : "is not an unsigned integer");
 }
 
-Result<SelectionStrategy> ParseSelectionStrategy(const std::string& name) {
-  const std::string v = ToLower(name);
-  if (v == "locid-then-rtt") return SelectionStrategy::kLocIdThenRtt;
-  if (v == "min-rtt") return SelectionStrategy::kMinRtt;
-  if (v == "random") return SelectionStrategy::kRandom;
-  if (v == "first-responder") return SelectionStrategy::kFirstResponder;
-  return Status::InvalidArgument("unknown selection strategy '" + name + "'");
+Status SetConfigValue(ExperimentConfig* config, std::string_view key,
+                      std::string_view value) {
+  key = Trim(key);
+  value = Trim(value);
+  if (value.empty()) return Bad(key, value, "is empty");
+  std::optional<Status> result;
+  ForEachKey(*config, [&](std::string_view row_key, std::string_view, auto& field,
+                          auto&&...) {
+    if (result.has_value() || row_key != key) return;
+    auto v = ParseField<std::remove_reference_t<decltype(field)>>(key, value);
+    if (v.ok()) field = std::move(v).ValueOrDie();
+    result = v.status();
+  });
+  return result.value_or(
+      Status::InvalidArgument("unknown key '" + std::string(key) + "'"));
 }
 
-Result<sim::PlacementStrategy> ParsePlacementStrategy(const std::string& name) {
-  const std::string v = ToLower(name);
-  if (v == "modulo") return sim::PlacementStrategy::kModulo;
-  if (v == "clustered") return sim::PlacementStrategy::kClustered;
-  return Status::InvalidArgument("unknown placement strategy '" + name + "'");
+std::vector<std::string_view> ConfigKeys() {
+  std::vector<std::string_view> keys;
+  const ExperimentConfig defaults;
+  ForEachKey(defaults, [&keys](std::string_view key, auto&&...) { keys.push_back(key); });
+  return keys;
 }
 
-std::string FormatConfig(const ExperimentConfig& c) {
-  std::ostringstream out;
-  out << "# locaware experiment configuration (key = value)\n";
-  out << "label = " << (c.label.empty() ? std::string(ProtocolKindName(c.protocol))
-                                        : c.label)
-      << "\n";
-  out << "protocol = " << ToLower(ProtocolKindName(c.protocol)) << "\n";
-  out << "seed = " << c.seed << "\n";
-  out << "\n# parallel scheduler (wall-clock only: results never depend on it)\n";
-  out << "scheduler.shards = " << c.scheduler.shards << "\n";
-  out << "scheduler.workers = " << c.scheduler.workers << "\n";
-  out << "scheduler.placement = "
-      << sim::PlacementStrategyName(c.scheduler.placement) << "\n";
-  out << "\n# network\n";
-  out << "num_peers = " << c.num_peers << "\n";
-  out << "avg_degree = " << FormatDouble(c.avg_degree) << "\n";
-  out << "num_landmarks = " << c.num_landmarks << "\n";
-  out << "use_uniform_underlay = " << (c.use_uniform_underlay ? "true" : "false")
-      << "\n";
-  out << "underlay.num_routers = " << c.underlay.num_routers << "\n";
-  out << "underlay.model = " << net::RouterGraphModelName(c.underlay.model) << "\n";
-  out << "underlay.min_rtt_ms = " << FormatDouble(c.underlay.min_rtt_ms) << "\n";
-  out << "underlay.max_rtt_ms = " << FormatDouble(c.underlay.max_rtt_ms) << "\n";
-  out << "\n# content & workload\n";
-  out << "files_per_peer = " << c.files_per_peer << "\n";
-  out << "catalog.num_files = " << c.catalog.num_files << "\n";
-  out << "catalog.keyword_pool_size = " << c.catalog.keyword_pool_size << "\n";
-  out << "catalog.keywords_per_file = " << c.catalog.keywords_per_file << "\n";
-  out << "workload.num_queries = " << c.workload.num_queries << "\n";
-  out << "workload.zipf_exponent = " << FormatDouble(c.workload.zipf_exponent) << "\n";
-  out << "workload.query_rate_per_peer_s = "
-      << FormatDouble(c.workload.query_rate_per_peer_s) << "\n";
-  out << "workload.min_query_keywords = " << c.workload.min_query_keywords << "\n";
-  out << "workload.max_query_keywords = " << c.workload.max_query_keywords << "\n";
-  if (!c.trace_path.empty()) out << "trace_path = " << c.trace_path << "\n";
-  out << "\n# churn\n";
-  out << "churn.enabled = " << (c.churn.enabled ? "true" : "false") << "\n";
-  out << "churn.mean_session_s = " << FormatDouble(c.churn.mean_session_s) << "\n";
-  out << "churn.mean_offline_s = " << FormatDouble(c.churn.mean_offline_s) << "\n";
-  out << "churn.rejoin_links = " << c.churn.rejoin_links << "\n";
-  out << "\n# protocol parameters\n";
-  out << "params.ttl = " << c.params.ttl << "\n";
-  out << "params.num_groups = " << c.params.num_groups << "\n";
-  out << "params.fallback_fanout = " << c.params.fallback_fanout << "\n";
-  out << "params.bloom_bits = " << c.params.bloom_bits << "\n";
-  out << "params.bloom_hashes = " << c.params.bloom_hashes << "\n";
-  out << "params.maintenance_interval_s = "
-      << FormatSeconds(c.params.maintenance_interval) << "\n";
-  out << "params.query_deadline_s = "
-      << FormatSeconds(c.params.query_deadline) << "\n";
-  out << "params.max_response_providers = " << c.params.max_response_providers << "\n";
-  out << "params.requester_becomes_provider = "
-      << (c.params.requester_becomes_provider ? "true" : "false") << "\n";
-  out << "params.loc_aware_routing = "
-      << (c.params.loc_aware_routing ? "true" : "false") << "\n";
-  if (c.params.selection.has_value()) {
-    out << "params.selection = " << SelectionStrategyName(*c.params.selection) << "\n";
-  }
-  out << "\n# chord dht (dht / hybrid protocols only)\n";
-  out << "dht.successors = " << c.params.dht_successors << "\n";
-  out << "dht.fingers = " << c.params.dht_fingers << "\n";
-  out << "dht.republish_interval_ms = "
-      << c.params.dht_republish_interval / sim::kMillisecond << "\n";
-  out << "\n# response index\n";
-  out << "ri.max_filenames = " << c.params.ri.max_filenames << "\n";
-  out << "ri.max_providers_per_file = " << c.params.ri.max_providers_per_file << "\n";
-  out << "ri.entry_ttl_s = " << FormatSeconds(c.params.ri.entry_ttl) << "\n";
-  out << "ri.eviction = " << cache::EvictionPolicyName(c.params.ri.eviction) << "\n";
-  return out.str();
+std::string FormatConfig(const ExperimentConfig& config) {
+  Status ignored;
+  return Format(config, &ignored);
 }
 
 Result<ExperimentConfig> ParseConfig(const std::string& text) {
   ExperimentConfig c;
   std::istringstream in(text);
   std::string line;
-  size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    // Strip comments and blank lines.
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    if (line.find_first_not_of(" \t") == std::string::npos) continue;
-
-    auto parsed = ParseLine(line, lineno);
-    if (!parsed.ok()) return parsed.status();
-    const KeyValue kv = parsed.ValueOrDie();
-
-    // Dispatch. Repetitive by design: every key is explicit, so a typo in a
-    // config file is an error rather than a silent default.
-#define LOCAWARE_ASSIGN(target)                                         \
-  {                                                                     \
-    auto v = ParseField<std::remove_reference_t<decltype(target)>>(kv); \
-    if (!v.ok()) return v.status();                                     \
-    target = v.ValueOrDie();                                            \
-  }
-
-    if (kv.key == "label") {
-      c.label = kv.value;
-    } else if (kv.key == "protocol") {
-      auto v = ParseProtocolKind(kv.value);
-      if (!v.ok()) return v.status();
-      c.protocol = v.ValueOrDie();
-    } else if (kv.key == "seed") {
-      LOCAWARE_ASSIGN(c.seed)
-    } else if (kv.key == "scheduler.shards") {
-      LOCAWARE_ASSIGN(c.scheduler.shards)
-    } else if (kv.key == "scheduler.workers") {
-      LOCAWARE_ASSIGN(c.scheduler.workers)
-    } else if (kv.key == "scheduler.placement") {
-      auto v = ParsePlacementStrategy(kv.value);
-      if (!v.ok()) return v.status();
-      c.scheduler.placement = v.ValueOrDie();
-    } else if (kv.key == "num_peers") {
-      LOCAWARE_ASSIGN(c.num_peers)
-    } else if (kv.key == "avg_degree") {
-      LOCAWARE_ASSIGN(c.avg_degree)
-    } else if (kv.key == "num_landmarks") {
-      LOCAWARE_ASSIGN(c.num_landmarks)
-    } else if (kv.key == "use_uniform_underlay") {
-      LOCAWARE_ASSIGN(c.use_uniform_underlay)
-    } else if (kv.key == "underlay.num_routers") {
-      LOCAWARE_ASSIGN(c.underlay.num_routers)
-    } else if (kv.key == "underlay.model") {
-      const std::string v = ToLower(kv.value);
-      if (v == "waxman") {
-        c.underlay.model = net::RouterGraphModel::kWaxman;
-      } else if (v == "barabasi-albert" || v == "ba") {
-        c.underlay.model = net::RouterGraphModel::kBarabasiAlbert;
-      } else {
-        return Status::InvalidArgument("unknown underlay model '" + kv.value + "'");
-      }
-    } else if (kv.key == "underlay.min_rtt_ms") {
-      LOCAWARE_ASSIGN(c.underlay.min_rtt_ms)
-    } else if (kv.key == "underlay.max_rtt_ms") {
-      LOCAWARE_ASSIGN(c.underlay.max_rtt_ms)
-    } else if (kv.key == "files_per_peer") {
-      LOCAWARE_ASSIGN(c.files_per_peer)
-    } else if (kv.key == "catalog.num_files") {
-      LOCAWARE_ASSIGN(c.catalog.num_files)
-    } else if (kv.key == "catalog.keyword_pool_size") {
-      LOCAWARE_ASSIGN(c.catalog.keyword_pool_size)
-    } else if (kv.key == "catalog.keywords_per_file") {
-      LOCAWARE_ASSIGN(c.catalog.keywords_per_file)
-    } else if (kv.key == "workload.num_queries") {
-      LOCAWARE_ASSIGN(c.workload.num_queries)
-    } else if (kv.key == "workload.zipf_exponent") {
-      LOCAWARE_ASSIGN(c.workload.zipf_exponent)
-    } else if (kv.key == "workload.query_rate_per_peer_s") {
-      LOCAWARE_ASSIGN(c.workload.query_rate_per_peer_s)
-    } else if (kv.key == "workload.min_query_keywords") {
-      LOCAWARE_ASSIGN(c.workload.min_query_keywords)
-    } else if (kv.key == "workload.max_query_keywords") {
-      LOCAWARE_ASSIGN(c.workload.max_query_keywords)
-    } else if (kv.key == "trace_path") {
-      c.trace_path = kv.value;
-    } else if (kv.key == "churn.enabled") {
-      LOCAWARE_ASSIGN(c.churn.enabled)
-    } else if (kv.key == "churn.mean_session_s") {
-      LOCAWARE_ASSIGN(c.churn.mean_session_s)
-    } else if (kv.key == "churn.mean_offline_s") {
-      LOCAWARE_ASSIGN(c.churn.mean_offline_s)
-    } else if (kv.key == "churn.rejoin_links") {
-      LOCAWARE_ASSIGN(c.churn.rejoin_links)
-    } else if (kv.key == "params.ttl") {
-      LOCAWARE_ASSIGN(c.params.ttl)
-    } else if (kv.key == "params.num_groups") {
-      LOCAWARE_ASSIGN(c.params.num_groups)
-    } else if (kv.key == "params.fallback_fanout") {
-      LOCAWARE_ASSIGN(c.params.fallback_fanout)
-    } else if (kv.key == "params.bloom_bits") {
-      LOCAWARE_ASSIGN(c.params.bloom_bits)
-    } else if (kv.key == "params.bloom_hashes") {
-      LOCAWARE_ASSIGN(c.params.bloom_hashes)
-    } else if (kv.key == "params.maintenance_interval_s") {
-      LOCAWARE_ASSIGN(c.params.maintenance_interval)
-    } else if (kv.key == "params.query_deadline_s") {
-      LOCAWARE_ASSIGN(c.params.query_deadline)
-    } else if (kv.key == "params.max_response_providers") {
-      LOCAWARE_ASSIGN(c.params.max_response_providers)
-    } else if (kv.key == "params.requester_becomes_provider") {
-      LOCAWARE_ASSIGN(c.params.requester_becomes_provider)
-    } else if (kv.key == "params.loc_aware_routing") {
-      LOCAWARE_ASSIGN(c.params.loc_aware_routing)
-    } else if (kv.key == "params.selection") {
-      auto v = ParseSelectionStrategy(kv.value);
-      if (!v.ok()) return v.status();
-      c.params.selection = v.ValueOrDie();
-    } else if (kv.key == "dht.successors") {
-      LOCAWARE_ASSIGN(c.params.dht_successors)
-    } else if (kv.key == "dht.fingers") {
-      LOCAWARE_ASSIGN(c.params.dht_fingers)
-    } else if (kv.key == "dht.republish_interval_ms") {
-      LOCAWARE_ASSIGN(c.params.dht_republish_interval)
-    } else if (kv.key == "ri.max_filenames") {
-      LOCAWARE_ASSIGN(c.params.ri.max_filenames)
-    } else if (kv.key == "ri.max_providers_per_file") {
-      LOCAWARE_ASSIGN(c.params.ri.max_providers_per_file)
-    } else if (kv.key == "ri.entry_ttl_s") {
-      LOCAWARE_ASSIGN(c.params.ri.entry_ttl)
-    } else if (kv.key == "ri.eviction") {
-      const std::string v = ToLower(kv.value);
-      if (v == "lru") {
-        c.params.ri.eviction = cache::EvictionPolicy::kLru;
-      } else if (v == "fifo") {
-        c.params.ri.eviction = cache::EvictionPolicy::kFifo;
-      } else if (v == "random") {
-        c.params.ri.eviction = cache::EvictionPolicy::kRandom;
-      } else {
-        return Status::InvalidArgument("unknown eviction policy '" + kv.value + "'");
-      }
-    } else {
-      return Status::InvalidArgument("unknown key '" + kv.key + "' (line " +
-                                     std::to_string(lineno) + ")");
+  for (size_t lineno = 1; std::getline(in, line); ++lineno) {
+    const std::string_view kv = std::string_view(line).substr(0, line.find('#'));
+    if (Trim(kv).empty()) continue;
+    const size_t eq = kv.find('=');
+    Status st = Status::InvalidArgument("expected 'key = value'");
+    if (eq != std::string_view::npos) {
+      st = SetConfigValue(&c, kv.substr(0, eq), kv.substr(eq + 1));
     }
-#undef LOCAWARE_ASSIGN
+    if (!st.ok()) {
+      return Status::InvalidArgument("line " + std::to_string(lineno) + ": " +
+                                     st.message());
+    }
   }
   return c;
 }
 
 Status SaveConfig(const ExperimentConfig& config, const std::string& path) {
+  Status unsaveable;
+  const std::string text = Format(config, &unsaveable);
+  if (!unsaveable.ok()) return unsaveable;
   std::ofstream out(path);
   if (!out) return Status::IOError("cannot open for writing: " + path);
-  out << FormatConfig(config);
+  out << text;
   if (!out.good()) return Status::IOError("write failed: " + path);
   return Status::OK();
 }

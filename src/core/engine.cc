@@ -213,7 +213,6 @@ Status Engine::Setup() {
     // Flat per-peer tables draw their buffers from the owner shard's arena
     // too (same provenance rule as the spill vectors above).
     n.neighbor_filters.set_arena(arena);
-    n.neighbor_gids.set_arena(arena);
     n.neighbor_degree.set_arena(arena);
     protocol_->InitNodeState(n, config_.seed, arena);
     maintenance_quiet_[p] = protocol_->MaintenanceIdle(n) ? 1 : 0;
@@ -875,7 +874,6 @@ void Engine::HandleDeparture(PeerId p) {
   // the response index survives on disk (entries age out through entry_ttl).
   NodeState& n = node(p);
   n.neighbor_filters.clear();
-  n.neighbor_gids.clear();
   n.neighbor_degree.clear();
   protocol_->OnDeparture(*this, p);
 }

@@ -257,7 +257,6 @@ void LocawareProtocol::OnLinkUp(Engine& engine, PeerId a, PeerId b) {
 void LocawareProtocol::OnNeighborUp(Engine& engine, PeerId node,
                                     const overlay::LinkAnnounce& peer) {
   NodeState& state = engine.node(node);
-  state.neighbor_gids.insert_or_assign(peer.peer, peer.gid);
   if (!peer.filter.has_value()) return;  // probe direction: filter comes later
   // Accept direction: the acceptor snapshotted its advertised filter with us
   // already in its adjacency, so its future deltas apply cleanly to this
@@ -281,7 +280,6 @@ void LocawareProtocol::OnNeighborUp(Engine& engine, PeerId node,
 void LocawareProtocol::OnPeerDeparted(Engine& engine, PeerId node, PeerId departed) {
   NodeState& state = engine.node(node);
   state.neighbor_filters.erase(departed);
-  state.neighbor_gids.erase(departed);
   if (state.ri == nullptr) return;
   const catalog::FileCatalog& catalog = engine.catalog();
   for (const auto& evicted : state.ri->RemoveProvider(departed)) {

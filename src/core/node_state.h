@@ -49,9 +49,6 @@ struct NodeState {
   /// setup); iteration is table order, so order-sensitive walks must
   /// collect-and-sort (common/flat_map.h).
   FlatMap<PeerId, bloom::BloomFilter> neighbor_filters;
-  /// Neighbors' group ids as learned at link establishment ("neighboring
-  /// peers exchange their group Ids as well as their Bloom filters").
-  FlatMap<PeerId, GroupId> neighbor_gids;
 
   // --- Chord DHT: allocated by the DHT plane's protocols (DHT, Hybrid) ---
   /// Successor list, finger table, owned store and in-flight lookups. Null

@@ -1,12 +1,13 @@
 // Fixed-seed fuzz of the config parser's two text entry points: a whole
-// config document (ParseConfig) and the CLI's --set path, which appends one
-// `key = value` line to a formatted config and re-parses it. Each case sets
-// one key of a valid config to a hostile value: negative, overflowing, NaN
-// or infinite, empty, an unknown enum name, or a line with no key at all.
-// Every case must either fail with a Status, or yield a config whose
+// config document (ParseConfig) and SetConfigValue, which the CLI's --set
+// and the bench flags call. Each case sets one key of the key table on a
+// valid config to a hostile value: negative, overflowing, NaN or infinite,
+// empty, an unknown enum name, trailing garbage, or a line with no key at
+// all. Every case must either fail with a Status, or yield a config whose
 // FormatConfig -> ParseConfig round trip is identical; a CHECK abort or an
 // undefined conversion (which the sanitizer build reports) fails the suite.
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,10 +18,19 @@
 namespace locaware::core {
 namespace {
 
-enum class Hostile { kNegative, kOverflow, kNonFinite, kEmpty, kUnknownEnum, kNoKey };
-constexpr Hostile kAllHostile[] = {Hostile::kNegative,  Hostile::kOverflow,
-                                   Hostile::kNonFinite, Hostile::kEmpty,
-                                   Hostile::kUnknownEnum, Hostile::kNoKey};
+enum class Hostile {
+  kNegative,
+  kOverflow,
+  kNonFinite,
+  kEmpty,
+  kUnknownEnum,
+  kTrailingGarbage,
+  kNoKey
+};
+constexpr Hostile kAllHostile[] = {Hostile::kNegative,        Hostile::kOverflow,
+                                   Hostile::kNonFinite,       Hostile::kEmpty,
+                                   Hostile::kUnknownEnum,     Hostile::kTrailingGarbage,
+                                   Hostile::kNoKey};
 
 std::string Digits(Rng& rng, size_t min_len, size_t max_len) {
   const size_t len = rng.UniformInt(min_len, max_len);
@@ -59,15 +69,14 @@ std::string HostileValue(Hostile kind, Rng& rng) {
       return "";
     case Hostile::kUnknownEnum:
       return "no-such-name-" + std::to_string(rng.UniformInt(0, 99));
+    case Hostile::kTrailingGarbage: {
+      const std::string choices[] = {"12abc", "1.5x", "true!", Digits(rng, 1, 5) + "x"};
+      return choices[rng.UniformInt(0, 3)];
+    }
     case Hostile::kNoKey:
       return Digits(rng, 1, 3);
   }
   return "";
-}
-
-std::string HostileLine(const std::string& key, Hostile kind, Rng& rng) {
-  const std::string value = HostileValue(kind, rng);
-  return kind == Hostile::kNoKey ? "= " + value : key + " = " + value;
 }
 
 std::vector<std::string> Lines(const std::string& text) {
@@ -88,16 +97,17 @@ std::string KeyOf(const std::string& line) {
   return line.substr(0, line.find(" = "));
 }
 
-/// A parse either fails with a message or round-trips exactly.
-::testing::AssertionResult StatusOrRoundTrip(const std::string& text) {
-  auto parsed = ParseConfig(text);
-  if (!parsed.ok()) {
-    if (parsed.status().message().empty()) {
-      return ::testing::AssertionFailure() << "rejected without a message";
-    }
-    return ::testing::AssertionSuccess();
+::testing::AssertionResult FailedWithMessage(const Status& status) {
+  if (status.message().empty()) {
+    return ::testing::AssertionFailure() << "rejected without a message";
   }
-  const std::string formatted = FormatConfig(parsed.ValueOrDie());
+  return ::testing::AssertionSuccess();
+}
+
+/// An accepted config formats to a document that parses back to the same
+/// formatting.
+::testing::AssertionResult RoundTrips(const ExperimentConfig& config) {
+  const std::string formatted = FormatConfig(config);
   auto reparsed = ParseConfig(formatted);
   if (!reparsed.ok()) {
     return ::testing::AssertionFailure()
@@ -113,26 +123,49 @@ std::string KeyOf(const std::string& line) {
   return ::testing::AssertionSuccess();
 }
 
+/// A parse either fails with a message or round-trips exactly.
+::testing::AssertionResult StatusOrRoundTrip(const std::string& text) {
+  auto parsed = ParseConfig(text);
+  return parsed.ok() ? RoundTrips(parsed.ValueOrDie())
+                     : FailedWithMessage(parsed.status());
+}
+
+/// The same for one key set through SetConfigValue.
+::testing::AssertionResult SetStatusOrRoundTrip(ExperimentConfig config,
+                                                const std::string& key,
+                                                const std::string& value) {
+  const Status st = SetConfigValue(&config, key, value);
+  return st.ok() ? RoundTrips(config) : FailedWithMessage(st);
+}
+
 class ConfigFuzzTest : public ::testing::TestWithParam<ProtocolKind> {};
 
 TEST_P(ConfigFuzzTest, HostileValuesFailOrRoundTrip) {
-  const std::string base = FormatConfig(MakePaperConfig(GetParam()));
-  const std::vector<std::string> lines = Lines(base);
+  const ExperimentConfig base = MakePaperConfig(GetParam());
+  const std::vector<std::string> lines = Lines(FormatConfig(base));
   Rng rng(0xF022 + static_cast<uint64_t>(GetParam()));
   size_t cases = 0;
-  // Every key meets every class three times, with fresh random draws.
+  // Every key of the table (params.selection and trace_path too, which a
+  // default config omits) meets every class three times, with fresh draws.
   for (int round = 0; round < 3; ++round) {
-    for (size_t i = 0; i < lines.size(); ++i) {
-      const std::string key = KeyOf(lines[i]);
-      if (key.empty()) continue;
+    for (std::string_view table_key : ConfigKeys()) {
       for (Hostile kind : kAllHostile) {
-        const std::string line = HostileLine(key, kind, rng);
-        // The document with the key's line replaced.
+        const std::string key = kind == Hostile::kNoKey ? "" : std::string(table_key);
+        const std::string value = HostileValue(kind, rng);
+        const std::string line = key + (key.empty() ? "= " : " = ") + value;
+        // The document with the key's line replaced, or appended when the
+        // default omits the key.
         std::string text;
-        for (size_t j = 0; j < lines.size(); ++j) text += (j == i ? line : lines[j]) + "\n";
+        bool replaced = false;
+        for (const std::string& l : lines) {
+          const bool match = KeyOf(l) == table_key;
+          text += (match ? line : l) + "\n";
+          replaced |= match;
+        }
+        if (!replaced) text += line + "\n";
         EXPECT_TRUE(StatusOrRoundTrip(text)) << "document line: " << line;
-        // The --set path: the line appended to the formatted config.
-        EXPECT_TRUE(StatusOrRoundTrip(base + "\n" + line + "\n")) << "--set " << line;
+        // The --set path: the key set on the config directly.
+        EXPECT_TRUE(SetStatusOrRoundTrip(base, key, value)) << "--set " << line;
         cases += 2;
       }
     }

@@ -2,11 +2,29 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <set>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 namespace locaware::core {
 namespace {
+
+/// A default config with `value` applied through `key`'s row of the table.
+ExperimentConfig Set(std::string_view key, std::string_view value) {
+  ExperimentConfig c;
+  const Status st = SetConfigValue(&c, key, value);
+  EXPECT_TRUE(st.ok()) << key << " = " << value << ": " << st.ToString();
+  return c;
+}
+
+bool Accepts(std::string_view key, std::string_view value) {
+  ExperimentConfig c;
+  return SetConfigValue(&c, key, value).ok();
+}
 
 TEST(ConfigIoTest, FormatParseRoundTripDefaults) {
   const ExperimentConfig original = MakePaperConfig(ProtocolKind::kLocaware);
@@ -129,13 +147,13 @@ TEST(ConfigIoTest, RejectsUnknownPlacement) {
 }
 
 TEST(ParsePlacementStrategyTest, AllNamesAndCases) {
-  EXPECT_EQ(ParsePlacementStrategy("modulo").ValueOrDie(),
+  EXPECT_EQ(Set("scheduler.placement", "modulo").scheduler.placement,
             sim::PlacementStrategy::kModulo);
-  EXPECT_EQ(ParsePlacementStrategy("Clustered").ValueOrDie(),
+  EXPECT_EQ(Set("scheduler.placement", "Clustered").scheduler.placement,
             sim::PlacementStrategy::kClustered);
-  EXPECT_EQ(ParsePlacementStrategy("CLUSTERED").ValueOrDie(),
+  EXPECT_EQ(Set("scheduler.placement", "CLUSTERED").scheduler.placement,
             sim::PlacementStrategy::kClustered);
-  EXPECT_FALSE(ParsePlacementStrategy("spectral").ok());
+  EXPECT_FALSE(Accepts("scheduler.placement", "spectral"));
 }
 
 TEST(ConfigIoTest, TracePathRoundTrips) {
@@ -307,15 +325,20 @@ TEST(ConfigIoTest, SaveLoadFile) {
 }
 
 TEST(ParseProtocolKindTest, AllNamesAndCases) {
-  EXPECT_EQ(ParseProtocolKind("flooding").ValueOrDie(), ProtocolKind::kFlooding);
-  EXPECT_EQ(ParseProtocolKind("Dicas").ValueOrDie(), ProtocolKind::kDicas);
-  EXPECT_EQ(ParseProtocolKind("DICAS-KEYS").ValueOrDie(), ProtocolKind::kDicasKeys);
-  EXPECT_EQ(ParseProtocolKind("dicaskeys").ValueOrDie(), ProtocolKind::kDicasKeys);
-  EXPECT_EQ(ParseProtocolKind("Locaware").ValueOrDie(), ProtocolKind::kLocaware);
-  EXPECT_EQ(ParseProtocolKind("dht").ValueOrDie(), ProtocolKind::kDht);
-  EXPECT_EQ(ParseProtocolKind("DHT").ValueOrDie(), ProtocolKind::kDht);
-  EXPECT_EQ(ParseProtocolKind("Hybrid").ValueOrDie(), ProtocolKind::kHybrid);
-  EXPECT_FALSE(ParseProtocolKind("napster").ok());
+  EXPECT_EQ(Set("protocol", "flooding").protocol, ProtocolKind::kFlooding);
+  EXPECT_EQ(Set("protocol", "Dicas").protocol, ProtocolKind::kDicas);
+  EXPECT_EQ(Set("protocol", "DICAS-KEYS").protocol, ProtocolKind::kDicasKeys);
+  EXPECT_EQ(Set("protocol", "dicaskeys").protocol, ProtocolKind::kDicasKeys);
+  EXPECT_EQ(Set("protocol", "Locaware").protocol, ProtocolKind::kLocaware);
+  EXPECT_EQ(Set("protocol", "dht").protocol, ProtocolKind::kDht);
+  EXPECT_EQ(Set("protocol", "DHT").protocol, ProtocolKind::kDht);
+  EXPECT_EQ(Set("protocol", "Hybrid").protocol, ProtocolKind::kHybrid);
+  EXPECT_FALSE(Accepts("protocol", "napster"));
+  // The row walks the enumerators its *Name() function names: every
+  // registered kind, the last one included, reads back from its name.
+  for (ProtocolKind kind : AllProtocolKinds()) {
+    EXPECT_EQ(Set("protocol", ProtocolKindName(kind)).protocol, kind);
+  }
 }
 
 TEST(ConfigIoTest, DhtProtocolsRoundTripThroughSerialization) {
@@ -330,13 +353,15 @@ TEST(ConfigIoTest, DhtProtocolsRoundTripThroughSerialization) {
 }
 
 TEST(ParseSelectionStrategyTest, AllNames) {
-  EXPECT_EQ(ParseSelectionStrategy("locid-then-rtt").ValueOrDie(),
+  EXPECT_EQ(Set("params.selection", "locid-then-rtt").params.selection,
             SelectionStrategy::kLocIdThenRtt);
-  EXPECT_EQ(ParseSelectionStrategy("min-rtt").ValueOrDie(), SelectionStrategy::kMinRtt);
-  EXPECT_EQ(ParseSelectionStrategy("random").ValueOrDie(), SelectionStrategy::kRandom);
-  EXPECT_EQ(ParseSelectionStrategy("first-responder").ValueOrDie(),
+  EXPECT_EQ(Set("params.selection", "min-rtt").params.selection,
+            SelectionStrategy::kMinRtt);
+  EXPECT_EQ(Set("params.selection", "random").params.selection,
+            SelectionStrategy::kRandom);
+  EXPECT_EQ(Set("params.selection", "first-responder").params.selection,
             SelectionStrategy::kFirstResponder);
-  EXPECT_FALSE(ParseSelectionStrategy("closest").ok());
+  EXPECT_FALSE(Accepts("params.selection", "closest"));
 }
 
 TEST(ResultToJsonTest, ContainsSummaryAndSeries) {
@@ -367,12 +392,104 @@ TEST(ResultToJsonTest, ContainsSummaryAndSeries) {
 }
 
 TEST(ConfigIoTest, PatchViaAppendedLineWinsLast) {
-  // The CLI's --set mechanism: append an override line to a serialized
-  // config; the last assignment wins.
+  // A line appended to a serialized config overrides it: the last
+  // assignment wins.
   ExperimentConfig base = MakePaperConfig(ProtocolKind::kLocaware);
   auto patched = ParseConfig(FormatConfig(base) + "\nparams.ttl = 3\n");
   ASSERT_TRUE(patched.ok());
   EXPECT_EQ(patched.ValueOrDie().params.ttl, 3u);
+}
+
+TEST(ConfigIoTest, SetConfigValueActsLikeAFileLine) {
+  // Both sides trimmed, as in a file; the last assignment wins.
+  ExperimentConfig c = Set("  params.ttl ", " 3\t");
+  EXPECT_EQ(c.params.ttl, 3u);
+  ASSERT_TRUE(SetConfigValue(&c, "params.ttl", "5").ok());
+  EXPECT_EQ(c.params.ttl, 5u);
+  EXPECT_EQ(Set("underlay.model", "BA").underlay.model,
+            net::RouterGraphModel::kBarabasiAlbert);
+  EXPECT_EQ(Set("trace_path", "/data/x.trace").trace_path, "/data/x.trace");
+  // Every failure is an InvalidArgument that names the key, and leaves the
+  // field as it was.
+  for (const auto& [key, value] : std::vector<std::pair<std::string, std::string>>{
+           {"params.ttl", "x"},
+           {"params.ttl", "12abc"},
+           {"params.ttl", ""},
+           {"seed", "-1"},
+           {"seed", "7x"},
+           {"workload.num_queries", "abc"},
+           {"avg_degree", "1.5x"},
+           {"churn.enabled", "true!"},
+           {"ri.eviction", "mru"},
+           {"no_such_knob", "1"}}) {
+    const Status st = SetConfigValue(&c, key, value);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << key << " = " << value;
+    EXPECT_NE(st.message().find(key), std::string::npos) << st.ToString();
+  }
+  EXPECT_EQ(c.params.ttl, 5u);
+  EXPECT_EQ(c.seed, 42u);
+  EXPECT_FALSE(SetConfigValue(&c, "", "1").ok());
+}
+
+TEST(ConfigIoTest, ParseUnsignedTakesDigitsOnly) {
+  EXPECT_EQ(ParseUnsigned("n", "0").ValueOrDie(), 0u);
+  EXPECT_EQ(ParseUnsigned("n", "18446744073709551615").ValueOrDie(), UINT64_MAX);
+  for (const char* text : {"", "-1", "-0", "+1", " 7", "7 ", "7x", "0x10", "1e3",
+                           "18446744073709551616"}) {
+    auto parsed = ParseUnsigned("--buckets", text);
+    ASSERT_FALSE(parsed.ok()) << "'" << text << "'";
+    EXPECT_NE(parsed.status().message().find("--buckets"), std::string::npos);
+  }
+}
+
+TEST(ConfigIoTest, EveryKeyIsOneRowThatFormatsAndParses) {
+  const std::vector<std::string_view> keys = ConfigKeys();
+  EXPECT_EQ(keys.size(), 46u);
+  EXPECT_EQ(std::set<std::string_view>(keys.begin(), keys.end()).size(), keys.size());
+  // With the two optional keys set, the formatted file holds every key once,
+  // in table order.
+  ExperimentConfig c = MakePaperConfig(ProtocolKind::kLocaware);
+  c.trace_path = "/data/run.trace";
+  c.params.selection = SelectionStrategy::kFirstResponder;
+  const std::string text = FormatConfig(c);
+  size_t at = 0;
+  for (std::string_view key : keys) {
+    const size_t found = text.find(std::string(1, '\n').append(key).append(" = "), at);
+    ASSERT_NE(found, std::string::npos) << key;
+    at = found + 1;
+  }
+  auto parsed = ParseConfig(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(FormatConfig(parsed.ValueOrDie()), text);
+}
+
+TEST(ConfigIoTest, SaveRejectsValuesTheFormatCannotCarry) {
+  // '#' starts a comment and CR/LF end the line: "run#2" would load back as
+  // "run", and a label with a LF could set params.selection or trace_path,
+  // which the file otherwise omits.
+  const std::string path = ::testing::TempDir() + "/locaware_cfg_unsaveable.cfg";
+  const ExperimentConfig base = MakePaperConfig(ProtocolKind::kLocaware);
+  for (const auto& [key, value] : std::vector<std::pair<std::string, std::string>>{
+           {"label", "run#2"},
+           {"label", "run\nparams.selection = random"},
+           {"label", "run\r"},
+           {"trace_path", "/data/a#b.trace"},
+           {"trace_path", "/data/a\nb.trace"}}) {
+    ExperimentConfig c = base;
+    (key == "label" ? c.label : c.trace_path) = value;
+    const Status st = SaveConfig(c, path);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << key;
+    EXPECT_NE(st.message().find(key), std::string::npos) << st.ToString();
+  }
+  ExperimentConfig plain = base;
+  plain.label = "run 2";
+  plain.trace_path = "/data/a b.trace";
+  ASSERT_TRUE(SaveConfig(plain, path).ok());
+  auto loaded = LoadConfig(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.ValueOrDie().label, "run 2");
+  EXPECT_EQ(loaded.ValueOrDie().trace_path, "/data/a b.trace");
+  std::remove(path.c_str());
 }
 
 }  // namespace
