@@ -20,14 +20,17 @@ namespace {
 thread_local uint64_t g_alloc_count = 0;
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Out of line on purpose: once GCC inlines one of these into a call site, it
+// sees operator new's memory reach free, or malloc's reach operator delete,
+// and warns (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   ++g_alloc_count;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 

@@ -1,5 +1,5 @@
-// Microbenchmarks for the overlay graph: generation, churn operations and
-// the connectivity sweeps the engine relies on.
+// Microbenchmarks for the overlay graph: generation, half-link churn
+// operations and the connectivity sweeps the engine relies on.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -27,6 +27,10 @@ void BM_Generate(benchmark::State& state) {
 BENCHMARK(BM_Generate)->Arg(1000)->Arg(5000)->Unit(benchmark::kMillisecond);
 
 void BM_DepartJoinCycle(benchmark::State& state) {
+  // One churn cycle through the half-link ops the engine's churn path runs,
+  // minus the messages: the departing peer clears its own row, each
+  // ex-neighbor removes its half (LinkDrop), and the rejoined peer links 3
+  // random peers, each end installing its own half (LinkProbe/LinkAccept).
   Rng rng(2);
   OverlayConfig cfg;
   cfg.num_peers = 1000;
@@ -34,10 +38,16 @@ void BM_DepartJoinCycle(benchmark::State& state) {
   PeerId p = 0;
   for (auto _ : state) {
     p = (p + 1) % 1000;
-    g.Depart(p);
-    g.Join(p);
-    auto links = g.LinkToRandomPeers(p, 3, &rng);
-    benchmark::DoNotOptimize(links);
+    const uint32_t ending_epoch = g.session_epoch(p);
+    for (PeerId nb : g.GoOffline(p)) g.RemoveHalfLink(nb, p, ending_epoch);
+    g.GoOnline(p);
+    for (size_t linked = 0; linked < 3;) {
+      const auto other = static_cast<PeerId>(rng.UniformInt(0, cfg.num_peers - 1));
+      if (!g.AddHalfLink(p, other, g.session_epoch(other))) continue;
+      g.AddHalfLink(other, p, g.session_epoch(p));
+      ++linked;
+    }
+    benchmark::DoNotOptimize(g.Degree(p));
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -218,14 +218,7 @@ Status Engine::Setup() {
     maintenance_quiet_[p] = protocol_->MaintenanceIdle(n) ? 1 : 0;
   }
 
-  // 5. Initial link handshakes.
-  for (PeerId p = 0; p < config_.num_peers; ++p) {
-    for (PeerId nb : graph_->Neighbors(p)) {
-      if (nb > p) protocol_->OnLinkUp(*this, p, nb);
-    }
-  }
-
-  // 6. Churn. The whole on/off schedule is precomputed from stable
+  // 5. Churn. The whole on/off schedule is precomputed from stable
   // per-(peer, cycle) streams; transitions execute as owner-shard events and
   // all link rewiring travels as LinkDrop/LinkProbe/LinkAccept messages, so
   // churn never touches another shard's mutable state and composes with any
@@ -248,11 +241,11 @@ Status Engine::Setup() {
     ScheduleChurnTimeline();
   }
 
-  // 6b. Protocol setup that needs the finished engine (the DHT plane's ring
-  // and initial routing tables).
+  // 5b. Protocol setup that needs the finished engine (Locaware's set-up
+  // filter exchange, the DHT plane's ring and initial routing tables).
   protocol_->OnSetupComplete(*this);
 
-  // 7. Periodic maintenance (index expiry; Locaware Bloom gossip; DHT
+  // 6. Periodic maintenance (index expiry; Locaware Bloom gossip; DHT
   // republish; under churn, orphan re-attachment — a lone probe lost to a
   // mid-flight departure must not strand a peer at degree 0 for its whole
   // session).
@@ -822,13 +815,6 @@ void Engine::SendBloomUpdate(PeerId from, PeerId to,
     if (!graph_->IsAlive(to)) return;
     protocol_->OnBloomUpdate(*this, to, update);
   });
-}
-
-void Engine::ChargeMaintenance(uint64_t messages, uint64_t bytes) {
-  // Counters are additive and merged at Run() exit, so any shard's collector
-  // works; outside event execution (setup handshakes) shard 0 takes it.
-  const sim::ShardId cur = sim::ShardedSimulator::current_shard();
-  shards_[cur == sim::kNoShard ? 0 : cur].metrics.AddBloomUpdate(messages, bytes);
 }
 
 sim::SimTime Engine::RunHorizon() const {

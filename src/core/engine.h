@@ -131,10 +131,6 @@ class Engine {
   /// charges the maintenance-traffic accounts.
   void SendBloomUpdate(PeerId from, PeerId to, overlay::BloomUpdateMessage update);
 
-  /// Charges maintenance traffic without a scheduled message (used by the
-  /// full-filter exchange when a link comes up).
-  void ChargeMaintenance(uint64_t messages, uint64_t bytes);
-
   /// `neighbor`'s degree as far as `self` may know it. Without churn the
   /// overlay is immutable and this is the true degree; under churn, remote
   /// adjacency is shard-partitioned, so it is the hint the last link

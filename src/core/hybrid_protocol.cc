@@ -16,7 +16,10 @@ void HybridProtocol::InitNodeState(NodeState& node, uint64_t seed,
   DhtPlane::InitNodeState(node, arena);
 }
 
-void HybridProtocol::OnSetupComplete(Engine& engine) { dht_.Build(engine); }
+void HybridProtocol::OnSetupComplete(Engine& engine) {
+  LocawareProtocol::OnSetupComplete(engine);
+  dht_.Build(engine);
+}
 
 void HybridProtocol::OnQuerySubmitted(Engine& engine,
                                       const overlay::QueryMessage& query,

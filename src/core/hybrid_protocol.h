@@ -26,7 +26,8 @@ class HybridProtocol final : public LocawareProtocol {
 
   /// Locaware's index and filters plus the DHT routing state.
   void InitNodeState(NodeState& node, uint64_t seed, common::Arena* arena) const override;
-  /// Builds the ring and the initial routing tables.
+  /// Locaware's set-up filter exchange, then the ring and the initial
+  /// routing tables.
   void OnSetupComplete(Engine& engine) override;
 
   /// Bloom tier only — no gid tier, no fallback walk (see file comment).

@@ -18,6 +18,18 @@ void LocawareProtocol::InitNodeState(NodeState& node, uint64_t seed,
       std::make_unique<bloom::BloomFilter>(params_.bloom_bits, params_.bloom_hashes);
 }
 
+void LocawareProtocol::OnSetupComplete(Engine& engine) {
+  // Each set-up link starts with a full-filter exchange, one message per
+  // direction, charged to the sender. Nothing is cached yet, so every filter
+  // sent is empty and no copy is stored: an absent copy reads as empty, and
+  // the first gossiped delta applies to a fresh one (OnBloomUpdate).
+  const uint64_t filter_bytes = (params_.bloom_bits + 7) / 8 + 29;  // + headers
+  for (PeerId p = 0; p < engine.num_peers(); ++p) {
+    const uint64_t degree = engine.graph().Degree(p);
+    engine.CollectorAt(p).AddBloomUpdate(degree, degree * filter_bytes);
+  }
+}
+
 PeerVec LocawareProtocol::BloomMatchedNeighbors(Engine& engine, PeerId node,
                                                 const overlay::QueryMessage& query,
                                                 PeerId from) const {
@@ -239,19 +251,6 @@ void LocawareProtocol::OnBloomUpdate(Engine& engine, PeerId node,
     // a corrupt view (false negatives would break routing guarantees).
     state.neighbor_filters.erase(it);
   }
-}
-
-void LocawareProtocol::OnLinkUp(Engine& engine, PeerId a, PeerId b) {
-  NodeState& na = engine.node(a);
-  NodeState& nb = engine.node(b);
-  LOCAWARE_CHECK(na.advertised_filter != nullptr && nb.advertised_filter != nullptr);
-  // Full-filter handshake: each side learns the other's advertised filter, so
-  // subsequent deltas (always computed against the sender's advertised state)
-  // apply cleanly.
-  na.neighbor_filters.insert_or_assign(b, *nb.advertised_filter);
-  nb.neighbor_filters.insert_or_assign(a, *na.advertised_filter);
-  const uint64_t filter_bytes = (params_.bloom_bits + 7) / 8 + 29;  // + headers
-  engine.ChargeMaintenance(2, 2 * filter_bytes);
 }
 
 void LocawareProtocol::OnNeighborUp(Engine& engine, PeerId node,

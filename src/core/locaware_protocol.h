@@ -31,6 +31,9 @@ class LocawareProtocol : public Protocol {
   /// The response index plus the counting keyword filter and its last
   /// advertised projection.
   void InitNodeState(NodeState& node, uint64_t seed, common::Arena* arena) const override;
+  /// Charges the set-up links' full-filter exchange without storing copies:
+  /// every advertised filter is still empty, and an absent copy reads as one.
+  void OnSetupComplete(Engine& engine) override;
 
   PeerVec ForwardTargets(Engine& engine, PeerId node,
                          const overlay::QueryMessage& query,
@@ -49,8 +52,6 @@ class LocawareProtocol : public Protocol {
   /// Applies a neighbor's delta to our copy of its filter.
   void OnBloomUpdate(Engine& engine, PeerId node,
                      const overlay::BloomUpdateMessage& update) override;
-  /// New neighbors exchange their full advertised filters (and Gids).
-  void OnLinkUp(Engine& engine, PeerId a, PeerId b) override;
   /// Message-routed link handshake: install the announced filter and Gid.
   void OnNeighborUp(Engine& engine, PeerId node,
                     const overlay::LinkAnnounce& peer) override;

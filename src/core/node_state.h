@@ -44,10 +44,12 @@ struct NodeState {
   std::unique_ptr<bloom::CountingBloomFilter> keyword_filter;
   /// Last projection actually gossiped; deltas are computed against it.
   std::unique_ptr<bloom::BloomFilter> advertised_filter;
-  /// Our copy of each neighbor's advertised filter (empty until that
-  /// neighbor advertises a key). Flat tables (one allocation, arena-bound at
-  /// setup); iteration is table order, so order-sensitive walks must
-  /// collect-and-sort (common/flat_map.h).
+  /// Our copy of each neighbor's advertised filter. A copy is absent until
+  /// gossip or a churn link handshake installs it, and an absent copy reads
+  /// as an empty filter (set-up stores none: every filter is empty then).
+  /// Flat table (one allocation, arena-bound at setup); iteration is table
+  /// order, so order-sensitive walks must collect-and-sort
+  /// (common/flat_map.h).
   FlatMap<PeerId, bloom::BloomFilter> neighbor_filters;
 
   // --- Chord DHT: allocated by the DHT plane's protocols (DHT, Hybrid) ---

@@ -109,8 +109,6 @@ bool Protocol::MaintenanceIdle(const NodeState& node) const {
 void Protocol::OnBloomUpdate(Engine& /*engine*/, PeerId /*node*/,
                              const overlay::BloomUpdateMessage& /*update*/) {}
 
-void Protocol::OnLinkUp(Engine& /*engine*/, PeerId /*a*/, PeerId /*b*/) {}
-
 void Protocol::OnNeighborUp(Engine& /*engine*/, PeerId /*node*/,
                             const overlay::LinkAnnounce& /*peer*/) {}
 

@@ -6,7 +6,7 @@
 //   3. how a node answers from its response index       (AnswerFromIndex)
 // plus the per-peer state each one allocates, periodic maintenance
 // (Locaware's Bloom gossip, the DHT plane's republish) and lifecycle hooks
-// (filter exchange on new links, a peer's own departure and rejoin). Engine
+// (link handshakes under churn, a peer's own departure and rejoin). Engine
 // never asks which protocol it runs: everything protocol-specific goes
 // through these hooks.
 #pragma once
@@ -115,12 +115,6 @@ class Protocol {
   /// Bloom-update delivery (Locaware only; default ignores).
   virtual void OnBloomUpdate(Engine& engine, PeerId node,
                              const overlay::BloomUpdateMessage& update);
-
-  /// A link appeared (static setup path). Touches both endpoints at once, so
-  /// it is only legal outside partitioned churn runs; the message-routed
-  /// churn path uses OnNeighborUp/OnPeerDeparted instead. Locaware exchanges
-  /// full filters and Gids on new links.
-  virtual void OnLinkUp(Engine& engine, PeerId a, PeerId b);
 
   /// One endpoint of a repaired link learned of its new neighbor through a
   /// LinkProbe/LinkAccept message (executing on `node`'s shard). `peer` is

@@ -132,9 +132,10 @@ struct ProbeMessage {
 //   rejoin:     p sends LinkProbe to candidate peers; an online candidate
 //               installs its half-edge, replies LinkAccept, and the prober
 //               installs its half on receipt. Both directions carry a
-//               LinkAnnounce (gid, degree hint, session epoch, and — for
-//               Locaware — the advertised Bloom filter), replacing the
-//               instantaneous full-filter exchange of the static setup path.
+//               LinkAnnounce (gid, degree hint, session epoch). Under
+//               Locaware the accept also carries the acceptor's advertised
+//               Bloom filter, and the prober answers with a full-state
+//               BloomUpdate once the link completes.
 
 /// The sender's self-description carried by LinkProbe/LinkAccept.
 struct LinkAnnounce {

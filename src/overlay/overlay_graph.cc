@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <numeric>
 
 #include "common/check.h"
 #include "sim/sharded_simulator.h"
@@ -204,83 +203,15 @@ bool OverlayGraph::AreNeighbors(PeerId a, PeerId b) const {
   return std::find(adj.begin(), adj.end(), b) != adj.end();
 }
 
-PeerId OverlayGraph::HighestDegreeNeighbor(PeerId p) const {
-  PeerId best = kInvalidPeer;
-  size_t best_degree = 0;
-  for (PeerId nb : Neighbors(p)) {
-    const size_t d = Degree(nb);
-    if (best == kInvalidPeer || d > best_degree) {
-      best = nb;
-      best_degree = d;
-    }
-  }
-  return best;
-}
-
 bool OverlayGraph::AddLink(PeerId a, PeerId b) {
-  LOCAWARE_CHECK_LT(a, adjacency_.size());
   LOCAWARE_CHECK_LT(b, adjacency_.size());
-  if (owner_shards_ > 1) {
-    LOCAWARE_CHECK(sim::ShardedSimulator::current_shard() == sim::kNoShard)
-        << "symmetric AddLink inside a partitioned run; use AddHalfLink";
-  }
-  if (a == b || !alive_[a] || !alive_[b] || AreNeighbors(a, b)) return false;
+  if (a == b || AreNeighbors(a, b)) return false;
   adjacency_[a].push_back(b);
   link_epoch_[a].push_back(session_epoch_[b]);
   adjacency_[b].push_back(a);
   link_epoch_[b].push_back(session_epoch_[a]);
   half_edge_count_.fetch_add(2, std::memory_order_relaxed);
   return true;
-}
-
-bool OverlayGraph::RemoveLink(PeerId a, PeerId b) {
-  LOCAWARE_CHECK_LT(a, adjacency_.size());
-  LOCAWARE_CHECK_LT(b, adjacency_.size());
-  if (owner_shards_ > 1) {
-    LOCAWARE_CHECK(sim::ShardedSimulator::current_shard() == sim::kNoShard)
-        << "symmetric RemoveLink inside a partitioned run; use RemoveHalfLink";
-  }
-  auto ita = std::find(adjacency_[a].begin(), adjacency_[a].end(), b);
-  if (ita == adjacency_[a].end()) return false;
-  link_epoch_[a].erase(link_epoch_[a].begin() + (ita - adjacency_[a].begin()));
-  adjacency_[a].erase(ita);
-  auto itb = std::find(adjacency_[b].begin(), adjacency_[b].end(), a);
-  LOCAWARE_CHECK(itb != adjacency_[b].end()) << "asymmetric adjacency";
-  link_epoch_[b].erase(link_epoch_[b].begin() + (itb - adjacency_[b].begin()));
-  adjacency_[b].erase(itb);
-  half_edge_count_.fetch_sub(2, std::memory_order_relaxed);
-  return true;
-}
-
-std::vector<PeerId> OverlayGraph::Depart(PeerId p) {
-  LOCAWARE_CHECK_LT(p, adjacency_.size());
-  LOCAWARE_CHECK(alive_[p]) << "Depart of offline peer " << p;
-  std::vector<PeerId> dropped = adjacency_[p].ToVector();
-  for (PeerId nb : dropped) RemoveLink(p, nb);
-  alive_[p] = 0;
-  alive_count_.fetch_sub(1, std::memory_order_relaxed);
-  return dropped;
-}
-
-void OverlayGraph::Join(PeerId p) {
-  LOCAWARE_CHECK_LT(p, adjacency_.size());
-  LOCAWARE_CHECK(!alive_[p]) << "Join of online peer " << p;
-  alive_[p] = 1;
-  alive_count_.fetch_add(1, std::memory_order_relaxed);
-  ++session_epoch_[p];
-}
-
-std::vector<PeerId> OverlayGraph::LinkToRandomPeers(PeerId p, size_t count, Rng* rng) {
-  const size_t n = adjacency_.size();
-  std::vector<PeerId> made;
-  size_t attempts = 0;
-  const size_t max_attempts = 100 * count + 100;
-  while (made.size() < count && attempts < max_attempts) {
-    ++attempts;
-    const PeerId other = static_cast<PeerId>(rng->UniformInt(0, n - 1));
-    if (AddLink(p, other)) made.push_back(other);
-  }
-  return made;
 }
 
 std::vector<PeerId> OverlayGraph::GoOffline(PeerId p) {

@@ -4,19 +4,14 @@
 // it is exactly the mismatch between overlay and underlay that Locaware's
 // locIds compensate for.
 //
-// Two mutation models coexist:
-//
-//  * Symmetric ops (AddLink/RemoveLink/Depart/Join) touch both endpoints'
-//    adjacency at once. They serve generation, tests, and any single-threaded
-//    caller, and are forbidden inside a multi-shard event (they would write
-//    another shard's state).
-//  * Owner half-link ops (GoOffline/GoOnline/AddHalfLink/RemoveHalfLink)
-//    touch only peer p's own row. The sharded engine's churn path uses these:
-//    each endpoint learns of link changes through LinkDrop/LinkProbe/
-//    LinkAccept messages and updates its own view when the message event
-//    executes on its shard. The two endpoint views of a link may therefore
-//    disagree while a notification is in flight — exactly the staleness a
-//    real overlay exhibits.
+// Generate builds the initial graph with both halves of every link. After
+// that there is one mutation model: the owner half-link ops
+// (GoOffline/GoOnline/AddHalfLink/RemoveHalfLink) touch only peer p's own
+// row. The sharded engine's churn path drives them: each endpoint learns of
+// link changes through LinkDrop/LinkProbe/LinkAccept messages and updates
+// its own view when the message event executes on its shard. The two
+// endpoint views of a link may therefore disagree while a notification is in
+// flight — exactly the staleness a real overlay exhibits.
 //
 // Half-edges are epoch-stamped: each entry remembers the *remote* peer's
 // session epoch at establishment, and a LinkDrop only removes edges from
@@ -52,7 +47,7 @@ struct OverlayConfig {
   double avg_degree = 3.0;
 };
 
-/// \brief Mutable random graph of peers with join/leave support for churn.
+/// \brief Random graph of peers whose links change one half at a time.
 ///
 /// Degree-3 graphs are sparse; adjacency is small vectors with linear scans,
 /// which beats hash sets at these sizes.
@@ -91,32 +86,6 @@ class OverlayGraph {
   const NeighborList& Neighbors(PeerId p) const;
   size_t Degree(PeerId p) const;
   bool AreNeighbors(PeerId a, PeerId b) const;
-
-  /// The neighbor of `p` with the highest degree (Locaware's last-resort
-  /// forwarding target), or kInvalidPeer if `p` has no neighbors.
-  PeerId HighestDegreeNeighbor(PeerId p) const;
-
-  // --- symmetric mutation (generation, tests, single-threaded callers) -----
-
-  /// Adds an undirected link. No-op (returns false) if it already exists,
-  /// would self-loop, or either endpoint is offline.
-  bool AddLink(PeerId a, PeerId b);
-  /// Removes an undirected link; returns whether it existed.
-  bool RemoveLink(PeerId a, PeerId b);
-
-  /// Takes a peer offline, dropping all of its links on both sides. Returns
-  /// the dropped neighbor list so the caller can run link-down hooks and
-  /// repair orphans (see LinkToRandomPeers).
-  std::vector<PeerId> Depart(PeerId p);
-
-  /// Brings a peer back online with no links and a fresh session epoch;
-  /// callers follow up with LinkToRandomPeers ("establishing logical links
-  /// to randomly chosen peers").
-  void Join(PeerId p);
-
-  /// Links `p` to up to `count` random alive non-neighbors; returns the
-  /// neighbors actually linked (fewer when the network is too small).
-  std::vector<PeerId> LinkToRandomPeers(PeerId p, size_t count, Rng* rng);
 
   // --- owner-shard half-link mutation (message-routed churn) ---------------
 
@@ -164,6 +133,11 @@ class OverlayGraph {
 
  private:
   OverlayGraph() = default;
+
+  /// Generate's builder, before any peer goes offline or ownership is
+  /// partitioned: adds both halves of an undirected link. No-op (returns
+  /// false) if it already exists or would self-loop.
+  bool AddLink(PeerId a, PeerId b);
 
   /// CHECK that the executing shard owns p (partitioned mode only).
   void AssertOwner(PeerId p) const;

@@ -44,8 +44,9 @@ std::string Digits(Rng& rng, size_t min_len, size_t max_len) {
 std::string HostileValue(Hostile kind, Rng& rng) {
   switch (kind) {
     case Hostile::kNegative: {
-      const std::string choices[] = {"-" + Digits(rng, 1, 20), "-0", "-0.5",
-                                     "-1e" + std::to_string(rng.UniformInt(1, 30))};
+      const std::string digits = Digits(rng, 1, 20);
+      const std::string exponent = std::to_string(rng.UniformInt(1, 30));
+      const std::string choices[] = {"-" + digits, "-0", "-0.5", "-1e" + exponent};
       return choices[rng.UniformInt(0, 3)];
     }
     case Hostile::kOverflow: {

@@ -316,9 +316,9 @@ TEST(EngineTest, LocawareBloomFilterMatchesIndexContents) {
 TEST(EngineTest, LocawareNeighborsLearnFilters) {
   auto e = std::move(Engine::Create(TinyConfig(ProtocolKind::kLocaware))).ValueOrDie();
   e->Run();
-  // After the run every neighbor pair has exchanged filters at link-up, and
-  // gossip kept them fresh; spot-check that copies exist and have content
-  // somewhere.
+  // Set-up stores no copies (every filter is empty then); gossip installs a
+  // copy with a neighbor's first delta and keeps it fresh. Spot-check that
+  // copies exist after the run and have content somewhere.
   size_t copies = 0, nonzero = 0;
   for (PeerId p = 0; p < e->num_peers(); ++p) {
     for (const auto& [nb, filter] : e->node(p).neighbor_filters) {
@@ -333,18 +333,32 @@ TEST(EngineTest, LocawareNeighborsLearnFilters) {
 }
 
 TEST(EngineTest, LocawareGossipKeepsNeighborCopiesExact) {
-  // Because gossip always sends deltas against the sender's advertised state
-  // and link-up copies that state, a neighbor's copy must equal the sender's
-  // advertised filter at all quiescent points (end of run).
+  // Gossip always sends deltas against the sender's advertised state, and a
+  // copy starts absent, which reads as the empty filter every peer
+  // advertises at set-up. So at a quiescent point (end of run) p's view of
+  // every neighbor nb (its copy, or an empty filter of the configured shape
+  // when it holds none) must equal nb's advertised filter.
   auto e = std::move(Engine::Create(TinyConfig(ProtocolKind::kLocaware))).ValueOrDie();
   e->Run();
+  const bloom::BloomFilter empty(e->params().bloom_bits, e->params().bloom_hashes);
+  size_t pairs = 0, absent = 0;
   for (PeerId p = 0; p < e->num_peers(); ++p) {
-    for (const auto& [nb, filter] : e->node(p).neighbor_filters) {
-      if (!e->graph().AreNeighbors(p, nb)) continue;  // stale ex-neighbor copy
-      EXPECT_EQ(filter, *e->node(nb).advertised_filter)
-          << "peer " << p << " has a diverged copy of " << nb;
+    const auto& copies = e->node(p).neighbor_filters;
+    for (PeerId nb : e->graph().Neighbors(p)) {
+      ++pairs;
+      const auto it = copies.find(nb);
+      absent += it == copies.end();
+      EXPECT_EQ(it == copies.end() ? empty : it->second, *e->node(nb).advertised_filter)
+          << "peer " << p << " has a diverged view of " << nb;
+    }
+    // The overlay is static, so no copy outlives its link.
+    for (const auto& [nb, filter] : copies) {
+      EXPECT_TRUE(e->graph().AreNeighbors(p, nb)) << "peer " << p << " copy of " << nb;
     }
   }
+  EXPECT_GT(pairs, 0u);
+  EXPECT_GT(absent, 0u) << "set-up must store no copies of empty filters";
+  EXPECT_LT(absent, pairs) << "gossip installed no copy";
 }
 
 TEST(EngineTest, NaturalReplicationGrowsFileStores) {
@@ -1061,9 +1075,12 @@ TEST(ChurnLifecycleTest, RejoinedPeerSeesQueryAnewAndDropsOldSessionResponses) {
     std::remove(path.c_str());
     overlay::OverlayGraph& g = e->graph();
     for (PeerId p = 0; p < e->num_peers(); ++p) {
-      while (g.Degree(p) > 0) g.RemoveLink(p, g.Neighbors(p)[0]);
+      while (g.Degree(p) > 0) g.RemoveHalfLink(p, g.Neighbors(p)[0], UINT32_MAX);
     }
-    for (const auto& [a, b] : links) EXPECT_TRUE(g.AddLink(a, b));
+    for (const auto& [a, b] : links) {
+      EXPECT_TRUE(g.AddHalfLink(a, b, g.session_epoch(b)));
+      EXPECT_TRUE(g.AddHalfLink(b, a, g.session_epoch(a)));
+    }
     e->Run();
     EXPECT_EQ(e->tracked_query_count(), 0u);
     EXPECT_EQ(e->metrics().churn_events(), 2u);

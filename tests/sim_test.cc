@@ -114,7 +114,8 @@ TEST(EventQueueTest, TickLanePopsInKeyOrderUnderRandomMix) {
     // order unless a same-instant tick from a higher source got there
     // first), sometimes land inside the band (out of order: the heap
     // fallback).
-    const SimTime at = now + static_cast<SimTime>(tick && rng() % 4 != 0 ? 12 : rng() % 4);
+    const SimTime at =
+        now + static_cast<SimTime>(tick && rng() % 4 != 0 ? 12 : rng() % 4);
     const Key key{at, src, next_seq[src]++};
     const auto index = static_cast<uint32_t>(keys.size());
     keys.push_back(key);
@@ -190,11 +191,13 @@ TEST(EventQueueTest, TickLaneGrowsAcrossWrap) {
   std::vector<SimTime> fired;
   std::vector<SimTime>* out = &fired;
   SimTime next = 0;
-  for (int i = 0; i < 3; ++i, ++next) q.PushTick(next, 0, next, [out] { out->push_back(0); });
+  for (int i = 0; i < 3; ++i, ++next)
+    q.PushTick(next, 0, next, [out] { out->push_back(0); });
   SimTime t;
   q.Pop(&t)();
   q.Pop(&t)();  // head now sits mid-ring
-  for (int i = 0; i < 40; ++i, ++next) q.PushTick(next, 0, next, [out] { out->push_back(0); });
+  for (int i = 0; i < 40; ++i, ++next)
+    q.PushTick(next, 0, next, [out] { out->push_back(0); });
   EXPECT_EQ(q.size(), 41u);
   SimTime last = -1;
   while (!q.empty()) {
