@@ -32,9 +32,9 @@ int main(int argc, char** argv) {
   const double dicas = results[1].summary.success_rate;
   const double dicas_keys = results[2].summary.success_rate;
   if (dicas > 0 && dicas_keys > 0) {
-    std::printf("\nheadline: Locaware hit ratio vs Dicas: +%.1f%% (paper: +23%%)\n",
+    std::printf("\nheadline: Locaware hit ratio vs Dicas: %+.1f%% (paper: +23%%)\n",
                 (locaware / dicas - 1.0) * 100.0);
-    std::printf("headline: Locaware hit ratio vs Dicas-Keys: +%.1f%% (paper: +33%%)\n",
+    std::printf("headline: Locaware hit ratio vs Dicas-Keys: %+.1f%% (paper: +33%%)\n",
                 (locaware / dicas_keys - 1.0) * 100.0);
   }
   std::printf("note: ~1/e of files receive no initial copy (1000 peers x 3 files\n"

@@ -30,10 +30,9 @@
 //
 // Million-peer data plane rows:
 //  * BM_EngineScale — the full engine at 100k peers (1000-router underlay,
-//    shard-local arenas, pre-reserved event queues), reporting events/s and
-//    rss_kb/peer (VmRSS delta across Create+Run). Set LOCAWARE_BENCH_1M=1 to
-//    also register the 1,000,000-peer row (minutes of wall clock — local
-//    runs only, never CI).
+//    pre-reserved event queues), reporting events/s and rss_kb/peer (VmRSS
+//    delta across Create+Run). Set LOCAWARE_BENCH_1M=1 to also register the
+//    1,000,000-peer row (minutes of wall clock — local runs only, never CI).
 //  * BM_TraceLoad — text vs binary trace parsing over the same 200k-query
 //    workload; the `speedup` counter is the headline binary-format number.
 //

@@ -23,22 +23,16 @@ ResponseIndex::ResponseIndex(const ResponseIndexConfig& config)
     : config_(config), eviction_rng_state_(config.eviction_seed | 1) {
   LOCAWARE_CHECK_GT(config.max_filenames, 0u);
   LOCAWARE_CHECK_GT(config.max_providers_per_file, 0u);
-  // The tables draw their flat buffers from the same arena as the per-entry
-  // spill vectors. Deliberately NOT pre-sized to max_filenames: an Entry slot
-  // is fat (inline keyword/provider SmallVectors), the engine builds one
+  // The tables are deliberately NOT pre-sized to max_filenames: an Entry
+  // slot is fat (inline keyword/provider SmallVectors), the engine builds one
   // index per peer, and most peers' caches stay far below capacity — eager
-  // full-capacity buffers cost hundreds of MB of cold arena pages at 10k
-  // peers (measured 3x engine slowdown). Growth is amortized and the
-  // discarded power-of-two buffers recycle through the arena's free lists.
-  entries_.set_arena(config_.arena);
-  inverted_.set_arena(config_.arena);
+  // full-capacity buffers cost hundreds of MB of cold pages at 10k peers
+  // (measured 3x engine slowdown). Growth is amortized instead.
 }
 
 void ResponseIndex::AddPostings(FileId file, std::span<const KeywordId> keywords) {
   for (KeywordId kw : keywords) {
-    auto [it, inserted] = inverted_.try_emplace(kw);
-    if (inserted) it->second.set_arena(config_.arena);
-    it->second.push_back(file);
+    inverted_[kw].push_back(file);
   }
 }
 
@@ -71,8 +65,6 @@ ResponseIndex::UpdateOutcome ResponseIndex::AddProvider(
     while (entries_.size() >= config_.max_filenames) EvictOne(&outcome.evicted);
     use_order_.push_back(file);
     Entry fresh;
-    fresh.keywords.set_arena(config_.arena);
-    fresh.providers.set_arena(config_.arena);
     fresh.keywords.assign(sorted_keywords.begin(), sorted_keywords.end());
     fresh.use_pos = std::prev(use_order_.end());
     it = entries_.try_emplace(file, std::move(fresh)).first;

@@ -66,11 +66,6 @@ struct ResponseIndexConfig {
   EvictionPolicy eviction = EvictionPolicy::kLru;
   /// Seed for the kRandom eviction policy.
   uint64_t eviction_seed = 0x10caed5eedULL;
-  /// Spill source for the per-entry keyword/provider/posting lists (null =
-  /// global heap). The sharded engine passes the owning shard's arena; the
-  /// index must then only be touched from that shard (it already must be —
-  /// the class is not thread-safe).
-  common::Arena* arena = nullptr;
 };
 
 /// \brief Bounded, keyword-searchable map FileId → provider list.
@@ -187,9 +182,9 @@ class ResponseIndex {
   void EraseIt(EntryMap::iterator it, std::span<const KeywordId> keywords);
 
   ResponseIndexConfig config_;
-  /// Flat tables (single allocation each, arena-bound like the per-entry
-  /// vectors). Iteration is table order — every list the index exposes is
-  /// sorted first (the collect-and-sort rule, see common/flat_map.h).
+  /// Flat tables (single allocation each). Iteration is table order — every
+  /// list the index exposes is sorted first (the collect-and-sort rule, see
+  /// common/flat_map.h).
   EntryMap entries_;
   /// KeywordId -> files carrying it (posting order = insertion order). Sized
   /// by residency (max ~3 keywords x max_filenames keys), not by vocabulary.

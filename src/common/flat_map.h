@@ -23,11 +23,8 @@
 // — see ResponseIndex::Files() for the canonical pattern. Order-insensitive
 // folds (counting, summing, set-equality checks) may iterate directly.
 //
-// Arena binding follows the SmallVector buffer-provenance contract
-// (common/small_vector.h): the flat buffer is always owned by the *current*
-// arena_ (or ::operator new when null) — set_arena migrates an existing
-// buffer to the new source, moves carry the source's arena along with the
-// buffer, and copies keep the destination's arena.
+// The flat buffer comes from sized ::operator new / ::operator delete. A move
+// steals the source's buffer; a copy allocates its own.
 //
 // Element requirements: slots relocate by move during growth, displacement
 // and backward-shift, with no strong-exception machinery, so mapped values
@@ -48,7 +45,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "common/arena.h"
 #include "common/check.h"
 #include "common/hash.h"
 
@@ -116,7 +112,7 @@ class RawFlatTable {
       meta_ = nullptr;
       cap_ = 0;
       size_ = 0;
-      CopyFrom(other);  // keeps this->arena_: copies keep the destination's
+      CopyFrom(other);
     }
     return *this;
   }
@@ -139,37 +135,6 @@ class RawFlatTable {
   bool empty() const { return size_ == 0; }
   /// Bucket count (power of two; 0 before the first insert/reserve).
   size_t bucket_count() const { return cap_; }
-
-  /// Arena future buffers draw from (null = global heap).
-  common::Arena* arena() const { return arena_; }
-
-  /// Routes future buffer allocation through `arena` (null restores operator
-  /// new). An existing buffer is migrated so the provenance invariant holds:
-  /// the current buffer always belongs to the current arena.
-  void set_arena(common::Arena* arena) {
-    if (arena == arena_) return;
-    if (cap_ != 0) {
-      const size_t bytes = BufferBytes(cap_);
-      void* fresh = arena ? arena->Allocate(bytes, alignof(Slot))
-                          : ::operator new(bytes);
-      Slot* fresh_slots = static_cast<Slot*>(fresh);
-      uint8_t* fresh_meta = static_cast<uint8_t*>(fresh) + cap_ * sizeof(Slot);
-      if constexpr (std::is_trivially_copyable_v<Slot>) {
-        std::memcpy(fresh, slots_, bytes);
-      } else {
-        std::memcpy(fresh_meta, meta_, cap_);
-        for (size_t i = 0; i < cap_; ++i) {
-          if (meta_[i] == 0) continue;
-          ::new (static_cast<void*>(fresh_slots + i)) Slot(std::move(slots_[i]));
-          slots_[i].~Slot();
-        }
-      }
-      FreeBuffer();
-      slots_ = fresh_slots;
-      meta_ = fresh_meta;
-    }
-    arena_ = arena;
-  }
 
   /// Pre-sizes the table for `want` elements without rehashing on the way
   /// there (binary loaders call this with the element count from the header).
@@ -290,7 +255,7 @@ class RawFlatTable {
 
   void AllocBuffer(size_t cap) {
     const size_t bytes = BufferBytes(cap);
-    void* p = arena_ ? arena_->Allocate(bytes, alignof(Slot)) : ::operator new(bytes);
+    void* p = ::operator new(bytes);
     slots_ = static_cast<Slot*>(p);
     meta_ = static_cast<uint8_t*>(p) + cap * sizeof(Slot);
     std::memset(meta_, 0, cap);
@@ -298,12 +263,7 @@ class RawFlatTable {
   }
 
   void FreeBuffer() {
-    if (cap_ == 0) return;
-    if (arena_ != nullptr) {
-      arena_->Deallocate(slots_, BufferBytes(cap_));
-    } else {
-      ::operator delete(slots_);
-    }
+    if (cap_ != 0) ::operator delete(slots_, BufferBytes(cap_));
   }
 
   void DestroyAll() {
@@ -339,11 +299,7 @@ class RawFlatTable {
           if (old_meta[i] != 0) old_slots[i].~Slot();
         }
       }
-      if (arena_ != nullptr) {
-        arena_->Deallocate(old_slots, BufferBytes(old_cap));
-      } else {
-        ::operator delete(old_slots);
-      }
+      ::operator delete(old_slots, BufferBytes(old_cap));
     }
   }
 
@@ -388,14 +344,12 @@ class RawFlatTable {
     size_ = other.size_;
   }
 
-  /// Steals `other`'s buffer; the arena travels with it (the provenance
-  /// invariant). `other` is left empty but keeps its arena binding for reuse.
+  /// Steals `other`'s buffer; `other` is left empty and reusable.
   void MoveFrom(RawFlatTable* other) noexcept {
     slots_ = other->slots_;
     meta_ = other->meta_;
     cap_ = other->cap_;
     size_ = other->size_;
-    arena_ = other->arena_;
     other->slots_ = nullptr;
     other->meta_ = nullptr;
     other->cap_ = 0;
@@ -406,7 +360,6 @@ class RawFlatTable {
   uint8_t* meta_ = nullptr;  ///< probe distance + 1 per bucket; 0 = empty
   size_t cap_ = 0;           ///< bucket count, power of two (or 0)
   size_t size_ = 0;
-  common::Arena* arena_ = nullptr;  ///< buffer source; null = global heap
 };
 
 /// Forward iterator over occupied buckets, in table order (see the iteration
@@ -487,8 +440,6 @@ class FlatMap {
   size_t size() const { return table_.size(); }
   bool empty() const { return table_.empty(); }
   size_t bucket_count() const { return table_.bucket_count(); }
-  common::Arena* arena() const { return table_.arena(); }
-  void set_arena(common::Arena* arena) { table_.set_arena(arena); }
   void reserve(size_t want) { table_.reserve(want); }
   void clear() { table_.clear(); }
 

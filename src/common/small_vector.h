@@ -13,14 +13,10 @@
 // copy). Trivially copyable types — the data plane's ids and POD structs —
 // take memcpy fast paths selected at compile time; everything else (e.g. a
 // message record that itself holds a SmallVector) is moved element-wise, so
-// nesting SmallVectors is supported and each level keeps its own provenance.
+// nesting SmallVectors is supported.
 //
-// Spill buffers can optionally come from a common::Arena (set_arena): the
-// sharded engine binds each peer's hot lists to its shard's arena so growth
-// never touches the global heap. Invariant: the heap buffer is always owned
-// by the *current* arena_ (or ::operator new when null) — set_arena migrates
-// an already-spilled buffer, moves carry the source's arena along with the
-// buffer, and copies keep the destination's arena.
+// Spill buffers come from sized ::operator new / ::operator delete. A move
+// steals the source's buffer; a copy allocates its own.
 #pragma once
 
 #include <algorithm>
@@ -34,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/check.h"
 
 namespace locaware {
@@ -117,25 +112,6 @@ class SmallVector {
   bool empty() const { return size_ == 0; }
   /// True while the elements still live in the inline slots (tests, benches).
   bool is_inline() const { return data_ == InlineSlots(); }
-
-  /// Arena future spills draw from (null = global heap).
-  common::Arena* arena() const { return arena_; }
-
-  /// Routes future heap growth through `arena` (null restores operator new).
-  /// An already-spilled buffer is migrated so the ownership invariant holds:
-  /// the current buffer always belongs to the current arena.
-  void set_arena(common::Arena* arena) {
-    if (arena == arena_) return;
-    if (!is_inline()) {
-      T* fresh = static_cast<T*>(
-          arena ? arena->Allocate(capacity_ * sizeof(T), alignof(T))
-                : ::operator new(capacity_ * sizeof(T)));
-      RelocateInto(fresh);
-      FreeHeap();
-      data_ = fresh;
-    }
-    arena_ = arena;
-  }
 
   T& operator[](size_t i) {
     LOCAWARE_CHECK_LT(i, size_);
@@ -284,8 +260,7 @@ class SmallVector {
   void Grow(size_t want) {
     size_t next = capacity_ * 2;
     if (next < want) next = want;
-    T* heap = static_cast<T*>(arena_ ? arena_->Allocate(next * sizeof(T), alignof(T))
-                                     : ::operator new(next * sizeof(T)));
+    T* heap = static_cast<T*>(::operator new(next * sizeof(T)));
     RelocateInto(heap);
     FreeHeap();
     data_ = heap;
@@ -293,19 +268,12 @@ class SmallVector {
   }
 
   void FreeHeap() {
-    if (is_inline()) return;
-    if (arena_ != nullptr) {
-      arena_->Deallocate(data_, capacity_ * sizeof(T));
-    } else {
-      ::operator delete(data_);
-    }
+    if (!is_inline()) ::operator delete(data_, capacity_ * sizeof(T));
   }
 
   /// Steals `other`'s heap buffer, or relocates its inline payload; leaves
-  /// `other` empty and inline either way. The arena travels with the buffer
-  /// (the ownership invariant); `other` keeps its binding for reuse.
+  /// `other` empty and inline either way.
   void MoveFrom(SmallVector* other) {
-    arena_ = other->arena_;
     if (other->is_inline()) {
       data_ = InlineSlots();
       capacity_ = N;
@@ -324,7 +292,6 @@ class SmallVector {
   T* data_ = InlineSlots();
   size_t size_ = 0;
   size_t capacity_ = N;
-  common::Arena* arena_ = nullptr;  ///< spill source; null = global heap
   alignas(T) unsigned char inline_storage_[N * sizeof(T)];
 };
 

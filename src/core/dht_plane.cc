@@ -10,7 +10,7 @@ namespace locaware::core {
 
 namespace {
 
-/// Per-(keyword, file) provider cap in an owner's store: bounds arena growth
+/// Per-(keyword, file) provider cap in an owner's store: bounds store growth
 /// the way ri.max_providers_per_file bounds the unstructured index.
 constexpr size_t kMaxStoredProvidersPerFile = 8;
 
@@ -53,9 +53,8 @@ uint64_t OpenSession(dht::RoutingState& rt, PeerId initiator,
 
 }  // namespace
 
-void DhtPlane::InitNodeState(NodeState& node, common::Arena* arena) {
+void DhtPlane::InitNodeState(NodeState& node) {
   node.dht = std::make_unique<dht::RoutingState>();
-  node.dht->BindArena(arena);
 }
 
 void DhtPlane::Build(Engine& engine) {
@@ -310,9 +309,7 @@ void DhtPlane::DeliverStore(Engine& engine, PeerId to,
 void DhtPlane::StoreLocal(Engine& engine, PeerId owner, KeywordId kw, FileId file,
                           const overlay::ProviderInfo& provider) {
   dht::RoutingState& rt = *engine.node(owner).dht;
-  auto [it, inserted] = rt.store.try_emplace(kw);
-  if (inserted) it->second.set_arena(engine.arena_of(owner));
-  dht::StoreList& list = it->second;
+  dht::StoreList& list = rt.store[kw];
   const sim::SimTime expires = engine.Now() + 2 * engine.params().dht_republish_interval;
   size_t same_file = 0;
   for (dht::StoredProvider& sp : list) {
@@ -360,8 +357,8 @@ void DhtPlane::OnMaintenanceTick(Engine& engine, PeerId p) {
   }
 
   // Expire dead records. Which keys expire is content-determined, but the
-  // erase pass must not run mid-iteration, and sorting keeps the arena
-  // traffic in a canonical order (collect-and-sort rule).
+  // erase pass must not run mid-iteration, and sorting keeps the erase
+  // order, and so the table's layout, canonical (collect-and-sort rule).
   std::vector<KeywordId> expired_keys;
   for (const auto& slot : rt.store) {
     for (const dht::StoredProvider& sp : slot.second) {

@@ -10,10 +10,6 @@
 #include "dht/ring.h"
 #include "overlay/message.h"
 
-namespace locaware::common {
-class Arena;
-}
-
 namespace locaware::core {
 
 class Engine;
@@ -21,8 +17,8 @@ struct NodeState;
 
 class DhtPlane {
  public:
-  /// Allocates `node`'s routing state, bound to its shard's `arena`.
-  static void InitNodeState(NodeState& node, common::Arena* arena);
+  /// Allocates `node`'s routing state.
+  static void InitNodeState(NodeState& node);
 
   /// Builds the ring and every peer's initial tables. The ring order is an
   /// immutable function of the peer count (the DHT's bootstrap directory,

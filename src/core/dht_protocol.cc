@@ -10,9 +10,8 @@ PeerVec DhtProtocol::ForwardTargets(Engine& /*engine*/, PeerId /*node*/,
   return {};
 }
 
-void DhtProtocol::InitNodeState(NodeState& node, uint64_t /*seed*/,
-                                common::Arena* arena) const {
-  DhtPlane::InitNodeState(node, arena);
+void DhtProtocol::InitNodeState(NodeState& node, uint64_t /*seed*/) const {
+  DhtPlane::InitNodeState(node);
 }
 
 void DhtProtocol::OnSetupComplete(Engine& engine) { dht_.Build(engine); }

@@ -18,7 +18,7 @@ class DhtProtocol final : public Protocol {
   const char* name() const override { return "DHT"; }
 
   /// Routing state only: no response index.
-  void InitNodeState(NodeState& node, uint64_t seed, common::Arena* arena) const override;
+  void InitNodeState(NodeState& node, uint64_t seed) const override;
   /// Builds the ring and the initial routing tables.
   void OnSetupComplete(Engine& engine) override;
 

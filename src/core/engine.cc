@@ -117,8 +117,8 @@ Status Engine::Setup() {
       config_.num_peers, config_.files_per_peer, catalog_, &placement_rng);
 
   // 3. Peer → shard placement: the immutable map every shard_of consumer
-  // (ownership asserts, arena binding, event scheduling, query tracks,
-  // churn owner events, metrics merge) reads for the rest of the run.
+  // (ownership asserts, event scheduling, query tracks, churn owner events,
+  // metrics merge) reads for the rest of the run.
   {
     std::vector<size_t> peer_location(config_.num_peers);
     for (PeerId p = 0; p < config_.num_peers; ++p) {
@@ -170,24 +170,7 @@ Status Engine::Setup() {
   sim_ = std::make_unique<sim::ShardedSimulator>(sim_cfg);
   shards_.resize(num_shards_);
 
-  // 3c. Shard-local arenas, reserved from the placement's peer counts. Every
-  // arena-aware container a shard's peers own (overlay adjacency rows, file
-  // stores, response-index keyword/provider/posting lists) spills into its
-  // shard's arena, so allocation locality matches execution locality and
-  // mid-run growth never takes the global allocator's lock.
-  constexpr size_t kArenaBytesPerPeer = 64;
-  const std::vector<size_t>& shard_peers = placement_.shard_peer_counts();
-  arenas_.reserve(num_shards_);
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    arenas_.push_back(std::make_unique<common::Arena>());
-    arenas_[s]->Reserve(shard_peers[s] * kArenaBytesPerPeer);
-    // The shard's tracking tables draw their flat buffers from its arena;
-    // arenas_ is declared before shards_, so the arenas outlive the tables.
-    shards_[s].pending.set_arena(arenas_[s].get());
-    shards_[s].tracks.set_arena(arenas_[s].get());
-  }
-
-  // 3d. Overlay.
+  // 3c. Overlay.
   Rng overlay_rng = root_rng_.Split("overlay");
   overlay::OverlayConfig ocfg;
   ocfg.num_peers = config_.num_peers;
@@ -195,7 +178,6 @@ Status Engine::Setup() {
   auto built_graph = overlay::OverlayGraph::Generate(ocfg, &overlay_rng);
   if (!built_graph.ok()) return built_graph.status();
   graph_ = std::make_unique<overlay::OverlayGraph>(std::move(built_graph).ValueOrDie());
-  graph_->BindArenas([this](PeerId p) { return arena_of(p); });
 
   // 4. Nodes; the protocol allocates the per-peer state it uses.
   protocol_ = MakeProtocol(config_.protocol, config_.params);
@@ -207,14 +189,8 @@ Status Engine::Setup() {
     n.id = p;
     n.loc_id = loc_ids[p];
     n.gid = static_cast<GroupId>(gid_rng.UniformInt(0, config_.params.num_groups - 1));
-    common::Arena* arena = arena_of(p);
-    n.file_store.set_arena(arena);
     n.file_store.assign(initial_files[p].begin(), initial_files[p].end());
-    // Flat per-peer tables draw their buffers from the owner shard's arena
-    // too (same provenance rule as the spill vectors above).
-    n.neighbor_filters.set_arena(arena);
-    n.neighbor_degree.set_arena(arena);
-    protocol_->InitNodeState(n, config_.seed, arena);
+    protocol_->InitNodeState(n, config_.seed);
     maintenance_quiet_[p] = protocol_->MaintenanceIdle(n) ? 1 : 0;
   }
 
@@ -271,6 +247,7 @@ Status Engine::Setup() {
                    p};
     }
     std::sort(starts.begin(), starts.end());
+    const std::vector<size_t>& shard_peers = placement_.shard_peer_counts();
     for (uint32_t s = 0; s < num_shards_; ++s) sim_->ReserveTicks(s, shard_peers[s]);
     // The initial tick re-arms before working, matching the historic
     // per-source sequence order.
@@ -443,9 +420,7 @@ void Engine::Run() {
     for (const catalog::QueryEvent& ev : queries) {
       const size_t slot = shard.metrics.BeginQuery(ev.id, ev.requester, ev.submit_time);
       shard.metrics.Record(slot)->target_rank = workload_.RankOfFile(ev.target);
-      QueryTrack& track = shard.tracks[ev.id];
-      track.slot = slot;
-      track.visits.set_arena(arenas_[s].get());
+      shard.tracks[ev.id].slot = slot;
     }
   }
 
@@ -793,11 +768,9 @@ void Engine::ScheduleCleanup(PeerId origin, QueryId qid) {
 }
 
 bool Engine::Visit(PeerId p, QueryId qid, PeerId upstream) {
-  const sim::ShardId shard_id = shard_of(p);
-  auto [track, fresh] = shards_[shard_id].tracks.try_emplace(qid);
-  if (fresh) track->second.visits.set_arena(arenas_[shard_id].get());
+  FlatMap<PeerId, Hop>& visits = shards_[shard_of(p)].tracks[qid].visits;
   const Hop hop{upstream, graph_->session_epoch(p)};
-  auto [visit, first] = track->second.visits.try_emplace(p, hop);
+  auto [visit, first] = visits.try_emplace(p, hop);
   if (first) return true;
   if (visit->second.session_epoch == hop.session_epoch) return false;
   visit->second = hop;  // last seen in a session that has since ended

@@ -31,7 +31,6 @@
 
 #include "catalog/file_catalog.h"
 #include "catalog/workload.h"
-#include "common/arena.h"
 #include "common/flat_map.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -178,9 +177,6 @@ class Engine {
   metrics::MetricsCollector& CollectorAt(PeerId node) {
     return shards_[shard_of(node)].metrics;
   }
-  /// `p`'s shard arena — the spill source for every arena-aware container
-  /// `p` owns (overlay rows, file stores, index lists, DHT stores).
-  common::Arena* arena_of(PeerId p) { return arenas_[shard_of(p)].get(); }
 
  private:
   explicit Engine(const ExperimentConfig& config);
@@ -218,9 +214,9 @@ class Engine {
   /// executing on the owning shard touch an instance, so the hot path needs
   /// no locks; the metrics collectors are merged after the run.
   struct ShardState {
-    /// Flat tables, arena-bound to the shard's arena (the visit tables
-    /// too); only find/insert/erase reach them, never iteration. A track
-    /// is registered per query at Run() and erased by its cleanup event.
+    /// Flat tables; only find/insert/erase reach them (the visit tables
+    /// too), never iteration. A track is registered per query at Run() and
+    /// erased by its cleanup event.
     FlatMap<QueryId, PendingQuery> pending;
     FlatMap<QueryId, QueryTrack> tracks;
     metrics::MetricsCollector metrics;
@@ -327,11 +323,6 @@ class Engine {
   Rng root_rng_;
   uint64_t decision_seed_ = 0;
   uint64_t churn_seed_ = 0;
-
-  /// One arena per shard. Declared before every arena-backed structure
-  /// (graph_, nodes_, shards_) so it is destroyed last: their destructors
-  /// return spill buffers into these arenas.
-  std::vector<std::unique_ptr<common::Arena>> arenas_;
 
   /// Forwarded-query payload slabs. Declared before sim_ so the pool
   /// outlives any queued delivery closure still holding a QueryPayloadRef.

@@ -16,8 +16,7 @@ class FloodingProtocol final : public Protocol {
   const char* name() const override { return "Flooding"; }
 
   /// Nothing to allocate: no index, no filters.
-  void InitNodeState(NodeState& /*node*/, uint64_t /*seed*/,
-                     common::Arena* /*arena*/) const override {}
+  void InitNodeState(NodeState& /*node*/, uint64_t /*seed*/) const override {}
   /// Nothing to maintain in a static run.
   bool NeedsMaintenanceTicks() const override { return false; }
 

@@ -10,10 +10,9 @@ PeerVec HybridProtocol::ForwardTargets(Engine& engine, PeerId node,
   return BloomMatchedNeighbors(engine, node, query, from);
 }
 
-void HybridProtocol::InitNodeState(NodeState& node, uint64_t seed,
-                                   common::Arena* arena) const {
-  LocawareProtocol::InitNodeState(node, seed, arena);
-  DhtPlane::InitNodeState(node, arena);
+void HybridProtocol::InitNodeState(NodeState& node, uint64_t seed) const {
+  LocawareProtocol::InitNodeState(node, seed);
+  DhtPlane::InitNodeState(node);
 }
 
 void HybridProtocol::OnSetupComplete(Engine& engine) {

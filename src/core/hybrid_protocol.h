@@ -25,7 +25,7 @@ class HybridProtocol final : public LocawareProtocol {
   const char* name() const override { return "Hybrid"; }
 
   /// Locaware's index and filters plus the DHT routing state.
-  void InitNodeState(NodeState& node, uint64_t seed, common::Arena* arena) const override;
+  void InitNodeState(NodeState& node, uint64_t seed) const override;
   /// Locaware's set-up filter exchange, then the ring and the initial
   /// routing tables.
   void OnSetupComplete(Engine& engine) override;

@@ -9,9 +9,8 @@
 
 namespace locaware::core {
 
-void LocawareProtocol::InitNodeState(NodeState& node, uint64_t seed,
-                                     common::Arena* arena) const {
-  Protocol::InitNodeState(node, seed, arena);
+void LocawareProtocol::InitNodeState(NodeState& node, uint64_t seed) const {
+  Protocol::InitNodeState(node, seed);
   node.keyword_filter = std::make_unique<bloom::CountingBloomFilter>(
       params_.bloom_bits, params_.bloom_hashes);
   node.advertised_filter =

@@ -30,7 +30,7 @@ class LocawareProtocol : public Protocol {
 
   /// The response index plus the counting keyword filter and its last
   /// advertised projection.
-  void InitNodeState(NodeState& node, uint64_t seed, common::Arena* arena) const override;
+  void InitNodeState(NodeState& node, uint64_t seed) const override;
   /// Charges the set-up links' full-filter exchange without storing copies:
   /// every advertised filter is still empty, and an absent copy reads as one.
   void OnSetupComplete(Engine& engine) override;

@@ -26,8 +26,7 @@ struct NodeState {
 
   /// Files this peer shares: the initial 3 plus everything it downloads
   /// ("the requesting peer ... becomes a provider pf", §3.1). Inline for the
-  /// initial placement; downloads spill into the owner shard's arena (the
-  /// engine binds it at setup).
+  /// initial placement; downloads past 4 files spill to the heap.
   SmallVector<FileId, 4> file_store;
 
   /// The response index RI_n. Allocated by the caching protocols; null for
@@ -47,9 +46,8 @@ struct NodeState {
   /// Our copy of each neighbor's advertised filter. A copy is absent until
   /// gossip or a churn link handshake installs it, and an absent copy reads
   /// as an empty filter (set-up stores none: every filter is empty then).
-  /// Flat table (one allocation, arena-bound at setup); iteration is table
-  /// order, so order-sensitive walks must collect-and-sort
-  /// (common/flat_map.h).
+  /// Flat table (one allocation); iteration is table order, so
+  /// order-sensitive walks must collect-and-sort (common/flat_map.h).
   FlatMap<PeerId, bloom::BloomFilter> neighbor_filters;
 
   // --- Chord DHT: allocated by the DHT plane's protocols (DHT, Hybrid) ---

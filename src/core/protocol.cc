@@ -78,10 +78,9 @@ ProtocolParams MakeDefaultParams(ProtocolKind kind) {
   return params;
 }
 
-void Protocol::InitNodeState(NodeState& node, uint64_t seed, common::Arena* arena) const {
+void Protocol::InitNodeState(NodeState& node, uint64_t seed) const {
   cache::ResponseIndexConfig ri_cfg = params_.ri;
   ri_cfg.eviction_seed = seed ^ (0x9e3779b97f4a7c15ULL * (node.id + 1));
-  ri_cfg.arena = arena;
   node.ri = std::make_unique<cache::ResponseIndex>(ri_cfg);
 }
 

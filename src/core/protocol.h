@@ -19,10 +19,6 @@
 #include "core/protocol_params.h"
 #include "overlay/message.h"
 
-namespace locaware::common {
-class Arena;
-}
-
 namespace locaware::core {
 
 class Engine;
@@ -49,9 +45,9 @@ class Protocol {
   virtual const char* name() const = 0;
 
   /// Allocates the per-peer state this protocol uses, once per peer at setup
-  /// (`node.id` is set; `arena` is the owner shard's). The base allocates the
-  /// response index, its eviction stream keyed by (`seed`, peer).
-  virtual void InitNodeState(NodeState& node, uint64_t seed, common::Arena* arena) const;
+  /// (`node.id` is set). The base allocates the response index, its
+  /// eviction stream keyed by (`seed`, peer).
+  virtual void InitNodeState(NodeState& node, uint64_t seed) const;
 
   /// Whether peers get periodic maintenance ticks in a static run. Churn
   /// forces ticks regardless (orphan re-attachment).

@@ -23,7 +23,7 @@
 // Provenance contract: nodes live in pool-owned slabs (geometrically sized,
 // published through atomic chunk pointers so readers never lock) and are
 // never returned to the OS until the pool dies — the same wholesale-release
-// rule as the arenas and the event slab. The pool must outlive every Ref;
+// rule as the event slab. The pool must outlive every Ref;
 // the Engine declares it before the simulator so queued closures die first.
 #pragma once
 

@@ -17,16 +17,11 @@
 //     is the one case raw table-order iteration is legal (see
 //     common/flat_map.h); every other walk in the subsystem collects and
 //     sorts first.
-//
-// Tables are arena-bound flat containers: DhtPlane binds each peer's
-// FlatMaps/SmallVectors to its shard's arena at setup, so steady-state
-// stabilization and store churn never touch the global heap.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 
-#include "common/arena.h"
 #include "common/flat_map.h"
 #include "common/small_vector.h"
 #include "common/types.h"
@@ -89,17 +84,10 @@ struct RoutingState {
   uint64_t next_session = 0;
   sim::SimTime last_publish = kNeverPublished;
 
-  void BindArena(common::Arena* arena) {
-    successors.set_arena(arena);
-    fingers.set_arena(arena);
-    store.set_arena(arena);
-    lookups.set_arena(arena);
-  }
-
   /// Session death: routing entries, in-flight lookups and the owned store
   /// all die with the session (Chord loses un-replicated records when their
-  /// holder leaves; re-publish repopulates the new owner). Arena bindings
-  /// survive `clear`.
+  /// holder leaves; re-publish repopulates the new owner). The tables keep
+  /// their buffers across `clear`.
   void ResetForDeparture() {
     successors.clear();
     fingers.clear();

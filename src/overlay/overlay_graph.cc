@@ -183,13 +183,6 @@ bool OverlayGraph::IsAlive(PeerId p) const {
   return alive_[p] != 0;
 }
 
-void OverlayGraph::BindArenas(const std::function<common::Arena*(PeerId)>& arena_of) {
-  for (PeerId p = 0; p < adjacency_.size(); ++p) {
-    adjacency_[p].set_arena(arena_of(p));
-    link_epoch_[p].set_arena(arena_of(p));
-  }
-}
-
 const OverlayGraph::NeighborList& OverlayGraph::Neighbors(PeerId p) const {
   LOCAWARE_CHECK_LT(p, adjacency_.size());
   AssertOwner(p);
@@ -220,7 +213,7 @@ std::vector<PeerId> OverlayGraph::GoOffline(PeerId p) {
   LOCAWARE_CHECK(alive_[p]) << "GoOffline of offline peer " << p;
   alive_[p] = 0;
   alive_count_.fetch_sub(1, std::memory_order_relaxed);
-  // ToVector + clear rather than a move: the row keeps its (arena-owned)
+  // ToVector + clear rather than a move: the row keeps its spilled
   // capacity for the links the peer re-establishes when it rejoins.
   std::vector<PeerId> dropped = adjacency_[p].ToVector();
   adjacency_[p].clear();

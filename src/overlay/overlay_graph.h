@@ -27,10 +27,8 @@
 
 #include <atomic>
 #include <cstddef>
-#include <functional>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/rng.h"
 #include "common/small_vector.h"
 #include "common/status.h"
@@ -55,7 +53,7 @@ class OverlayGraph {
  public:
   /// One peer's adjacency row. Inline 8 covers essentially every peer of a
   /// degree-3 overlay without touching the heap; high-degree outliers spill
-  /// into the bound arena (BindArenas) or the global heap.
+  /// to the global heap.
   using NeighborList = SmallVector<PeerId, 8>;
   using EpochList = SmallVector<uint32_t, 8>;
 
@@ -96,11 +94,6 @@ class OverlayGraph {
   /// No-op for num_shards <= 1.
   void SetPartitionedOwnership(uint32_t num_shards,
                                std::vector<uint32_t> owner_of = {});
-
-  /// Routes each peer's adjacency spill storage through `arena_of(p)` (the
-  /// engine passes the owning shard's arena). Call from the controller
-  /// phase; already-spilled rows are migrated.
-  void BindArenas(const std::function<common::Arena*(PeerId)>& arena_of);
 
   /// Takes `p` offline and clears only p's own half-edges (the remote halves
   /// dissolve when the peer's LinkDrop messages arrive). Returns the former

@@ -92,8 +92,8 @@ class ShardPlacement {
   /// peer-less shard, which gets the scalar floor bound).
   const std::vector<size_t>& ShardLocations(ShardId s) const;
 
-  /// Peers owned by each shard (size num_shards). Sized arenas and reserve
-  /// hints read this instead of re-scanning the map.
+  /// Peers owned by each shard (size num_shards). The engine's tick-ring
+  /// reserves read this instead of re-scanning the map.
   const std::vector<size_t>& shard_peer_counts() const {
     return shard_peer_counts_;
   }

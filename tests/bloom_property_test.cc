@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +16,14 @@
 
 namespace locaware::bloom {
 namespace {
+
+/// `prefix` followed by `n` in decimal. Built by appending: gcc 12 reports a
+/// false -Wrestrict on `"literal" + std::to_string(n)` in optimized builds.
+std::string Numbered(std::string_view prefix, uint64_t n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
 
 struct FilterShape {
   size_t bits;
@@ -32,7 +41,7 @@ TEST_P(BloomPropertyTest, NeverForgetsInsertedKeys) {
   BloomFilter bf(bits, hashes);
   std::set<std::string> inserted;
   for (int i = 0; i < 2000; ++i) {
-    const std::string key = "k" + std::to_string(rng.UniformInt(0, 5000));
+    const std::string key = Numbered("k", rng.UniformInt(0, 5000));
     if (rng.Bernoulli(0.7)) {
       bf.Insert(key);
       inserted.insert(key);
@@ -54,7 +63,7 @@ TEST_P(BloomPropertyTest, CountingFilterTracksMultiset) {
   CountingBloomFilter cbf(bits, hashes);
   std::map<std::string, int> reference;
   for (int i = 0; i < 3000; ++i) {
-    const std::string key = "key" + std::to_string(rng.UniformInt(0, 60));
+    const std::string key = Numbered("key", rng.UniformInt(0, 60));
     if (rng.Bernoulli(0.55)) {
       cbf.Insert(key);
       ++reference[key];
@@ -96,7 +105,7 @@ TEST_P(BloomPropertyTest, DeltaSyncNeverDiverges) {
     const int mutations = static_cast<int>(rng.UniformInt(0, 5));
     for (int m = 0; m < mutations; ++m) {
       if (rng.Bernoulli(0.7)) {
-        source.Insert("w" + std::to_string(rng.UniformInt(0, 500)));
+        source.Insert(Numbered("w", rng.UniformInt(0, 500)));
       } else {
         source.ClearBit(rng.UniformInt(0, bits - 1));
       }
@@ -119,7 +128,7 @@ TEST_P(BloomPropertyTest, FillMonotoneAndFpBounded) {
   BloomFilter bf(bits, hashes);
   double last_fill = 0.0;
   for (int i = 0; i < 300; ++i) {
-    bf.Insert("x" + std::to_string(rng.UniformInt(0, 100000)));
+    bf.Insert(Numbered("x", rng.UniformInt(0, 100000)));
     const double fill = bf.FillRatio();
     ASSERT_GE(fill, last_fill);
     ASSERT_LE(fill, 1.0);
@@ -138,9 +147,9 @@ INSTANTIATE_TEST_SUITE_P(Shapes, BloomPropertyTest,
                                            FilterShape{4096, 8, 5},
                                            FilterShape{100, 3, 6}),
                          [](const auto& info) {
-                           return "b" + std::to_string(info.param.bits) + "k" +
-                                  std::to_string(info.param.hashes) + "s" +
-                                  std::to_string(info.param.seed);
+                           return Numbered("b", info.param.bits) +
+                                  Numbered("k", info.param.hashes) +
+                                  Numbered("s", info.param.seed);
                          });
 
 /// The storage contract (empty until the first write; equality by bits)
@@ -186,7 +195,7 @@ TEST(BloomFilterFuzzTest, LazyStorageMirrorsDenseReference) {
         refs[i].assign(kBits, false);
         break;
       case 5: {
-        const std::string key = "k" + std::to_string(rng.UniformInt(0, 40));
+        const std::string key = Numbered("k", rng.UniformInt(0, 40));
         filters[i].Insert(key);
         for (uint32_t p : filters[i].ProbePositions(key)) refs[i][p] = true;
         break;

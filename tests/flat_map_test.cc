@@ -1,8 +1,8 @@
 // FlatMap: the open-addressing table under the data plane's hot maps. The
 // interesting transitions are growth rehashes (robin-hood displacement),
-// backward-shift erasure (no tombstones to get wrong), the arena-provenance
-// rules shared with SmallVector, and heterogeneous lookup for the catalog's
-// string interning. The fuzz loops at the bottom mirror every operation
+// backward-shift erasure (no tombstones to get wrong), buffer ownership
+// across copy and move, and heterogeneous lookup for the catalog's string
+// interning. The fuzz loops at the bottom mirror every operation
 // against std::unordered_map under ASan/UBSan in CI.
 #include "common/flat_map.h"
 
@@ -16,7 +16,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/small_vector.h"
 
 namespace locaware {
@@ -209,80 +208,9 @@ TEST(FlatMapTest, MoveStealsBufferAndSourceStaysUsable) {
   a.try_emplace(5, 55);
   EXPECT_EQ(a.at(5u), 55u);
   EXPECT_EQ(b.at(5u), 5u);
-}
-
-// --- arena provenance (the SmallVector contract, applied to tables) --------
-
-TEST(FlatMapArenaTest, BufferComesFromBoundArena) {
-  common::Arena arena;
-  Map m;
-  m.set_arena(&arena);
-  EXPECT_EQ(m.arena(), &arena);
-  for (uint32_t i = 0; i < 100; ++i) m.try_emplace(i, i);
-  EXPECT_GT(arena.bytes_allocated(), 0u);  // growth drew from the arena
-  for (uint32_t i = 0; i < 100; ++i) EXPECT_EQ(m.at(i), i);
-}
-
-TEST(FlatMapArenaTest, SetArenaMigratesAnExistingBuffer) {
-  common::Arena arena;
-  Map m;
-  for (uint32_t i = 0; i < 100; ++i) m.try_emplace(i, i);  // heap buffer
-  const size_t heap_cap = m.bucket_count();
-  m.set_arena(&arena);  // must migrate, not just rebind
-  EXPECT_GT(arena.bytes_allocated(), 0u);
-  EXPECT_EQ(m.bucket_count(), heap_cap);
-  for (uint32_t i = 0; i < 100; ++i) EXPECT_EQ(m.at(i), i);
-  // And back: the arena buffer is released to the arena, not the heap.
-  const size_t arena_bytes = arena.bytes_allocated();
-  m.set_arena(nullptr);
-  EXPECT_EQ(arena.bytes_allocated(), arena_bytes);
-  for (uint32_t i = 0; i < 100; ++i) EXPECT_EQ(m.at(i), i);
-}
-
-TEST(FlatMapArenaTest, MoveCarriesArenaWithBuffer) {
-  common::Arena arena;
-  Map a;
-  a.set_arena(&arena);
-  for (uint32_t i = 0; i < 50; ++i) a.try_emplace(i, i);
-  Map b = std::move(a);
-  EXPECT_EQ(b.arena(), &arena);  // provenance travels with the buffer
-  EXPECT_EQ(a.arena(), &arena);  // source keeps its binding for reuse
-  for (uint32_t i = 50; i < 200; ++i) b.try_emplace(i, i);  // growth via arena
+  // The stolen buffer is b's own: growth past it frees it and rehashes.
+  for (uint32_t i = 40; i < 200; ++i) b.try_emplace(i, i);
   for (uint32_t i = 0; i < 200; ++i) EXPECT_EQ(b.at(i), i);
-}
-
-TEST(FlatMapArenaTest, CopyKeepsDestinationArena) {
-  common::Arena arena;
-  Map a;
-  a.set_arena(&arena);
-  for (uint32_t i = 0; i < 50; ++i) a.try_emplace(i, i);
-  Map b = a;                     // b has no arena: its copy is heap-backed
-  EXPECT_EQ(b.arena(), nullptr);
-  common::Arena other;  // declared before c: the arena must outlive the map
-  Map c;
-  c.set_arena(&other);
-  c = a;                         // c keeps its own arena
-  EXPECT_EQ(c.arena(), &other);
-  EXPECT_GT(other.bytes_allocated(), 0u);
-  for (uint32_t i = 0; i < 50; ++i) {
-    EXPECT_EQ(b.at(i), i);
-    EXPECT_EQ(c.at(i), i);
-  }
-}
-
-TEST(FlatMapArenaTest, ArenaRecyclesDiscardedBuffersAcrossGrowth) {
-  // Growth frees the old (power-of-two-sized) buffer into the arena's class
-  // free lists; a second table growing through the same sizes reuses them.
-  common::Arena arena;
-  {
-    Map m;
-    m.set_arena(&arena);
-    for (uint32_t i = 0; i < 500; ++i) m.try_emplace(i, i);
-  }  // destructor returns the final buffer too
-  Map m2;
-  m2.set_arena(&arena);
-  for (uint32_t i = 0; i < 500; ++i) m2.try_emplace(i, i);
-  EXPECT_GT(arena.freelist_hits(), 0u);
 }
 
 // --- fuzz: mirror against the std containers --------------------------------
@@ -295,7 +223,6 @@ TEST(FlatMapArenaTest, ArenaRecyclesDiscardedBuffersAcrossGrowth) {
 
 TEST(FlatMapFuzzTest, MirrorsUnorderedMapUnderRandomOps) {
   std::mt19937 rng(0x10caed5e);
-  common::Arena arena;
   FlatMap<uint32_t, uint64_t> flat;
   std::unordered_map<uint32_t, uint64_t> ref;
   // Small key space so erase/overwrite/probe-chain cases fire constantly.
@@ -334,7 +261,7 @@ TEST(FlatMapFuzzTest, MirrorsUnorderedMapUnderRandomOps) {
         }
         break;
       }
-      case 7: {  // rare: clear, copy round-trip, or arena flip
+      case 7: {  // rare: clear, copy round-trip, or move round-trip
         const auto roll = rng() % 20;
         if (roll == 0) {
           flat.clear();
@@ -343,7 +270,8 @@ TEST(FlatMapFuzzTest, MirrorsUnorderedMapUnderRandomOps) {
           FlatMap<uint32_t, uint64_t> copy = flat;  // copy, then move back
           flat = std::move(copy);
         } else if (roll == 2) {
-          flat.set_arena(flat.arena() ? nullptr : &arena);
+          FlatMap<uint32_t, uint64_t> moved = std::move(flat);  // steal, then back
+          flat = std::move(moved);
         }
         break;
       }

@@ -1,11 +1,21 @@
 #include "core/group_hash.h"
 
 #include <map>
+#include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
 namespace locaware::core {
 namespace {
+
+/// `prefix` followed by `n` in decimal. Built by appending: gcc 12 reports a
+/// false -Wrestrict on `"literal" + std::to_string(n)` in optimized builds.
+std::string Numbered(std::string_view prefix, uint64_t n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
 
 TEST(GroupHashTest, KeywordOrderDoesNotMatter) {
   // A full-keyword query must land in the filename's group whatever the
@@ -28,9 +38,9 @@ TEST(GroupHashTest, PartialQueryUsuallyMisses) {
   // unrelated group. Verify it differs for at least most of a sample.
   int differs = 0;
   for (int i = 0; i < 200; ++i) {
-    const std::string a = "kw" + std::to_string(3 * i);
-    const std::string b = "kw" + std::to_string(3 * i + 1);
-    const std::string c = "kw" + std::to_string(3 * i + 2);
+    const std::string a = Numbered("kw", 3 * i);
+    const std::string b = Numbered("kw", 3 * i + 1);
+    const std::string c = Numbered("kw", 3 * i + 2);
     if (GroupOfKeywords({a, b, c}, 8) != GroupOfKeywords({a, b}, 8)) ++differs;
   }
   EXPECT_GT(differs, 150);  // ~7/8 expected
@@ -39,8 +49,8 @@ TEST(GroupHashTest, PartialQueryUsuallyMisses) {
 TEST(GroupHashTest, GroupsAreInRange) {
   for (int m : {1, 2, 4, 16}) {
     for (int i = 0; i < 100; ++i) {
-      EXPECT_LT(GroupOfKeyword("kw" + std::to_string(i), m), m);
-      EXPECT_LT(GroupOfKeywords({"a" + std::to_string(i), "b"}, m), m);
+      EXPECT_LT(GroupOfKeyword(Numbered("kw", i), m), m);
+      EXPECT_LT(GroupOfKeywords({Numbered("a", i), "b"}, m), m);
     }
   }
 }
@@ -48,7 +58,7 @@ TEST(GroupHashTest, GroupsAreInRange) {
 TEST(GroupHashTest, GroupsAreBalanced) {
   std::map<GroupId, int> counts;
   for (int i = 0; i < 40000; ++i) {
-    ++counts[GroupOfKeyword("keyword" + std::to_string(i), 4)];
+    ++counts[GroupOfKeyword(Numbered("keyword", i), 4)];
   }
   for (const auto& [g, c] : counts) EXPECT_NEAR(c, 10000, 500);
 }
@@ -58,7 +68,7 @@ TEST(GroupHashTest, KeywordGroupsDeduplicates) {
   std::string a = "aaa", match;
   const GroupId ga = GroupOfKeyword(a, 2);
   for (int i = 0; i < 100; ++i) {
-    std::string cand = "kw" + std::to_string(i);
+    std::string cand = Numbered("kw", i);
     if (GroupOfKeyword(cand, 2) == ga) {
       match = cand;
       break;

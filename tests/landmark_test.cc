@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -47,9 +48,19 @@ TEST(LocIdCodecTest, RoundTripAllPermutationsOfFour) {
 }
 
 TEST(LocIdCodecTest, RoundTripIsBijective) {
-  std::set<std::vector<uint8_t>> perms;
+  // Each permutation of 0..4 is keyed by its base-5 digits, an injective
+  // code (a set of byte vectors would compare through memcmp, on which
+  // gcc 12 reports a false -Wstringop-overread in optimized builds).
+  std::set<uint32_t> perms;
   for (uint32_t rank = 0; rank < 120; ++rank) {
-    perms.insert(LocIdCodec::RankToPermutation(rank, 5));
+    const std::vector<uint8_t> perm = LocIdCodec::RankToPermutation(rank, 5);
+    ASSERT_EQ(perm.size(), 5u);
+    uint32_t code = 0;
+    for (uint8_t d : perm) {
+      ASSERT_LT(d, 5u);
+      code = code * 5 + d;
+    }
+    perms.insert(code);
   }
   EXPECT_EQ(perms.size(), 120u);
 }

@@ -97,11 +97,28 @@ TEST(SmallVectorTest, CopyAndAssignAcrossStorageStates) {
   Vec big{1, 2, 3, 4, 5};
   Vec copy = big;
   EXPECT_EQ(copy, big);
+  EXPECT_NE(copy.data(), big.data());  // a copy allocates its own buffer
   copy = small;  // shrink a heap vector back to inline contents
   EXPECT_EQ(copy, small);
   Vec grown = small;
   grown = big;
   EXPECT_EQ(grown, big);
+}
+
+TEST(SmallVectorTest, ClearKeepsCapacityForReuse) {
+  // GoOffline clears adjacency rows but peers rejoin: the spilled buffer
+  // must survive the clear and absorb the re-fill without reallocating.
+  Vec v;
+  for (uint32_t i = 0; i < 32; ++i) v.push_back(i);
+  ASSERT_FALSE(v.is_inline());
+  const uint32_t* buffer = v.data();
+  const size_t capacity = v.capacity();
+  v.clear();
+  EXPECT_TRUE(v.empty());
+  EXPECT_EQ(v.capacity(), capacity);
+  for (uint32_t i = 0; i < 32; ++i) v.push_back(i);
+  EXPECT_EQ(v.data(), buffer);
+  EXPECT_EQ(v.capacity(), capacity);
 }
 
 TEST(SmallVectorTest, ComparesAgainstStdVector) {
