@@ -1,8 +1,15 @@
 // Microbenchmarks for the overlay graph: generation, half-link churn
-// operations and the connectivity sweeps the engine relies on.
+// operations and the connectivity sweeps the engine relies on; and for the
+// DHT overlay's per-peer routing: one routing decision (NextHop) and one
+// table rebuild (ComputeTables) on a 4k-peer ring.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "common/hash.h"
 #include "common/rng.h"
+#include "dht/ring.h"
+#include "dht/routing.h"
 #include "overlay/overlay_graph.h"
 
 namespace {
@@ -11,6 +18,7 @@ using locaware::PeerId;
 using locaware::Rng;
 using locaware::overlay::OverlayConfig;
 using locaware::overlay::OverlayGraph;
+namespace dht = locaware::dht;
 
 void BM_Generate(benchmark::State& state) {
   OverlayConfig cfg;
@@ -80,5 +88,53 @@ void BM_LargestComponent(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LargestComponent)->Arg(1000)->Arg(5000)->Unit(benchmark::kMicrosecond);
+
+// The DHT rows use skew_hybrid_4k's ring shape: 4000 peers, all online,
+// 4 successors and 24 fingers (the config defaults).
+constexpr size_t kDhtPeers = 4000;
+constexpr size_t kDhtSuccessors = 4;
+constexpr size_t kDhtFingers = 24;
+
+bool AllOnline(PeerId) { return true; }
+
+void BM_DhtNextHop(benchmark::State& state) {
+  // One hop of an iterative lookup: the routing decision every DhtLookup
+  // delivery takes at the receiving peer. Peers and keys cycle through
+  // run-time arrays so nothing folds to a constant.
+  const dht::Ring ring = dht::Ring::Build(kDhtPeers);
+  std::vector<dht::RoutingState> tables(kDhtPeers);
+  for (PeerId p = 0; p < kDhtPeers; ++p) {
+    dht::ComputeTables(ring, p, kDhtSuccessors, kDhtFingers, AllOnline, &tables[p]);
+  }
+  std::vector<dht::RingId> keys(1024);
+  for (size_t i = 0; i < keys.size(); ++i) keys[i] = dht::RingIdOfKey(locaware::Mix64(i));
+  size_t i = 0;
+  PeerId p = 0;
+  for (auto _ : state) {
+    const dht::HopDecision hd = dht::NextHop(tables[p], p, keys[i]);
+    benchmark::DoNotOptimize(hd);
+    i = (i + 1) % keys.size();
+    p = (p + 7) % kDhtPeers;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DhtNextHop);
+
+void BM_DhtComputeTables(benchmark::State& state) {
+  // One peer's successor-list and route-table rebuild, as every maintenance
+  // tick runs it under churn (and set-up runs once per peer). The table is
+  // reused across iterations, as a peer's RoutingState is across ticks.
+  const dht::Ring ring = dht::Ring::Build(kDhtPeers);
+  dht::RoutingState rt;
+  PeerId p = 0;
+  for (auto _ : state) {
+    dht::ComputeTables(ring, p, kDhtSuccessors, kDhtFingers, AllOnline, &rt);
+    benchmark::DoNotOptimize(rt.routes.data());
+    benchmark::ClobberMemory();
+    p = (p + 1) % kDhtPeers;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DhtComputeTables);
 
 }  // namespace

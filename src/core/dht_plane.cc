@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/check.h"
 #include "core/engine.h"
+#include "dht/routing.h"
 
 namespace locaware::core {
 
@@ -95,9 +95,7 @@ void DhtPlane::StartQueryLookup(Engine& engine, const overlay::QueryMessage& que
   st.fetching = hd.done;  // owner already known: go straight to the fetch
   st.hops = 1;
   st.started_at = engine.Now();
-  SendLookup(engine, origin, OpenSession(rt, origin, st), hd.next,
-             hd.done ? overlay::DhtLookupMode::kGetProviders
-                     : overlay::DhtLookupMode::kRoute);
+  SendLookup(engine, origin, OpenSession(rt, origin, st), st);
 }
 
 void DhtPlane::StartStore(Engine& engine, PeerId publisher, KeywordId kw, FileId file) {
@@ -123,17 +121,11 @@ void DhtPlane::StartStore(Engine& engine, PeerId publisher, KeywordId kw, FileId
   st.asked = hd.next;
   st.hops = 1;
   st.started_at = engine.Now();
-  SendLookup(engine, publisher, OpenSession(rt, publisher, st), hd.next,
-             overlay::DhtLookupMode::kRoute);
+  SendLookup(engine, publisher, OpenSession(rt, publisher, st), st);
 }
 
-void DhtPlane::SendLookup(Engine& engine, PeerId initiator, uint64_t session, PeerId to,
-                          overlay::DhtLookupMode mode) {
-  dht::RoutingState& rt = *engine.node(initiator).dht;
-  auto it = rt.lookups.find(session);
-  LOCAWARE_CHECK(it != rt.lookups.end()) << "send for a dead DHT session";
-  const dht::LookupState& st = it->second;
-
+void DhtPlane::SendLookup(Engine& engine, PeerId initiator, uint64_t session,
+                          const dht::LookupState& st) {
   overlay::DhtLookupMessage msg;
   msg.initiator = initiator;
   msg.initiator_epoch = engine.graph().session_epoch(initiator);
@@ -141,7 +133,8 @@ void DhtPlane::SendLookup(Engine& engine, PeerId initiator, uint64_t session, Pe
   msg.key = st.key;
   msg.kw = st.kw;
   msg.qid = st.qid;
-  msg.mode = mode;
+  msg.mode = st.fetching ? overlay::DhtLookupMode::kGetProviders
+                         : overlay::DhtLookupMode::kRoute;
   msg.purpose = st.purpose == dht::LookupState::Purpose::kQuery
                     ? overlay::DhtSessionPurpose::kQuery
                     : overlay::DhtSessionPurpose::kStore;
@@ -155,6 +148,7 @@ void DhtPlane::SendLookup(Engine& engine, PeerId initiator, uint64_t session, Pe
   } else {
     engine.CollectorAt(initiator).AddDhtStoreTraffic(1, bytes);
   }
+  const PeerId to = st.asked;
   engine.Send(initiator, to,
               [this, &engine, to, msg] { DeliverLookup(engine, to, msg); });
 }
@@ -235,9 +229,12 @@ void DhtPlane::DeliverLookup(Engine& engine, PeerId to,
     engine.CollectorAt(to).AddDhtStoreTraffic(1, bytes);
   }
   const PeerId initiator = msg.initiator;
-  engine.Send(to, initiator, [this, &engine, initiator, reply = std::move(reply)] {
-    DeliverResponse(engine, initiator, std::move(reply));
-  });
+  // Mutable, so the reply moves into DeliverResponse instead of being
+  // copied out of a const capture; the event runs once.
+  engine.Send(to, initiator,
+              [this, &engine, initiator, reply = std::move(reply)]() mutable {
+                DeliverResponse(engine, initiator, std::move(reply));
+              });
 }
 
 void DhtPlane::DeliverResponse(Engine& engine, PeerId to,
@@ -268,7 +265,7 @@ void DhtPlane::DeliverResponse(Engine& engine, PeerId to,
     }
     st.asked = msg.next;
     ++st.hops;
-    SendLookup(engine, to, msg.session, st.asked, overlay::DhtLookupMode::kRoute);
+    SendLookup(engine, to, msg.session, st);
     return;
   }
 
@@ -283,7 +280,7 @@ void DhtPlane::DeliverResponse(Engine& engine, PeerId to,
     st.asked = owner;
     st.fetching = true;
     ++st.hops;
-    SendLookup(engine, to, msg.session, owner, overlay::DhtLookupMode::kGetProviders);
+    SendLookup(engine, to, msg.session, st);
     return;
   }
 

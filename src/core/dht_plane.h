@@ -10,6 +10,10 @@
 #include "dht/ring.h"
 #include "overlay/message.h"
 
+namespace locaware::dht {
+struct LookupState;
+}  // namespace locaware::dht
+
 namespace locaware::core {
 
 class Engine;
@@ -45,9 +49,10 @@ class DhtPlane {
  private:
   /// Begins a store-purpose lookup routing (kw, file) to the key's owner.
   void StartStore(Engine& engine, PeerId publisher, KeywordId kw, FileId file);
-  /// Sends one DhtLookup request for session `session` and charges it.
-  void SendLookup(Engine& engine, PeerId initiator, uint64_t session, PeerId to,
-                  overlay::DhtLookupMode mode);
+  /// Sends session `session`'s next request, described by its state `st`:
+  /// to `st.asked`, a kGetProviders fetch iff `st.fetching`. Charges it.
+  void SendLookup(Engine& engine, PeerId initiator, uint64_t session,
+                  const dht::LookupState& st);
   /// Sends a store for (kw, file) from `publisher` to the resolved `owner`.
   void SendStore(Engine& engine, PeerId publisher, PeerId owner, KeywordId kw,
                  FileId file);

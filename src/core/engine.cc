@@ -593,7 +593,7 @@ void Engine::DeliverQuery(PeerId to, PeerId from, const QueryPayloadRef& msg_ref
     response.origin_loc = msg.origin_loc;
     response.query_keywords = msg.keywords;
     response.records = std::move(records);
-    SendResponse(to, from, response);
+    SendResponse(to, from, std::move(response));
   }
   if (!hit || protocol_->ForwardAfterHit()) {
     ForwardQuery(to, from, msg);
@@ -604,8 +604,11 @@ void Engine::SendResponse(PeerId sender, PeerId next_hop,
                           overlay::ResponseMessage msg) {
   ChargeQueryTraffic(sender, msg.qid, Traffic::kResponse,
                      EstimateSizeBytes(msg, catalog_));
-  Send(sender, next_hop, [this, next_hop, sender, msg = std::move(msg)] {
-    DeliverResponse(next_hop, sender, msg);
+  // Mutable, so the message moves into DeliverResponse (and from there into
+  // the next hop's capture) instead of being copied out of a const capture;
+  // the event runs once.
+  Send(sender, next_hop, [this, next_hop, sender, msg = std::move(msg)]() mutable {
+    DeliverResponse(next_hop, sender, std::move(msg));
   });
 }
 
@@ -641,7 +644,7 @@ void Engine::DeliverResponse(PeerId to, PeerId /*from*/, overlay::ResponseMessag
   auto hop = track->visits.find(to);
   if (hop == track->visits.end()) return;
   if (hop->second.session_epoch != graph_->session_epoch(to)) return;  // lost with churn
-  SendResponse(to, hop->second.upstream, msg);
+  SendResponse(to, hop->second.upstream, std::move(msg));
 }
 
 void Engine::OfferRecords(PeerId origin, QueryId qid, PeerId responder,

@@ -6,19 +6,18 @@
 // drive lookups against in-memory tables and check them against the ring's
 // ground-truth successor:
 //
-//   * ComputeTables — (re)derive successor list + finger table from the
-//     immutable Ring filtered by an online predicate. Called at setup (all
-//     peers online), on every maintenance tick under churn, and on rejoin —
-//     the PR 3 idiom of reading the churn timeline as a bootstrap directory
-//     instead of mutating remote peers.
+//   * ComputeTables — (re)derive the successor list and the route table from
+//     the immutable Ring filtered by an online predicate. Called at setup
+//     (all peers online), on every maintenance tick under churn, and on
+//     rejoin — the PR 3 idiom of reading the churn timeline as a bootstrap
+//     directory instead of mutating remote peers.
 //   * NextHop — one step of the iterative find_successor: either "done, the
-//     owner is X" or "ask Y next". The closest-preceding scan over the
-//     finger FlatMap is an order-insensitive max over ring distance, which
-//     is the one case raw table-order iteration is legal (see
-//     common/flat_map.h); every other walk in the subsystem collects and
-//     sorts first.
+//     owner is X" or "ask Y next". The closest-preceding scan is a max over
+//     ring distance across the contiguous route table, reading ring ids
+//     cached at rebuild time: no hashing and no hash-table walk per hop.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 
@@ -65,16 +64,26 @@ struct LookupState {
   sim::SimTime started_at = 0;
 };
 
+/// One known peer and its ring position, cached when the table is rebuilt.
+struct RouteEntry {
+  RingId id = 0;
+  PeerId peer = kInvalidPeer;
+};
+
 /// \brief All DHT state owned by one peer.
 struct RoutingState {
   /// The next `dht.successors` online peers clockwise from self (self
   /// excluded), nearest first.
   SmallVector<PeerId, 8> successors;
-  /// Finger table: finger index i -> successor(self + 2^i). Only fingers
-  /// that resolve to a peer other than self (and other than plain succ0's
-  /// trivial low indices' duplicates — duplicates are kept; they are cheap
-  /// and the scan dedups by distance).
-  FlatMap<uint32_t, PeerId> fingers;
+  /// Every peer this node can route to: `successors` in order, then each
+  /// distinct finger peer successor(self + 2^i) beyond succ0 — never self,
+  /// never a duplicate, and empty exactly when `successors` is.
+  /// `routes.front()` is succ0. With 4 successors and 24 fingers the table
+  /// holds about log2(n) + 2 entries (12-17 at 4k peers, 13-18 at 10k):
+  /// inline 16 keeps all but a handful of a 4k ring's tables off the heap,
+  /// and a table that outgrows it spills once and keeps the buffer across
+  /// rebuilds.
+  SmallVector<RouteEntry, 16> routes;
   /// The owner-side keyword -> provider-record store.
   FlatMap<KeywordId, StoreList> store;
   /// In-flight lookups this peer initiated, keyed by session id.
@@ -90,14 +99,14 @@ struct RoutingState {
   /// their buffers across `clear`.
   void ResetForDeparture() {
     successors.clear();
-    fingers.clear();
+    routes.clear();
     store.clear();
     lookups.clear();
     last_publish = kNeverPublished;
   }
 };
 
-/// Rebuilds `rt`'s successor list and finger table for `self` from the
+/// Rebuilds `rt`'s successor list and route table for `self` from the
 /// immutable ring order, keeping only members satisfying `online`. Pure:
 /// reads shared immutable data plus the predicate, writes only `rt`.
 template <typename OnlinePred>
@@ -106,23 +115,34 @@ void ComputeTables(const Ring& ring, PeerId self, size_t num_successors,
   const size_t n = ring.size();
   const RingId self_id = RingIdOfPeer(self);
   rt->successors.clear();
+  rt->routes.clear();
   if (n > 1) {
     size_t i = ring.IndexOfFirstAtOrAfter(self_id + 1);
     for (size_t step = 0; step + 1 < n && rt->successors.size() < num_successors;
          ++step, i = (i + 1 == n) ? 0 : i + 1) {
       const PeerId c = ring.PeerAt(i);
       if (c == self) break;  // full circle: nobody else online
-      if (online(c)) rt->successors.push_back(c);
+      if (online(c)) {
+        rt->successors.push_back(c);
+        rt->routes.push_back(RouteEntry{ring.IdAt(i), c});
+      }
     }
   }
-  rt->fingers.clear();
   if (rt->successors.empty()) return;  // alone on the ring: no routes needed
+  // Fingers, farthest first. A target in (self, succ0] resolves to succ0
+  // (every member strictly between self and succ0 is offline), and so does
+  // every lower index, whose target is nearer still: stop there.
+  const RingId succ0_id = rt->routes.front().id;
   const uint32_t lo = num_fingers >= 64 ? 0 : 64 - static_cast<uint32_t>(num_fingers);
   for (uint32_t i = 63;; --i) {
-    const PeerId f = ring.SuccessorOf(FingerTarget(self_id, i), [&](PeerId c) {
+    const RingId target = FingerTarget(self_id, i);
+    if (InInterval(target, self_id, succ0_id)) break;
+    const PeerId f = ring.SuccessorOf(target, [&](PeerId c) {
       return c != self && online(c);
     });
-    if (f != kInvalidPeer) rt->fingers.try_emplace(i, f);
+    const bool known = std::any_of(rt->routes.begin(), rt->routes.end(),
+                                   [f](const RouteEntry& e) { return e.peer == f; });
+    if (!known) rt->routes.push_back(RouteEntry{RingIdOfPeer(f), f});
     if (i == lo) break;
   }
 }
@@ -136,31 +156,32 @@ struct HopDecision {
 };
 
 inline HopDecision NextHop(const RoutingState& rt, PeerId self, RingId key) {
-  if (rt.successors.empty()) return {true, kInvalidPeer};  // alone: self owns all
+  if (rt.routes.empty()) return {true, kInvalidPeer};  // alone: self owns all
   const RingId self_id = RingIdOfPeer(self);
-  const PeerId succ0 = rt.successors.front();
-  if (InInterval(key, self_id, RingIdOfPeer(succ0))) return {true, succ0};
+  const RouteEntry& succ0 = rt.routes.front();
+  if (InInterval(key, self_id, succ0.id)) return {true, succ0.peer};
   // Closest preceding node: the known peer that lands farthest clockwise
-  // from self while still strictly preceding the key. Max over ring
-  // distance — order-insensitive, so raw table iteration is legal here.
+  // from self while still strictly preceding the key, i.e. whose distance
+  // from self is below the key's. Every entry is at distance >= 1 (never
+  // self), and key == self_id (distance 0) means the whole circle precedes
+  // it, so the bound is the key's distance minus one, wrapping to the
+  // maximum. Distinct peers have distinct ring ids, hence distinct
+  // distances: the max has one winner whatever the table order.
+  const RingId limit = RingDistance(self_id, key) - 1;
   PeerId best = kInvalidPeer;
   RingId best_dist = 0;
-  const auto consider = [&](PeerId c) {
-    const RingId cid = RingIdOfPeer(c);
-    if (cid == key || !InInterval(cid, self_id, key)) return;
-    const RingId dist = RingDistance(self_id, cid);
-    if (best == kInvalidPeer || dist > best_dist) {
-      best = c;
+  for (const RouteEntry& e : rt.routes) {
+    const RingId dist = RingDistance(self_id, e.id);
+    if (dist <= limit && dist > best_dist) {
+      best = e.peer;
       best_dist = dist;
     }
-  };
-  for (const auto& slot : rt.fingers) consider(slot.second);
-  for (PeerId s : rt.successors) consider(s);
+  }
   if (best != kInvalidPeer) return {false, best};
   // Inconsistent tables (repair lag): treat succ0 as the owner rather than
   // loop — the lookup terminates and the record, if misplaced, is healed by
   // the next republish.
-  return {true, succ0};
+  return {true, succ0.peer};
 }
 
 }  // namespace locaware::dht

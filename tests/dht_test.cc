@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <set>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/engine.h"
 #include "core/experiment.h"
 #include "dht/ring.h"
@@ -110,10 +112,21 @@ TEST(DhtTablesTest, SuccessorListIsNearestOnlineClockwise) {
     for (size_t k = 0; k < want.size(); ++k) {
       EXPECT_EQ(rt.successors[k], want[k]) << "peer " << self << " slot " << k;
     }
-    // Fingers never name self or an offline peer.
-    for (const auto& slot : rt.fingers) {
-      EXPECT_NE(slot.second, self);
-      EXPECT_TRUE(online(slot.second));
+    // The route table starts with the successor list; no entry names self
+    // or an offline peer, no peer appears twice, and every cached id is its
+    // peer's ring id.
+    ASSERT_GE(rt.routes.size(), rt.successors.size());
+    std::set<PeerId> seen;
+    for (size_t k = 0; k < rt.routes.size(); ++k) {
+      const RouteEntry& e = rt.routes[k];
+      if (k < rt.successors.size()) {
+        EXPECT_EQ(e.peer, rt.successors[k]) << "peer " << self << " slot " << k;
+      }
+      EXPECT_NE(e.peer, self);
+      EXPECT_TRUE(online(e.peer));
+      EXPECT_TRUE(seen.insert(e.peer).second)
+          << "peer " << self << " routes " << e.peer << " twice";
+      EXPECT_EQ(e.id, RingIdOfPeer(e.peer)) << "peer " << self << " slot " << k;
     }
   }
 }
@@ -124,10 +137,121 @@ TEST(DhtTablesTest, AloneOnTheRingOwnsEverything) {
   // Only peer 5 is online: its tables are empty and NextHop says "mine".
   ComputeTables(ring, 5, 4, 24, [](PeerId p) { return p == 5; }, &rt);
   EXPECT_TRUE(rt.successors.empty());
-  EXPECT_EQ(rt.fingers.size(), 0u);
+  EXPECT_TRUE(rt.routes.empty());
   const HopDecision hd = NextHop(rt, 5, /*key=*/0xdeadbeef);
   EXPECT_TRUE(hd.done);
   EXPECT_EQ(hd.next, kInvalidPeer);
+}
+
+// Brute-force reference for ComputeTables + NextHop, built from scratch
+// against the online set: no Ring::SuccessorOf, no dedup, no early stop, and
+// Chord's closest-preceding-node filter written with InInterval.
+struct ReferenceRouter {
+  std::vector<PeerId> successors;  // nearest online non-self peers first
+  std::vector<PeerId> fingers;     // successor(self + 2^i), finger range
+
+  template <typename OnlinePred>
+  ReferenceRouter(size_t num_peers, PeerId self, size_t num_successors,
+                  size_t num_fingers, OnlinePred online) {
+    const RingId self_id = RingIdOfPeer(self);
+    std::vector<PeerId> others;
+    for (PeerId p = 0; p < num_peers; ++p) {
+      if (p != self && online(p)) others.push_back(p);
+    }
+    std::sort(others.begin(), others.end(), [&](PeerId a, PeerId b) {
+      return RingDistance(self_id, RingIdOfPeer(a)) <
+             RingDistance(self_id, RingIdOfPeer(b));
+    });
+    successors.assign(others.begin(),
+                      others.begin() + std::min(num_successors, others.size()));
+    if (others.empty()) return;
+    for (uint32_t i = 64 - static_cast<uint32_t>(num_fingers); i < 64; ++i) {
+      const RingId target = FingerTarget(self_id, i);
+      // successor(target): the online non-self peer nearest clockwise.
+      PeerId best = kInvalidPeer;
+      RingId best_dist = 0;
+      for (PeerId c : others) {
+        const RingId dist = RingDistance(target, RingIdOfPeer(c));
+        if (best == kInvalidPeer || dist < best_dist) {
+          best = c;
+          best_dist = dist;
+        }
+      }
+      fingers.push_back(best);
+    }
+  }
+
+  HopDecision NextHop(PeerId self, RingId key) const {
+    if (successors.empty()) return {true, kInvalidPeer};
+    const RingId self_id = RingIdOfPeer(self);
+    const PeerId succ0 = successors.front();
+    if (InInterval(key, self_id, RingIdOfPeer(succ0))) return {true, succ0};
+    PeerId best = kInvalidPeer;
+    RingId best_dist = 0;
+    for (const std::vector<PeerId>* list : {&fingers, &successors}) {
+      for (PeerId c : *list) {
+        const RingId cid = RingIdOfPeer(c);
+        if (cid == key || !InInterval(cid, self_id, key)) continue;
+        if (best == kInvalidPeer || RingDistance(self_id, cid) > best_dist) {
+          best = c;
+          best_dist = RingDistance(self_id, cid);
+        }
+      }
+    }
+    if (best != kInvalidPeer) return {false, best};
+    return {true, succ0};
+  }
+};
+
+// Differential oracle: over random ring sizes, online sets, finger counts
+// and keys (including the edge keys: self's own id, every candidate's id and
+// its neighbours on the circle), the route table holds exactly the reference
+// candidate set, and NextHop takes exactly the reference decision.
+TEST(DhtTablesTest, NextHopMatchesBruteForceReference) {
+  Rng rng(20260418);
+  for (uint32_t trial = 0; trial < 240; ++trial) {
+    const size_t num_peers = trial < 6 ? trial % 3 + 1 : rng.UniformInt(2, 300);
+    const size_t num_fingers = std::array<size_t, 3>{1, 24, 64}[trial % 3];
+    const size_t num_successors = rng.UniformInt(1, 8);
+    const Ring ring = Ring::Build(num_peers);
+    const PeerId self = static_cast<PeerId>(rng.UniformInt(0, num_peers - 1));
+    // Every 8th trial leaves at most one peer online (self or another one).
+    std::vector<bool> up(num_peers);
+    if (trial % 8 == 7) {
+      up[rng.UniformInt(0, num_peers - 1)] = true;
+    } else {
+      const double p_online = rng.UniformDouble(0.05, 1.0);
+      for (size_t p = 0; p < num_peers; ++p) up[p] = rng.Bernoulli(p_online);
+    }
+    const auto online = [&](PeerId p) { return static_cast<bool>(up[p]); };
+
+    RoutingState rt;
+    ComputeTables(ring, self, num_successors, num_fingers, online, &rt);
+    const ReferenceRouter ref(num_peers, self, num_successors, num_fingers, online);
+    const std::vector<PeerId> successors(rt.successors.begin(), rt.successors.end());
+    ASSERT_EQ(successors, ref.successors) << "trial " << trial;
+    std::set<PeerId> want(ref.successors.begin(), ref.successors.end());
+    want.insert(ref.fingers.begin(), ref.fingers.end());
+    std::set<PeerId> got;
+    for (const RouteEntry& e : rt.routes) got.insert(e.peer);
+    ASSERT_EQ(got, want) << "trial " << trial;
+    ASSERT_EQ(rt.routes.size(), want.size()) << "trial " << trial << ": duplicates";
+
+    std::vector<RingId> keys = {RingIdOfPeer(self), RingIdOfPeer(self) + 1,
+                                RingIdOfPeer(self) - 1, 0, ~RingId{0}};
+    for (PeerId c : want) {
+      for (RingId delta : {RingId{0}, RingId{1}, ~RingId{0}}) {
+        keys.push_back(RingIdOfPeer(c) + delta);
+      }
+    }
+    for (int k = 0; k < 40; ++k) keys.push_back(rng.NextU64());
+    for (RingId key : keys) {
+      const HopDecision got_hd = NextHop(rt, self, key);
+      const HopDecision want_hd = ref.NextHop(self, key);
+      EXPECT_EQ(got_hd.done, want_hd.done) << "trial " << trial << " key " << key;
+      EXPECT_EQ(got_hd.next, want_hd.next) << "trial " << trial << " key " << key;
+    }
+  }
 }
 
 // Walks an iterative lookup over precomputed per-peer tables, exactly as the
