@@ -30,11 +30,8 @@ Result<std::unique_ptr<Engine>> Engine::Create(const ExperimentConfig& config) {
 
   // Values the run cannot honour fail here rather than abort on a CHECK
   // later, hang, or run to completion with every query failing: a tick
-  // reschedules itself one interval on, shards beyond the peer count only
-  // add empty window participants, a TTL-0 query is never forwarded, and a
-  // DHT node with no successors cannot route a lookup.
-  const bool dht_routed =
-      cfg.protocol == ProtocolKind::kDht || cfg.protocol == ProtocolKind::kHybrid;
+  // reschedules itself one interval on, and shards beyond the peer count
+  // only add empty window participants.
   const std::pair<bool, const char*> kRejected[] = {
       {cfg.num_peers == 0, "num_peers must be > 0"},
       {cfg.num_landmarks == 0, "num_landmarks must be > 0 (locIds need landmarks)"},
@@ -46,15 +43,12 @@ Result<std::unique_ptr<Engine>> Engine::Create(const ExperimentConfig& config) {
        "params.bloom_hashes must be in [1, 16]"},
       {cfg.params.maintenance_interval <= 0, "params.maintenance_interval_s must be > 0"},
       {cfg.params.dht_fingers == 0, "dht.fingers must be > 0"},
-      {!dht_routed && cfg.params.ttl == 0,
-       "params.ttl must be > 0 (a TTL-0 query reaches no neighbor)"},
-      {dht_routed && cfg.params.dht_successors == 0,
-       "dht.successors must be > 0 (lookups route along successor lists)"},
       {cfg.params.ri.max_filenames == 0, "ri.max_filenames must be > 0"},
   };
   for (const auto& [rejected, why] : kRejected) {
     if (rejected) return Status::InvalidArgument(why);
   }
+  LOCAWARE_RETURN_NOT_OK(ValidateProtocolParams(cfg.protocol, cfg.params));
 
   auto engine = std::unique_ptr<Engine>(new Engine(cfg));
   LOCAWARE_RETURN_NOT_OK(engine->Setup());

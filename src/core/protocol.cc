@@ -78,6 +78,14 @@ ProtocolParams MakeDefaultParams(ProtocolKind kind) {
   return params;
 }
 
+Status ValidateProtocolParams(ProtocolKind kind, const ProtocolParams& params) {
+  const bool dht_routed = kind == ProtocolKind::kDht || kind == ProtocolKind::kHybrid;
+  if (dht_routed ? params.dht_successors > 0 : params.ttl > 0) return Status::OK();
+  return Status::InvalidArgument(
+      dht_routed ? "dht.successors must be > 0 (lookups route along successor lists)"
+                 : "params.ttl must be > 0 (a TTL-0 query reaches no neighbor)");
+}
+
 void Protocol::InitNodeState(NodeState& node, uint64_t seed) const {
   cache::ResponseIndexConfig ri_cfg = params_.ri;
   ri_cfg.eviction_seed = seed ^ (0x9e3779b97f4a7c15ULL * (node.id + 1));

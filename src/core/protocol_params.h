@@ -6,6 +6,7 @@
 #include <span>
 
 #include "cache/response_index.h"
+#include "common/status.h"
 #include "sim/sim_time.h"
 
 namespace locaware::core {
@@ -113,5 +114,9 @@ struct ProtocolParams {
 /// Paper-faithful parameter defaults for a protocol kind (e.g. Dicas keeps a
 /// single provider per cached filename, Locaware several).
 ProtocolParams MakeDefaultParams(ProtocolKind kind);
+
+/// Rejects parameters that would fail every query of `kind`: TTL 0 for a
+/// flooded protocol (never forwarded), no successors for a DHT-routed one.
+Status ValidateProtocolParams(ProtocolKind kind, const ProtocolParams& params);
 
 }  // namespace locaware::core

@@ -6,11 +6,11 @@
 // drive lookups against in-memory tables and check them against the ring's
 // ground-truth successor:
 //
-//   * ComputeTables — (re)derive the successor list and the route table from
-//     the immutable Ring filtered by an online predicate. Called at setup
-//     (all peers online), on every maintenance tick under churn, and on
-//     rejoin — the PR 3 idiom of reading the churn timeline as a bootstrap
-//     directory instead of mutating remote peers.
+//   * ComputeTables — (re)derive the route table (successor list, then
+//     fingers) from the immutable Ring filtered by an online predicate.
+//     Called at setup (all peers online), on every maintenance tick under
+//     churn, and on rejoin — the PR 3 idiom of reading the churn timeline
+//     as a bootstrap directory instead of mutating remote peers.
 //   * NextHop — one step of the iterative find_successor: either "done, the
 //     owner is X" or "ask Y next". The closest-preceding scan is a max over
 //     ring distance across the contiguous route table, reading ring ids
@@ -72,17 +72,13 @@ struct RouteEntry {
 
 /// \brief All DHT state owned by one peer.
 struct RoutingState {
-  /// The next `dht.successors` online peers clockwise from self (self
-  /// excluded), nearest first.
-  SmallVector<PeerId, 8> successors;
-  /// Every peer this node can route to: `successors` in order, then each
-  /// distinct finger peer successor(self + 2^i) beyond succ0 — never self,
-  /// never a duplicate, and empty exactly when `successors` is.
-  /// `routes.front()` is succ0. With 4 successors and 24 fingers the table
-  /// holds about log2(n) + 2 entries (12-17 at 4k peers, 13-18 at 10k):
-  /// inline 16 keeps all but a handful of a 4k ring's tables off the heap,
-  /// and a table that outgrows it spills once and keeps the buffer across
-  /// rebuilds.
+  /// Every peer this node can route to: the successor list (the next `dht.successors`
+  /// online peers clockwise from self, nearest first), then each distinct finger peer
+  /// successor(self + 2^i) beyond succ0 — never self, never a duplicate, and empty
+  /// exactly when no other peer is online. `routes.front()` is succ0. With 4 successors
+  /// and 24 fingers the table holds about log2(n) + 2 entries (12-17 at 4k peers, 13-18
+  /// at 10k): inline 16 keeps all but a handful of a 4k ring's tables off the heap, and
+  /// a table that outgrows it spills once and keeps the buffer across rebuilds.
   SmallVector<RouteEntry, 16> routes;
   /// The owner-side keyword -> provider-record store.
   FlatMap<KeywordId, StoreList> store;
@@ -98,7 +94,6 @@ struct RoutingState {
   /// holder leaves; re-publish repopulates the new owner). The tables keep
   /// their buffers across `clear`.
   void ResetForDeparture() {
-    successors.clear();
     routes.clear();
     store.clear();
     lookups.clear();
@@ -106,7 +101,7 @@ struct RoutingState {
   }
 };
 
-/// Rebuilds `rt`'s successor list and route table for `self` from the
+/// Rebuilds `rt`'s route table, successor list first, for `self` from the
 /// immutable ring order, keeping only members satisfying `online`. Pure:
 /// reads shared immutable data plus the predicate, writes only `rt`.
 template <typename OnlinePred>
@@ -114,21 +109,18 @@ void ComputeTables(const Ring& ring, PeerId self, size_t num_successors,
                    size_t num_fingers, OnlinePred&& online, RoutingState* rt) {
   const size_t n = ring.size();
   const RingId self_id = RingIdOfPeer(self);
-  rt->successors.clear();
   rt->routes.clear();
   if (n > 1) {
     size_t i = ring.IndexOfFirstAtOrAfter(self_id + 1);
-    for (size_t step = 0; step + 1 < n && rt->successors.size() < num_successors;
+    // Until the fingers follow, the table holds only successors.
+    for (size_t step = 0; step + 1 < n && rt->routes.size() < num_successors;
          ++step, i = (i + 1 == n) ? 0 : i + 1) {
       const PeerId c = ring.PeerAt(i);
       if (c == self) break;  // full circle: nobody else online
-      if (online(c)) {
-        rt->successors.push_back(c);
-        rt->routes.push_back(RouteEntry{ring.IdAt(i), c});
-      }
+      if (online(c)) rt->routes.push_back(RouteEntry{ring.IdAt(i), c});
     }
   }
-  if (rt->successors.empty()) return;  // alone on the ring: no routes needed
+  if (rt->routes.empty()) return;  // alone on the ring: no routes needed
   // Fingers, farthest first. A target in (self, succ0] resolves to succ0
   // (every member strictly between self and succ0 is offline), and so does
   // every lower index, whose target is nearer still: stop there.
