@@ -36,6 +36,11 @@
 //  * BM_TraceLoad — text vs binary trace parsing over the same 200k-query
 //    workload; the `speedup` counter is the headline binary-format number.
 //
+// BM_WindowCycle/shards:{4,8}/workers:{1,K} isolates the per-window
+// controller cost: one token hops shard to shard at exactly the lookahead, so
+// every window holds one event and `ns/window` is the barrier crossing, the
+// mailbox drain and the window-end computation, with next to no event work.
+//
 // BM_EngineCreate/shards:{1,4,8} times Engine::Create alone on the 10k-peer
 // flooding network: the set-up cost, and whether it grows with the shards.
 #include <benchmark/benchmark.h>
@@ -246,6 +251,51 @@ void BM_ShardedSimulatorSkewedStorm(benchmark::State& state) {
                    : static_cast<double>(idle_ns) / static_cast<double>(windows);
 }
 BENCHMARK(BM_ShardedSimulatorSkewedStorm)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// One token, one event per window: each hop lands on the next shard exactly
+// one lookahead later, which is exactly where that shard's next window ends.
+// Run() is timed alone (thread start-up included, amortized over the rounds);
+// `ns/window` is the wall clock per window.
+void BM_WindowCycle(benchmark::State& state) {
+  const uint32_t shards = static_cast<uint32_t>(state.range(0));
+  const uint32_t workers = static_cast<uint32_t>(state.range(1));
+  constexpr sim::SimTime kLook = sim::FromMs(5);
+  constexpr int kRounds = 4000;
+  double run_ns = 0;
+  uint64_t windows = 0;
+  for (auto _ : state) {
+    sim::ShardedSimulatorConfig cfg;
+    cfg.num_shards = shards;
+    cfg.num_workers = workers;
+    cfg.lookahead_matrix.assign(static_cast<size_t>(shards) * shards, kLook);
+    cfg.num_sources = shards;
+    sim::ShardedSimulator sim(cfg);
+    std::function<void(uint32_t, int)> hop = [&](uint32_t s, int round) {
+      if (round >= kRounds) return;
+      const uint32_t next = (s + 1) % shards;
+      sim.ScheduleAt(next, s, sim.Now() + kLook,
+                     [&hop, next, round] { hop(next, round + 1); });
+    };
+    sim.ScheduleAt(0, 0, 0, [&hop] { hop(0, 0); });
+    const auto start = std::chrono::steady_clock::now();
+    sim.Run();
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    run_ns += std::chrono::duration<double, std::nano>(elapsed).count();
+    windows += sim.stats().windows;
+  }
+  state.counters["ns/window"] =
+      windows == 0 ? 0.0 : run_ns / static_cast<double>(windows);
+  state.counters["windows"] = benchmark::Counter(static_cast<double>(windows),
+                                                 benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_WindowCycle)
+    ->ArgNames({"shards", "workers"})
+    ->Args({4, 1})
+    ->Args({4, 4})
+    ->Args({8, 1})
+    ->Args({8, 8})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -359,12 +359,12 @@ sim::SimTime Engine::OneWayDelay(PeerId a, PeerId b) const {
 }
 
 void Engine::ScheduleFromNode(PeerId src, PeerId dst, sim::SimTime delay,
-                              sim::EventFn fn) {
+                              sim::EventFn&& fn) {
   LOCAWARE_CHECK_GE(delay, 0);
   sim_->ScheduleAt(shard_of(dst), SourceOf(src), sim_->Now() + delay, std::move(fn));
 }
 
-void Engine::Send(PeerId from, PeerId to, sim::EventFn deliver) {
+void Engine::Send(PeerId from, PeerId to, sim::EventFn&& deliver) {
   ScheduleFromNode(from, to, OneWayDelay(from, to), std::move(deliver));
 }
 

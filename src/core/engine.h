@@ -154,7 +154,7 @@ class Engine {
   /// Sends `deliver` from `from` to `to`: it executes on `to`'s shard after
   /// the one-way link delay, keyed by creator `from`. Must run inside an
   /// event executing at `from`'s shard.
-  void Send(PeerId from, PeerId to, sim::EventFn deliver);
+  void Send(PeerId from, PeerId to, sim::EventFn&& deliver);
 
   /// The metrics account a message charges to its query.
   enum class Traffic { kQuery, kResponse };
@@ -240,7 +240,7 @@ class Engine {
 
   /// Schedules `fn` at Now() + delay on dst's shard, keyed by creator `src`.
   /// Must run inside an event executing at a peer of src's shard.
-  void ScheduleFromNode(PeerId src, PeerId dst, sim::SimTime delay, sim::EventFn fn);
+  void ScheduleFromNode(PeerId src, PeerId dst, sim::SimTime delay, sim::EventFn&& fn);
 
   // Query lifecycle. Forwarded queries share one immutable pooled message
   // per hop (QueryPayloadRef), so fan-out costs O(targets) refcount bumps

@@ -29,7 +29,7 @@ void EventQueue::SiftDown(size_t pos, Entry moving) {
   heap_[pos] = std::move(moving);
 }
 
-uint32_t EventQueue::AcquireSlot(EventFn fn) {
+uint32_t EventQueue::AcquireSlot(EventFn&& fn) {
   if (!free_slots_.empty()) {
     const uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
@@ -41,7 +41,7 @@ uint32_t EventQueue::AcquireSlot(EventFn fn) {
   return slot;
 }
 
-void EventQueue::PushKeyed(SimTime at, SourceId src, uint64_t seq, EventFn fn) {
+void EventQueue::PushKeyed(SimTime at, SourceId src, uint64_t seq, EventFn&& fn) {
   Entry entry{at, src, AcquireSlot(std::move(fn)), seq};
   heap_.emplace_back();  // open a hole at the tail, then sift the entry in
   SiftUp(heap_.size() - 1, entry);

@@ -63,9 +63,10 @@ using SourceId = uint32_t;
 /// Storage is split in two: the heap orders 24-byte (time, src, seq, slot)
 /// keys, while the fat EventFn payloads sit in a slab indexed by `slot` and
 /// recycled through a free list. A sift therefore moves small keys — not
-/// kEventInlineBytes-sized closures — and a payload is written exactly once
-/// at PushKeyed and moved out exactly once at Pop. Both sides are plain vectors,
-/// so after Reserve the steady state never touches the allocator.
+/// kEventInlineBytes-sized closures — and a payload is written exactly once,
+/// into its slot (PushKeyed takes it by rvalue reference, so no by-value hop
+/// relocates it on the way), and moved out exactly once at Pop. Both sides are
+/// plain vectors, so after Reserve the steady state never touches the allocator.
 ///
 /// Beside the heap sits the *tick lane*: a ring of (time, src, seq, TickFn)
 /// entries for the periodic per-peer maintenance ticks, which would otherwise
@@ -85,7 +86,7 @@ class EventQueue {
   /// Enqueues `fn` to fire at absolute time `at` with an explicit (source,
   /// sequence) tie-break key. The caller owns sequence assignment (the
   /// sharded simulator keeps one counter per source).
-  void PushKeyed(SimTime at, SourceId src, uint64_t seq, EventFn fn);
+  void PushKeyed(SimTime at, SourceId src, uint64_t seq, EventFn&& fn);
 
   /// Enqueues a tick under the same keying as PushKeyed. It is appended to
   /// the tick lane when its key does not fire before the lane's tail, and
@@ -167,7 +168,7 @@ class EventQueue {
   void SiftDown(size_t pos, Entry moving);
 
   /// Parks `fn` in the payload slab; returns its slot index.
-  uint32_t AcquireSlot(EventFn fn);
+  uint32_t AcquireSlot(EventFn&& fn);
 
   std::vector<Entry> heap_;          ///< binary min-heap, root at index 0
   std::vector<EventFn> slots_;       ///< payload slab, indexed by Entry::slot

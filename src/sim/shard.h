@@ -4,10 +4,10 @@
 // Sharding model (see sharded_simulator.h for the full contract): peers are
 // partitioned across K shards, each with its own event queue, executed by
 // W <= K workers that claim shards per window (home block first, then work
-// stealing). Shards only exchange events through per-(src-shard, dst-shard)
-// mailboxes that are flushed at window barriers, so the hot path between
-// barriers is lock-free — the claim stamps and stat counters are the only
-// shared atomics.
+// stealing). With several workers, shards only exchange events through
+// per-(src-shard, dst-shard) mailboxes flushed at the window barrier, so the
+// hot path between barriers is lock-free — the claim stamps and stat counters
+// are the only shared atomics. A lone worker pushes into the queue directly.
 #pragma once
 
 #include <cstdint>

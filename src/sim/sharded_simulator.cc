@@ -32,7 +32,6 @@ ShardedSimulator::ShardedSimulator(const ShardedSimulatorConfig& config)
       barrier_(num_workers_, WindowHook{this}),
       claims_(std::make_unique<std::atomic<uint64_t>[]>(config.num_shards)),
       local_min_(config.num_shards, kNoHorizon),
-      earliest_(config.num_shards, kNoHorizon),
       window_ends_(config.num_shards, 0),
       executed_at_window_start_(config.num_shards, 0),
       occupancy_(config.num_shards + 1, 0) {
@@ -50,6 +49,7 @@ ShardedSimulator::ShardedSimulator(const ShardedSimulatorConfig& config)
       }
     }
   }
+  reach_ = LookaheadClosure(lookahead_matrix_, k);
   for (Shard& shard : shards_) shard.outbox.resize(k);
 }
 
@@ -59,7 +59,41 @@ SimTime ShardedSimulator::LookaheadBetween(ShardId src, ShardId dst) const {
   LOCAWARE_CHECK_LT(src, shards_.size());
   LOCAWARE_CHECK_LT(dst, shards_.size());
   LOCAWARE_CHECK_NE(src, dst);
-  return La(src, dst);
+  return lookahead_matrix_[src * shards_.size() + dst];
+}
+
+std::vector<SimTime> ShardedSimulator::LookaheadClosure(
+    const std::vector<SimTime>& lookahead, uint32_t k) {
+  // Floyd–Warshall from "no self-loops": the diagonal starts unreachable, so
+  // it ends as the shortest cycle and every entry is a path of >= 1 edge.
+  std::vector<SimTime> reach(static_cast<size_t>(k) * k, kNoHorizon);
+  for (size_t i = 0; i < reach.size(); ++i) {
+    if (i / k != i % k) reach[i] = lookahead[i];
+  }
+  for (size_t m = 0; m < k; ++m) {
+    for (size_t e = 0; e < k; ++e) {
+      for (size_t d = 0; d < k; ++d) {
+        const SimTime via = SaturatingAdd(reach[e * k + m], reach[m * k + d]);
+        reach[e * k + d] = std::min(reach[e * k + d], via);
+      }
+    }
+  }
+  return reach;
+}
+
+void ShardedSimulator::WindowEnds(const std::vector<SimTime>& reach,
+                                  const std::vector<SimTime>& local_min,
+                                  SimTime horizon, std::vector<SimTime>* ends) {
+  // Events at exactly `horizon` still run; the +1 keeps the strict `<` window
+  // comparison. With one shard nothing else bounds the window.
+  const size_t k = local_min.size();
+  ends->assign(k, horizon == kNoHorizon ? kNoHorizon : horizon + 1);
+  for (size_t e = 0; e < k; ++e) {
+    if (local_min[e] == kNoHorizon) continue;
+    for (size_t d = 0; d < k; ++d) {
+      (*ends)[d] = std::min((*ends)[d], SaturatingAdd(local_min[e], reach[e * k + d]));
+    }
+  }
 }
 
 uint64_t ShardedSimulator::NextSeq(ShardId dst, SourceId src, SimTime at) {
@@ -75,20 +109,23 @@ uint64_t ShardedSimulator::NextSeq(ShardId dst, SourceId src, SimTime at) {
   return next_seq_[src]++;
 }
 
-void ShardedSimulator::ScheduleAt(ShardId dst, SourceId src, SimTime at, EventFn fn) {
+void ShardedSimulator::ScheduleAt(ShardId dst, SourceId src, SimTime at,
+                                  EventFn&& fn) {
   const uint64_t seq = NextSeq(dst, src, at);
   const ShardId cur = tls_current_shard;
-  if (cur == kNoShard || dst == cur) {
-    shards_[dst].queue.PushKeyed(at, src, seq, std::move(fn));
-    return;
+  if (cur != kNoShard && dst != cur) {
+    // Conservative-window soundness: a remote event may only land at or
+    // beyond the *destination's* window end, where it has provably not
+    // executed yet. Real message delays satisfy this via the lookahead
+    // bound: at = now + delay >= T_cur + LA[cur][dst] >= end[dst].
+    LOCAWARE_CHECK_GE(at, window_ends_[dst])
+        << "cross-shard event inside the destination's lookahead window";
+    if (num_workers_ > 1) {  // another worker may own dst's queue right now
+      shards_[cur].outbox[dst].emplace_back(at, src, seq, std::move(fn));
+      return;
+    }
   }
-  // Conservative-window soundness: a remote event may only land at or beyond
-  // the *destination's* window end, where it has provably not executed yet.
-  // Real message delays satisfy this via the per-pair lookahead lower bound:
-  // at = now + delay >= L[cur] + LA[cur][dst] >= end[dst].
-  LOCAWARE_CHECK_GE(at, window_ends_[dst])
-      << "cross-shard event inside the destination's lookahead window";
-  shards_[cur].outbox[dst].push_back(ShardEvent{at, src, seq, std::move(fn)});
+  shards_[dst].queue.PushKeyed(at, src, seq, std::move(fn));
 }
 
 void ShardedSimulator::ScheduleTick(ShardId dst, SourceId src, SimTime at, TickFn fn) {
@@ -140,17 +177,6 @@ SchedulerStats ShardedSimulator::stats() const {
   return stats;
 }
 
-void ShardedSimulator::DrainInbound(ShardId sid) {
-  Shard& me = shards_[sid];
-  for (Shard& sender : shards_) {
-    std::vector<ShardEvent>& box = sender.outbox[sid];
-    for (ShardEvent& ev : box) {
-      me.queue.PushKeyed(ev.time, ev.src, ev.seq, std::move(ev.fn));
-    }
-    box.clear();
-  }
-}
-
 ShardId ShardedSimulator::ClaimShard(uint32_t worker, uint64_t round) {
   const uint32_t k = static_cast<uint32_t>(shards_.size());
   // Within a phase the only write to a stamp is a claim to `round`, so one
@@ -192,58 +218,30 @@ void ShardedSimulator::RunShardWindow(ShardId sid) {
 
 void ShardedSimulator::OnBarrier() {
   ++claim_round_;
-  if (in_window_) {
-    EndWindow();
-    in_window_ = false;
-  } else {
-    BeginWindow();
-    in_window_ = !done_;
+  if (!done_) EndWindow();
+  for (Shard& sender : shards_) {
+    for (ShardId d = 0; d < shards_.size(); ++d) {
+      for (ShardEvent& ev : sender.outbox[d]) {
+        shards_[d].queue.PushKeyed(ev.time, ev.src, ev.seq, std::move(ev.fn));
+      }
+      sender.outbox[d].clear();
+    }
   }
+  for (ShardId s = 0; s < shards_.size(); ++s) {
+    local_min_[s] = shards_[s].queue.empty() ? kNoHorizon : shards_[s].queue.PeekTime();
+  }
+  BeginWindow();
 }
 
 void ShardedSimulator::BeginWindow() {
-  const uint32_t k = static_cast<uint32_t>(shards_.size());
   SimTime t_min = kNoHorizon;
   for (SimTime t : local_min_) t_min = std::min(t_min, t);
   done_ = t_min == kNoHorizon || t_min > horizon_;
   if (done_) return;
   ++windows_;
-
-  // earliest_[s]: a lower bound on the next instant shard s could execute
-  // ANY event — its own queue head, or causality relayed through its
-  // incoming edges. The transitive part is what makes empty shards safe: a
-  // shard with no events still cannot produce one for its neighbors sooner
-  // than something could first reach *it*. Fixpoint by relaxation; K is
-  // small and every pass only lowers values, so this terminates quickly.
-  earliest_ = local_min_;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (ShardId s = 0; s < k; ++s) {
-      if (earliest_[s] == kNoHorizon) continue;
-      for (ShardId d = 0; d < k; ++d) {
-        if (s == d) continue;
-        const SimTime via = SaturatingAdd(earliest_[s], La(s, d));
-        if (via < earliest_[d]) {
-          earliest_[d] = via;
-          changed = true;
-        }
-      }
-    }
-  }
-
-  for (ShardId d = 0; d < k; ++d) {
-    SimTime end = kNoHorizon;
-    for (ShardId s = 0; s < k; ++s) {
-      if (s == d || earliest_[s] == kNoHorizon) continue;
-      end = std::min(end, SaturatingAdd(earliest_[s], La(s, d)));
-    }
-    // Events at exactly `horizon_` still run; the +1 keeps the strict `<`
-    // window comparison while never overflowing (horizon_ < kNoHorizon here).
-    // With one shard nothing else bounds the window, so it drains the run.
-    if (horizon_ != kNoHorizon) end = std::min(end, horizon_ + 1);
-    window_ends_[d] = end;
-    executed_at_window_start_[d] = shards_[d].executed;
+  WindowEnds(reach_, local_min_, horizon_, &window_ends_);
+  for (ShardId s = 0; s < shards_.size(); ++s) {
+    executed_at_window_start_[s] = shards_[s].executed;
   }
 }
 
@@ -257,30 +255,27 @@ void ShardedSimulator::EndWindow() {
 
 void ShardedSimulator::WorkerLoop(uint32_t worker) {
   while (true) {
-    // 1. Pull everything other shards batched in the last window and publish
-    // each drained shard's next-event time (claimed, like execution, so a
-    // lopsided inbound burst does not serialize on one worker).
-    uint64_t round = claim_round_;
-    for (ShardId sid = ClaimShard(worker, round); sid != kNoShard;
-         sid = ClaimShard(worker, round)) {
-      DrainInbound(sid);
-      local_min_[sid] = shards_[sid].queue.empty() ? kNoHorizon
-                                                   : shards_[sid].queue.PeekTime();
-    }
-
-    // 2. Reduce to this window's per-shard bounds (or completion). The
-    // standard orders every arrival before the completion step and the
-    // completion before any wait returns, which is what makes the lock-free
-    // mailbox handoff and the window state sound.
+    // 1. Close the last window and open the next (or finish). The standard
+    // orders every arrival before the completion step and the completion
+    // before any wait returns, which is what makes the lock-free mailbox
+    // handoff and the window state sound. The wait is the idle time stealing
+    // exists to shrink; a lone worker waits for nobody, so it reads no clock.
+    using Clock = std::chrono::steady_clock;
+    const bool timed = num_workers_ > 1;
+    const Clock::time_point idle_start = timed ? Clock::now() : Clock::time_point{};
     barrier_.arrive_and_wait();
+    if (timed) {
+      const std::chrono::nanoseconds idle = Clock::now() - idle_start;
+      idle_ns_.fetch_add(static_cast<uint64_t>(idle.count()), std::memory_order_relaxed);
+    }
     if (done_) break;
 
-    // 3. Execute claimed shards inside their windows, batching remote sends.
+    // 2. Execute claimed shards inside their windows, batching remote sends.
     // The home shard block comes first; whatever is left afterwards is a
     // steal — whole remaining sub-queues, never event-level interleaving. A
     // steal only counts when the shard actually ran events this window, so
     // the stat measures relocated work, not claim churn over idle shards.
-    round = claim_round_;
+    const uint64_t round = claim_round_;
     for (ShardId sid = ClaimShard(worker, round); sid != kNoShard;
          sid = ClaimShard(worker, round)) {
       RunShardWindow(sid);
@@ -289,17 +284,6 @@ void ShardedSimulator::WorkerLoop(uint32_t worker) {
         steals_.fetch_add(1, std::memory_order_relaxed);
       }
     }
-
-    // 4. Publish our outboxes to the next window's drain. The wait here is
-    // the idle time stealing exists to shrink: a worker parked at this
-    // barrier has run out of claimable shard windows.
-    const auto idle_start = std::chrono::steady_clock::now();
-    barrier_.arrive_and_wait();
-    idle_ns_.fetch_add(static_cast<uint64_t>(
-                           std::chrono::duration_cast<std::chrono::nanoseconds>(
-                               std::chrono::steady_clock::now() - idle_start)
-                               .count()),
-                       std::memory_order_relaxed);
   }
 }
 

@@ -10,19 +10,17 @@
 //  * Per-shard-pair lookahead. Instead of one scalar bound ("no cross-shard
 //    event arrives sooner than the global minimum link latency"), the
 //    scheduler takes a K x K matrix LA where LA[s][d] lower-bounds the delay
-//    of any event shard s creates for shard d. Each window, every shard d
-//    gets its own end
+//    of any event shard s creates for shard d, and closes it once: reach[e][d]
+//    is the shortest path e -> d over LA with at least one edge. Each window,
+//    over the per-shard next-event times T_e, every shard d gets its own end
 //
-//        end[d] = min over s != d of (L[s] + LA[s][d])
+//        end[d] = min over shards e with work of (T_e + reach[e][d])
 //
-//    where L[s] is the earliest instant shard s could possibly execute any
-//    event — the fixpoint of L[s] = min(T_s, min over e of L[e] + LA[e][s])
-//    over the current per-shard next-event times T_s (the transitive closure
-//    matters: an empty shard still relays causality at its incoming-edge
-//    horizons). Shards whose incoming edges are all long-latency run deep
-//    windows while nearby shards stay tightly coupled, so one close pair no
-//    longer throttles the whole fleet. With one shard nothing bounds the
-//    window, so a single window runs to the horizon on the caller's thread.
+//    (the relay is load-bearing: an empty shard still passes causality on at
+//    its incoming-edge horizons). Shards whose incoming edges are all
+//    long-latency run deep windows while nearby shards stay tightly coupled.
+//    With one shard nothing bounds the window, so a single window runs to the
+//    horizon on the caller's thread.
 //
 //  * Deterministic intra-window work stealing. Within a window each shard's
 //    runnable prefix (its events strictly before end[d]) is one sequential
@@ -44,18 +42,22 @@
 // Either way the placement is a wall-clock knob only: results are identical
 // for every placement strategy (see the determinism contract below).
 //
-// Cross-shard sends are appended to per-(src-shard, dst-shard) mailboxes; at
-// the window barrier every incoming edge of a shard is drained into its
-// queue, which is sound because anything edge (s, d) carried was created at
-// or after T_s and therefore lands at or after end[d] — no event a drain
-// delivers can predate the windowed execution that just finished.
+// Window cycle: one std::barrier crossing per window. Its completion step,
+// run once on the last arrival, closes the window that just ran, drains every
+// non-empty per-(src-shard, dst-shard) mailbox into its destination queue,
+// republishes each T_s and opens the next window. Anything edge (s, d) carries
+// was created at or after T_s and so lands at or after end[d]: no drained event
+// can predate the windowed execution that just finished. A lone worker (W = 1)
+// has no other thread to hand off to: it pushes a cross-shard send straight
+// into the destination queue, under the same `at >= end[dst]` CHECK.
 //
 // Events are *inline values* (see sim/event_queue.h): an EventFn stores its
 // capture inside the entry — move-only, nothrow-movable, no heap fallback —
-// so a mailbox append, a barrier drain, and a heap sift are all plain
-// relocations that never touch the allocator, and a capture that outgrows
-// kEventInlineBytes is a compile error at the ScheduleAt site rather than a
-// silent per-event malloc. Closures crossing shards must therefore carry
+// so a mailbox append and a barrier drain are plain relocations that never
+// touch the allocator (ScheduleAt takes the closure by rvalue reference, so a
+// direct push relocates it once, into its slab slot), and a capture that
+// outgrows kEventInlineBytes is a compile error at the ScheduleAt site rather
+// than a silent per-event malloc. Closures crossing shards must therefore carry
 // their payload by value (or share a big immutable one through a pooled
 // handle, as ForwardQuery does with its QueryPayloadRef): the relocation
 // through the mailbox is also what makes the handoff thread-safe, since the
@@ -115,15 +117,18 @@ struct ShardedSimulatorConfig {
 };
 
 /// Lifetime counters of the parallel scheduler. A single shard needs one
-/// window per Run that executes events, and never steals. `idle_ns` is
-/// wall-clock and therefore the one non-deterministic quantity here — report
-/// it in benches, never in byte-compared artifacts.
+/// window per Run that executes events, and never steals. `windows` and
+/// `occupancy` are the same for every worker count. `idle_ns` is wall-clock
+/// and therefore the one non-deterministic quantity here — report it in
+/// benches, never in byte-compared artifacts.
 struct SchedulerStats {
   uint64_t windows = 0;   ///< synchronization windows completed
   /// Non-empty shard windows executed by a non-home worker (idle claims of
   /// event-less shards are not steals — this counts relocated work).
   uint64_t steals = 0;
-  uint64_t idle_ns = 0;   ///< summed worker wait at window-exit barriers
+  /// Summed worker wait at the window barrier: time spent waiting for the
+  /// other workers, so always 0 with one worker (which reads no clock).
+  uint64_t idle_ns = 0;
   /// occupancy[k]: windows in which exactly k shards executed >= 1 event —
   /// the skew profile work stealing compensates for.
   std::vector<uint64_t> occupancy;
@@ -157,7 +162,7 @@ class ShardedSimulator {
 
   /// Schedules `fn` at absolute time `at` on shard `dst`, created by logical
   /// source `src`. See the class comment for the phase rules.
-  void ScheduleAt(ShardId dst, SourceId src, SimTime at, EventFn fn);
+  void ScheduleAt(ShardId dst, SourceId src, SimTime at, EventFn&& fn);
 
   /// Schedules a periodic tick: ScheduleAt's key and phase rules, queued on
   /// shard `dst`'s tick lane. Inside an event handler `dst` must be the
@@ -199,6 +204,18 @@ class ShardedSimulator {
 
   static constexpr SimTime kNoHorizon = INT64_MAX;
 
+  /// The lookahead closure of a K x K row-major matrix: entry [e * K + d] is
+  /// the shortest path e -> d over `lookahead` with at least one edge
+  /// (diagonal entries ignored; saturates at kNoHorizon).
+  static std::vector<SimTime> LookaheadClosure(const std::vector<SimTime>& lookahead,
+                                               uint32_t k);
+  /// Window ends from a closure: (*ends)[d] = min over shards e with work
+  /// (local_min[e] != kNoHorizon) of local_min[e] + reach[e][d], capped at
+  /// horizon + 1 unless the horizon is kNoHorizon.
+  static void WindowEnds(const std::vector<SimTime>& reach,
+                         const std::vector<SimTime>& local_min, SimTime horizon,
+                         std::vector<SimTime>* ends);
+
  private:
   /// One shard's private state. Padded so adjacent shards' hot fields do not
   /// share cache lines.
@@ -210,7 +227,7 @@ class ShardedSimulator {
     std::vector<std::vector<ShardEvent>> outbox;
   };
 
-  /// The barrier's completion step: BeginWindow and EndWindow alternate.
+  /// The barrier's completion step, run once per window.
   struct WindowHook {
     ShardedSimulator* sim;
     void operator()() noexcept { sim->OnBarrier(); }
@@ -221,15 +238,14 @@ class ShardedSimulator {
   /// and takes `src`'s next sequence number.
   uint64_t NextSeq(ShardId dst, SourceId src, SimTime at);
   void WorkerLoop(uint32_t worker);
-  /// Moves every shard's outbox[sid] into shard sid's queue.
-  void DrainInbound(ShardId sid);
   /// Executes shard `sid`'s events strictly before window_ends_[sid].
   void RunShardWindow(ShardId sid);
   /// Runs on the last arrival at each barrier phase, before any worker
-  /// leaves it: opens the next claim round, then begins or ends a window.
+  /// leaves it: opens the next claim round, ends the window that ran,
+  /// drains the mailboxes, republishes local_min_ and begins the next window.
   void OnBarrier();
-  /// Derives every shard's window end from the per-pair lookahead fixpoint,
-  /// or flags completion.
+  /// Derives every shard's window end from the lookahead closure, or flags
+  /// completion.
   void BeginWindow();
   /// Occupancy accounting for the window that just ended.
   void EndWindow();
@@ -237,13 +253,10 @@ class ShardedSimulator {
   /// block first, then steals), or kNoShard when none remain.
   ShardId ClaimShard(uint32_t worker, uint64_t round);
 
-  SimTime La(ShardId src, ShardId dst) const {
-    return lookahead_matrix_[src * shards_.size() + dst];
-  }
-
   std::vector<Shard> shards_;
   std::vector<uint64_t> next_seq_;  ///< per-source; single-writer by contract
   std::vector<SimTime> lookahead_matrix_;  ///< K*K row-major
+  std::vector<SimTime> reach_;             ///< LookaheadClosure(lookahead_matrix_)
   uint32_t num_workers_ = 1;
   std::barrier<WindowHook> barrier_;
 
@@ -257,12 +270,12 @@ class ShardedSimulator {
   // Window state, written only by the barrier completion step (and
   // therefore ordered by the barrier) or before workers start.
   std::vector<SimTime> local_min_;    ///< per-shard published next-event time
-  std::vector<SimTime> earliest_;     ///< fixpoint scratch (hook-only)
   std::vector<SimTime> window_ends_;  ///< per-shard window bound
   std::vector<uint64_t> executed_at_window_start_;
   SimTime horizon_ = kNoHorizon;  ///< the current Run's horizon
-  bool in_window_ = false;        ///< the next barrier phase ends a window
-  bool done_ = false;
+  /// No window is open: Run starts so, and BeginWindow leaves it so when
+  /// nothing is left to run before the horizon.
+  bool done_ = true;
   bool running_ = false;
   SimTime controller_now_ = 0;
   uint64_t windows_ = 0;

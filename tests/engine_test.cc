@@ -9,12 +9,15 @@
 #include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bloom/bloom_filter.h"
+#include "common/rng.h"
 #include "core/experiment.h"
 #include "core/group_hash.h"
+#include "sim/sharded_simulator.h"
 
 namespace locaware::core {
 namespace {
@@ -771,6 +774,81 @@ TEST(ShardConfigTest, LookaheadMatrixEqualsCrossProductScan) {
         }
       }
       EXPECT_EQ(overlap, placement == sim::PlacementStrategy::kModulo) << where;
+    }
+  }
+}
+
+/// The per-window relaxation the lookahead closure replaced, kept as the
+/// oracle: L is the fixpoint of L[s] = min(T_s, min over e of L[e] +
+/// LA[e][s]), and end[d] = min over s != d of L[s] + LA[s][d].
+std::vector<sim::SimTime> FixpointWindowEnds(const std::vector<sim::SimTime>& la,
+                                             const std::vector<sim::SimTime>& local_min,
+                                             sim::SimTime horizon) {
+  constexpr sim::SimTime kNone = sim::ShardedSimulator::kNoHorizon;
+  const auto sat = [](sim::SimTime t, sim::SimTime d) {
+    return t > kNone - d ? kNone : t + d;
+  };
+  const size_t k = local_min.size();
+  std::vector<sim::SimTime> earliest = local_min;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (size_t s = 0; s < k; ++s) {
+      if (earliest[s] == kNone) continue;
+      for (size_t d = 0; d < k; ++d) {
+        if (s == d) continue;
+        const sim::SimTime via = sat(earliest[s], la[s * k + d]);
+        if (via < earliest[d]) {
+          earliest[d] = via;
+          changed = true;
+        }
+      }
+    }
+  }
+  std::vector<sim::SimTime> ends(k, kNone);
+  for (size_t d = 0; d < k; ++d) {
+    for (size_t s = 0; s < k; ++s) {
+      if (s == d || earliest[s] == kNone) continue;
+      ends[d] = std::min(ends[d], sat(earliest[s], la[s * k + d]));
+    }
+    if (horizon != kNone) ends[d] = std::min(ends[d], horizon + 1);
+  }
+  return ends;
+}
+
+TEST(ShardConfigTest, WindowEndsEqualIteratedFixpoint) {
+  // Differential oracle: the closed form over the precomputed closure must
+  // give the relaxation's window ends exactly, for random asymmetric
+  // matrices (some entries near the saturation point), next-event vectors
+  // with empty-shard holes (down to one busy shard), with and without a
+  // horizon. Equal ends are what keep `sim.windows` unchanged.
+  constexpr sim::SimTime kNone = sim::ShardedSimulator::kNoHorizon;
+  Rng rng(2024);
+  for (uint32_t k : {2u, 3u, 4u, 8u, 16u}) {
+    for (int trial = 0; trial < 50; ++trial) {
+      std::vector<sim::SimTime> la(static_cast<size_t>(k) * k, 0);
+      for (size_t i = 0; i < la.size(); ++i) {
+        if (i / k == i % k) continue;  // the diagonal is ignored
+        const auto draw = static_cast<sim::SimTime>(rng.UniformInt(1, 1000));
+        la[i] = rng.Bernoulli(0.05) ? kNone - draw : draw;
+      }
+      const std::vector<sim::SimTime> reach =
+          sim::ShardedSimulator::LookaheadClosure(la, k);
+      for (int round = 0; round < 8; ++round) {
+        std::vector<sim::SimTime> local_min(k, kNone);
+        const bool one_busy = round % 4 == 0;  // all but one shard empty
+        const size_t busy = rng.UniformInt(0, k - 1);
+        for (size_t s = 0; s < k; ++s) {
+          if (one_busy ? s != busy : rng.Bernoulli(0.3)) continue;
+          local_min[s] = static_cast<sim::SimTime>(rng.UniformInt(0, 5000));
+        }
+        const sim::SimTime horizon =
+            round % 2 == 0 ? kNone : static_cast<sim::SimTime>(rng.UniformInt(0, 6000));
+        std::vector<sim::SimTime> ends;
+        sim::ShardedSimulator::WindowEnds(reach, local_min, horizon, &ends);
+        EXPECT_EQ(ends, FixpointWindowEnds(la, local_min, horizon))
+            << "k=" << k << " trial=" << trial << " round=" << round;
+      }
     }
   }
 }

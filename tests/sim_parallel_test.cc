@@ -297,14 +297,18 @@ TEST(SimParallelTest, SchedulerStatsAccountWindowsAndOccupancy) {
   };
   const SchedulerStats one = run(1);
   EXPECT_EQ(one.steals, 0u);  // every shard is the lone worker's home
+  EXPECT_EQ(one.idle_ns, 0u);  // nobody to wait for, so no clock is read
   EXPECT_GT(one.windows, 0u);
   uint64_t occupancy_total = 0;
   for (uint64_t count : one.occupancy) occupancy_total += count;
   EXPECT_EQ(occupancy_total, one.windows);
-  // Two workers execute the identical schedule (windows is a pure function
-  // of events + bounds); steals themselves are timing-dependent.
-  const SchedulerStats two = run(2);
-  EXPECT_EQ(two.windows, one.windows);
+  // More workers execute the identical schedule (windows and occupancy are
+  // pure functions of events + bounds); steals and idle are timing-dependent.
+  for (uint32_t workers : {2u, 4u}) {
+    const SchedulerStats many = run(workers);
+    EXPECT_EQ(many.windows, one.windows) << "workers " << workers;
+    EXPECT_EQ(many.occupancy, one.occupancy) << "workers " << workers;
+  }
 }
 
 // Mailbox batching: cross-shard events created inside one window are all

@@ -343,6 +343,30 @@ TEST(ShardedTickTest, TickForAForeignShardDuringExecutionDies) {
   EXPECT_DEATH(sim.Run(), "tick for shard 1 scheduled from shard 0");
 }
 
+// A cross-shard send below the destination's window end must die on both
+// delivery paths: a lone worker pushes straight into the destination queue,
+// several workers go through the mailboxes.
+void ExpectCrossShardSendInsideWindowDies(uint32_t workers) {
+  ShardedSimulatorConfig config;
+  config.num_shards = 2;
+  config.num_workers = workers;
+  config.lookahead_matrix.assign(4, FromMs(5));
+  ShardedSimulator sim(config);
+  // Shard 1's window ends at 1 ms + 5 ms; this send lands at 1 ms + 1 us.
+  sim.ScheduleAt(0, /*src=*/0, FromMs(1), [&sim] {
+    sim.ScheduleAt(1, /*src=*/0, sim.Now() + 1, [] {});
+  });
+  EXPECT_DEATH(sim.Run(), "inside the destination's lookahead window");
+}
+
+TEST(ShardedSendTest, CrossShardSendInsideWindowDiesOnOneWorker) {
+  ExpectCrossShardSendInsideWindowDies(1);
+}
+
+TEST(ShardedSendTest, CrossShardSendInsideWindowDiesOnManyWorkers) {
+  ExpectCrossShardSendInsideWindowDies(2);
+}
+
 TEST(ShardedTickTest, ControllerMaySeedTicksOnAnyShard) {
   ShardedSimulatorConfig config;
   config.num_shards = 2;
