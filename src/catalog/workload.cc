@@ -379,31 +379,6 @@ Result<QueryWorkload> QueryWorkload::LoadAuto(const std::string& path,
   return is_binary.ValueOrDie() ? LoadBinary(path, catalog) : LoadTrace(path, catalog);
 }
 
-Result<uint64_t> PeekTraceQueryCount(const std::string& path) {
-  auto is_binary = binio::FileStartsWith(path, binio::kTraceMagic);
-  if (!is_binary.ok()) return is_binary.status();
-  if (is_binary.ValueOrDie()) {
-    auto file = binio::InputFile::Open(path);
-    if (!file.ok()) return file.status();
-    const binio::InputFile& in = file.ValueOrDie();
-    binio::Reader r(in.data(), in.size(), path);
-    LOCAWARE_RETURN_NOT_OK(r.ExpectHeader(binio::kTraceMagic, binio::kFormatVersion));
-    for (int skip = 0; skip < 3; ++skip) {
-      auto field = r.U64();
-      if (!field.ok()) return field.status();
-    }
-    return r.U64();
-  }
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open trace: " + path);
-  uint64_t count = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] != '#') ++count;
-  }
-  return count;
-}
-
 std::vector<std::vector<FileId>> AssignInitialFiles(size_t num_peers,
                                                     size_t files_per_peer,
                                                     const FileCatalog& catalog,

@@ -107,8 +107,4 @@ std::vector<std::vector<FileId>> AssignInitialFiles(size_t num_peers,
                                                     const FileCatalog& catalog,
                                                     Rng* rng);
 
-/// Query count of a trace file in either format without loading it (binary:
-/// one header field; text: a line scan). Feeds event-queue capacity hints.
-Result<uint64_t> PeekTraceQueryCount(const std::string& path);
-
 }  // namespace locaware::catalog

@@ -18,18 +18,6 @@ constexpr size_t kMaxStoredProvidersPerFile = 8;
 /// 64 halvings; anything past that is repair lag chasing its own tail.
 constexpr uint32_t kMaxLookupHops = 64;
 
-// Every DHT delivery closure ([this, &engine, peer, message]) must ride the
-// zero-allocation inline event path like the rest of the data plane.
-static_assert(sizeof(overlay::DhtLookupMessage) + 3 * sizeof(void*) <=
-                  sim::kEventInlineBytes,
-              "DhtLookup closure exceeds the inline event budget");
-static_assert(sizeof(overlay::DhtResponseMessage) + 3 * sizeof(void*) <=
-                  sim::kEventInlineBytes,
-              "DhtResponse closure exceeds the inline event budget");
-static_assert(sizeof(overlay::DhtStoreMessage) + 3 * sizeof(void*) <=
-                  sim::kEventInlineBytes,
-              "DhtStore closure exceeds the inline event budget");
-
 /// True when `peer`'s session `epoch` has ended by now (it left, or left and
 /// rejoined under a fresh epoch). Always false without churn.
 bool SessionEnded(const Engine& engine, PeerId peer, uint32_t epoch) {

@@ -551,26 +551,23 @@ size_t Engine::ForwardQuery(PeerId node_id, PeerId from,
   const PeerVec targets = protocol_->ForwardTargets(*this, node_id, msg, from);
   if (targets.empty()) return 0;
 
-  // One immutable pooled message shared by every forwarded copy: fan-out
-  // costs O(targets) refcount bumps, and the node (with its keyword vector's
-  // capacity) is recycled when the last delivery runs — zero allocations in
-  // steady state, where make_shared paid one per hop.
-  QueryPayloadRef shared = query_pool_.Acquire(msg);
-  shared.mutable_msg()->ttl -= 1;
-  shared.mutable_msg()->hops += 1;
+  // Each target gets its own copy of the next hop's message, carried by value
+  // inside its delivery event like every other message.
+  overlay::QueryMessage next = msg;
+  next.ttl -= 1;
+  next.hops += 1;
 
   ChargeQueryTraffic(node_id, msg.qid, Traffic::kQuery,
-                     EstimateSizeBytes(*shared, catalog_), targets.size());
+                     EstimateSizeBytes(next, catalog_), targets.size());
   for (PeerId target : targets) {
     Send(node_id, target,
-         [this, target, node_id, shared] { DeliverQuery(target, node_id, shared); });
+         [this, target, node_id, next] { DeliverQuery(target, node_id, next); });
   }
   return targets.size();
 }
 
-void Engine::DeliverQuery(PeerId to, PeerId from, const QueryPayloadRef& msg_ref) {
+void Engine::DeliverQuery(PeerId to, PeerId from, const overlay::QueryMessage& msg) {
   if (!graph_->IsAlive(to)) return;  // lost on a dead peer
-  const overlay::QueryMessage& msg = *msg_ref;
   if (!Visit(to, msg.qid, from)) return;  // duplicate: dropped
 
   // Answer from the shared-file store first, then the response index
@@ -601,8 +598,8 @@ void Engine::SendResponse(PeerId sender, PeerId next_hop,
   // Mutable, so the message moves into DeliverResponse (and from there into
   // the next hop's capture) instead of being copied out of a const capture;
   // the event runs once.
-  Send(sender, next_hop, [this, next_hop, sender, msg = std::move(msg)]() mutable {
-    DeliverResponse(next_hop, sender, std::move(msg));
+  Send(sender, next_hop, [this, next_hop, msg = std::move(msg)]() mutable {
+    DeliverResponse(next_hop, std::move(msg));
   });
 }
 
@@ -620,7 +617,7 @@ void Engine::ChargeQueryTraffic(PeerId at, QueryId qid, Traffic traffic, size_t 
   }
 }
 
-void Engine::DeliverResponse(PeerId to, PeerId /*from*/, overlay::ResponseMessage msg) {
+void Engine::DeliverResponse(PeerId to, overlay::ResponseMessage msg) {
   if (!graph_->IsAlive(to)) return;  // response lost with the dead relay
   msg.hops += 1;
 

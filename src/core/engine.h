@@ -38,7 +38,6 @@
 #include "core/experiment_config.h"
 #include "core/node_state.h"
 #include "core/protocol.h"
-#include "core/query_payload_pool.h"
 #include "metrics/metrics.h"
 #include "net/underlay.h"
 #include "overlay/churn.h"
@@ -242,13 +241,12 @@ class Engine {
   /// Must run inside an event executing at a peer of src's shard.
   void ScheduleFromNode(PeerId src, PeerId dst, sim::SimTime delay, sim::EventFn&& fn);
 
-  // Query lifecycle. Forwarded queries share one immutable pooled message
-  // per hop (QueryPayloadRef), so fan-out costs O(targets) refcount bumps
-  // and steady state allocates nothing (the pool recycles nodes). Each hop
-  // is recorded in the receiving shard's QueryTrack.
+  // Query lifecycle. Each forwarded copy of a query is its own message,
+  // carried by value in its delivery event. Each hop is recorded in the
+  // receiving shard's QueryTrack.
   void SubmitQuery(const catalog::QueryEvent& ev);
-  void DeliverQuery(PeerId to, PeerId from, const QueryPayloadRef& msg);
-  void DeliverResponse(PeerId to, PeerId from, overlay::ResponseMessage msg);
+  void DeliverQuery(PeerId to, PeerId from, const overlay::QueryMessage& msg);
+  void DeliverResponse(PeerId to, overlay::ResponseMessage msg);
   /// Returns the number of neighbors the query was forwarded to.
   size_t ForwardQuery(PeerId node, PeerId from, const overlay::QueryMessage& msg);
   void SendResponse(PeerId responder, PeerId next_hop,
@@ -323,10 +321,6 @@ class Engine {
   Rng root_rng_;
   uint64_t decision_seed_ = 0;
   uint64_t churn_seed_ = 0;
-
-  /// Forwarded-query payload slabs. Declared before sim_ so the pool
-  /// outlives any queued delivery closure still holding a QueryPayloadRef.
-  QueryPayloadPool query_pool_;
 
   std::unique_ptr<sim::ShardedSimulator> sim_;
   std::unique_ptr<net::Underlay> underlay_;

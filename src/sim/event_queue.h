@@ -15,12 +15,11 @@ namespace locaware::sim {
 /// site, never a silent heap spill (see common/inline_function.h). The
 /// budget is sized to the engine's largest capture — SendResponse's
 /// by-value ResponseMessage (whose SmallVector payloads keep a typical
-/// response contiguous) plus a few ids — with modest headroom. When a new
-/// capture trips the constraint, either trim it (capture ids, not state;
-/// share a big immutable payload through a pooled handle, as ForwardQuery
-/// does with its QueryPayloadRef) or consciously raise this budget — every
-/// outstanding event holds a slab slot of this size (peak-outstanding-events
-/// x the budget of memory).
+/// response contiguous) plus a few ids — with modest headroom. Every message
+/// travels by value in its event. When a new capture trips the constraint,
+/// carry the payload by value and trim the ids around it, or raise this
+/// budget deliberately — every outstanding event holds a slab slot of this
+/// size (peak-outstanding-events x the budget of memory).
 inline constexpr size_t kEventInlineBytes = 240;
 
 /// Inline capacity of a tick closure: a `[this, peer]` capture. Ticks are the

@@ -57,11 +57,10 @@
 // touch the allocator (ScheduleAt takes the closure by rvalue reference, so a
 // direct push relocates it once, into its slab slot), and a capture that
 // outgrows kEventInlineBytes is a compile error at the ScheduleAt site rather
-// than a silent per-event malloc. Closures crossing shards must therefore carry
-// their payload by value (or share a big immutable one through a pooled
-// handle, as ForwardQuery does with its QueryPayloadRef): the relocation
-// through the mailbox is also what makes the handoff thread-safe, since the
-// capture is owned by exactly one shard's storage at every moment.
+// than a silent per-event malloc. Closures crossing shards therefore carry
+// their payload by value (trim ids, or raise the budget deliberately): the
+// relocation through the mailbox is also what makes the handoff thread-safe,
+// since the capture is owned by exactly one shard's storage at every moment.
 //
 // Periodic per-peer ticks take a cheaper path, ScheduleTick: they wait in
 // their shard queue's in-order tick lane (see EventQueue) as 16-byte TickFn

@@ -14,7 +14,8 @@
 // plateau. What the bars exclude is everything the levers removed — a malloc
 // per scheduled event (std::function spill, PR 7), per short message list
 // (std::vector payloads, PR 7), per hash-map node insert (flat tables) and
-// per forward hop (pooled payloads instead of make_shared). Before the
+// per forward hop (the query travels by value in its event instead of in a
+// make_shared payload). Before the
 // levers this workload measured ~5.6 allocs/event, then ~2.0 with node-based
 // maps and shared_ptr payloads; a capture past kEventInlineBytes now fails
 // to compile, so what the bars actually police is container/payload
@@ -29,7 +30,6 @@
 
 #include "core/engine.h"
 #include "core/experiment.h"
-#include "core/query_payload_pool.h"
 
 // --- allocation accounting ---------------------------------------------------
 // Binary-wide operator new/delete overrides. The counter is atomic (not
@@ -146,34 +146,6 @@ TEST(AllocGuardTest, HybridDhtPlaneStaysUnderBar) {
         << "hybrid event path regressed at " << shards << " shards: " << per_event
         << " allocs/event (bar " << kHybridBar << ")";
   }
-}
-
-TEST(AllocGuardTest, PayloadPoolRecyclesToZeroNetAllocations) {
-  // The payload pool's whole claim: after warmup, a forward hop's
-  // acquire/copy/drop cycle touches the heap zero times — recycled nodes
-  // reuse their message's SmallVector capacity. Counted directly, not via
-  // the engine, so a regression names the pool and not the workload.
-  QueryPayloadPool pool;
-  overlay::QueryMessage src;
-  src.qid = 1;
-  src.origin = 7;
-  src.keywords = {10, 20, 30};
-  src.ttl = 5;
-  { QueryPayloadRef warm = pool.Acquire(src); }  // first slab + msg buffers
-  const uint64_t allocs_before = g_alloc_count.load();
-  for (uint64_t i = 0; i < 10000; ++i) {
-    QueryPayloadRef shared = pool.Acquire(src);
-    shared.mutable_msg()->ttl -= 1;
-    QueryPayloadRef a = shared;  // the per-target captures of a fan-out
-    QueryPayloadRef b = shared;
-    EXPECT_EQ(a->ttl, 4);
-    EXPECT_EQ(b->qid, 1u);
-  }
-  const uint64_t allocs = g_alloc_count.load() - allocs_before;
-  RecordProperty("pool_cycle_allocs", std::to_string(allocs));
-  EXPECT_EQ(allocs, 0u)
-      << "payload pool stopped recycling: " << allocs
-      << " heap allocations across 10000 warm acquire/share/drop cycles";
 }
 
 TEST(AllocGuardTest, ShardedRunStaysUnderBar) {

@@ -122,21 +122,6 @@ TEST_F(BinaryFormatFixture, LoadAutoSniffsBothFormats) {
   std::remove(bin.c_str());
 }
 
-TEST_F(BinaryFormatFixture, PeekTraceQueryCountReadsBothFormats) {
-  const std::string text = Temp("peek.trace");
-  const std::string bin = Temp("peek.bin");
-  ASSERT_TRUE(workload_.SaveTrace(text, catalog_).ok());
-  ASSERT_TRUE(workload_.SaveBinary(bin, catalog_).ok());
-  auto text_count = PeekTraceQueryCount(text);
-  auto bin_count = PeekTraceQueryCount(bin);
-  ASSERT_TRUE(text_count.ok());
-  ASSERT_TRUE(bin_count.ok());
-  EXPECT_EQ(text_count.ValueOrDie(), workload_.queries().size());
-  EXPECT_EQ(bin_count.ValueOrDie(), workload_.queries().size());
-  std::remove(text.c_str());
-  std::remove(bin.c_str());
-}
-
 TEST_F(BinaryFormatFixture, CatalogRoundTripRebuildsEveryDerivedConstant) {
   const std::string path = Temp("catalog.bin");
   ASSERT_TRUE(catalog_.SaveBinary(path).ok());

@@ -571,15 +571,9 @@ std::vector<metrics::QueryRecord> RunSharded(
   return e->metrics().records();
 }
 
-class ShardInvarianceTest : public ::testing::TestWithParam<ProtocolKind> {};
-
-TEST_P(ShardInvarianceTest, FourShardsMatchSequentialPerQuery) {
-  // The determinism contract: --shards is a wall-clock knob, never a results
-  // knob. Compare every per-query field, not just the aggregates — a
-  // compensating error (one query over-counted, another under-counted) would
-  // survive a summary-only check.
-  const auto seq = RunSharded(GetParam(), 1);
-  const auto par = RunSharded(GetParam(), 4);
+/// Every per-query field of two runs' merged records, slot by slot.
+void ExpectSameRecords(const std::vector<metrics::QueryRecord>& seq,
+                       const std::vector<metrics::QueryRecord>& par) {
   ASSERT_EQ(seq.size(), par.size());
   for (size_t i = 0; i < seq.size(); ++i) {
     const metrics::QueryRecord& a = seq[i];
@@ -599,6 +593,16 @@ TEST_P(ShardInvarianceTest, FourShardsMatchSequentialPerQuery) {
     EXPECT_EQ(a.download_distance_ms, b.download_distance_ms) << "slot " << i;
     EXPECT_EQ(a.provider_loc_match, b.provider_loc_match) << "slot " << i;
   }
+}
+
+class ShardInvarianceTest : public ::testing::TestWithParam<ProtocolKind> {};
+
+TEST_P(ShardInvarianceTest, FourShardsMatchSequentialPerQuery) {
+  // The determinism contract: --shards is a wall-clock knob, never a results
+  // knob. Compare every per-query field, not just the aggregates — a
+  // compensating error (one query over-counted, another under-counted) would
+  // survive a summary-only check.
+  ExpectSameRecords(RunSharded(GetParam(), 1), RunSharded(GetParam(), 4));
 }
 
 TEST_P(ShardInvarianceTest, OddShardCountAlsoMatches) {
@@ -625,6 +629,61 @@ INSTANTIATE_TEST_SUITE_P(Kinds, ShardInvarianceTest,
                                            ProtocolKind::kDicasKeys,
                                            ProtocolKind::kLocaware, ProtocolKind::kDht,
                                            ProtocolKind::kHybrid),
+                         [](const auto& info) {
+                           std::string name = ProtocolKindName(info.param);
+                           return name == "Dicas-Keys" ? "DicasKeys" : name;
+                         });
+
+// --- spilled keyword lists (TSan runs *ShardInvariance*) -------------------
+
+class SpilledKeywordShardInvarianceTest
+    : public ::testing::TestWithParam<ProtocolKind> {};
+
+TEST_P(SpilledKeywordShardInvarianceTest, FourShardsMatchSequentialPerQuery) {
+  // Queries of 5-6 keywords outgrow KeywordVec's 4 inline slots, so every
+  // by-value query copy, and every response echoing its keywords, carries a
+  // heap buffer through the cross-shard mailboxes. Sanitizer builds watch
+  // those buffers relocate; the records must still match the sequential run.
+  ExperimentConfig base = TinyConfig(GetParam());
+  base.catalog.keywords_per_file = 6;
+  base.workload.min_query_keywords = 5;
+  base.workload.max_query_keywords = 6;
+
+  Rng root(base.seed);
+  Rng catalog_rng = root.Split("catalog");
+  auto catalog =
+      std::move(catalog::FileCatalog::Generate(base.catalog, &catalog_rng)).ValueOrDie();
+  Rng workload_rng = root.Split("workload");
+  auto workload = std::move(catalog::QueryWorkload::Generate(
+                                base.workload, catalog, base.num_peers, &workload_rng))
+                      .ValueOrDie();
+  for (const catalog::QueryEvent& q : workload.queries()) {
+    ASSERT_GT(q.keywords.size(), 4u) << "query " << q.id << " fits inline";
+  }
+
+  const auto run = [&](uint32_t shards, uint32_t workers) {
+    ExperimentConfig cfg = base;
+    cfg.scheduler.shards = shards;
+    cfg.scheduler.workers = workers;
+    auto e = std::move(Engine::Create(cfg)).ValueOrDie();
+    e->Run();
+    EXPECT_EQ(e->pending_query_count(), 0u);
+    EXPECT_EQ(e->tracked_query_count(), 0u);
+    return e->metrics().records();
+  };
+  const auto seq = run(1, 0);
+  ASSERT_EQ(seq.size(), 200u);
+  const bool remote_hit = std::any_of(seq.begin(), seq.end(), [](const auto& r) {
+    return r.responses_received > 0;
+  });
+  EXPECT_TRUE(remote_hit) << "no response crossed the overlay";
+  ExpectSameRecords(seq, run(4, 2));
+}
+
+INSTANTIATE_TEST_SUITE_P(PaperKinds, SpilledKeywordShardInvarianceTest,
+                         ::testing::Values(ProtocolKind::kFlooding, ProtocolKind::kDicas,
+                                           ProtocolKind::kDicasKeys,
+                                           ProtocolKind::kLocaware),
                          [](const auto& info) {
                            std::string name = ProtocolKindName(info.param);
                            return name == "Dicas-Keys" ? "DicasKeys" : name;
