@@ -10,7 +10,6 @@
 // worker shards, and the --json output is byte-identical for every K at a
 // fixed seed (CI's second determinism gate diffs shards=1 vs shards=4).
 #include <cstdio>
-#include <future>
 #include <string>
 #include <vector>
 
@@ -45,40 +44,18 @@ int main(int argc, char** argv) {
       {core::ProtocolKind::kDicas, 10 * sim::kMinute, true, "10 min"},
   };
 
-  std::vector<std::future<Result<core::ExperimentResult>>> futures;
+  std::vector<core::ExperimentConfig> configs;
   for (const Cell& cell : cells) {
-    futures.push_back(std::async(std::launch::async, [cell, queries, &options] {
-      core::ExperimentConfig cfg =
-          core::MakePaperConfig(cell.kind, queries, options.seed);
-      cfg.scheduler.shards = options.shards;
-      cfg.scheduler.workers = options.workers;
-      cfg.scheduler.placement = options.placement;
-      cfg.churn.enabled = cell.churn;
-      cfg.churn.mean_session_s = 1800;
-      cfg.churn.mean_offline_s = 600;
-      cfg.params.ri.entry_ttl = cell.ttl;
-      cfg.label = std::string(core::ProtocolKindName(cell.kind)) +
-                  (cell.churn ? " churn ttl=" : " ") + cell.ttl_label;
-      return core::RunExperiment(cfg, options.buckets);
-    }));
+    core::ExperimentConfig cfg = bench::MakeConfig(cell.kind, options);
+    cfg.churn.enabled = cell.churn;
+    cfg.churn.mean_session_s = 1800;
+    cfg.churn.mean_offline_s = 600;
+    cfg.params.ri.entry_ttl = cell.ttl;
+    cfg.label = std::string(core::ProtocolKindName(cell.kind)) +
+                (cell.churn ? " churn ttl=" : " ") + cell.ttl_label;
+    configs.push_back(std::move(cfg));
   }
-  // Failures are reported from the main thread after every worker joined: an
-  // exit() from inside a worker would run static destructors under the
-  // siblings' still-running simulations.
-  std::vector<core::ExperimentResult> results;
-  results.reserve(futures.size());
-  bool failed = false;
-  for (auto& f : futures) {
-    auto result = f.get();
-    if (!result.ok()) {
-      std::fprintf(stderr, "experiment failed: %s\n",
-                   result.status().ToString().c_str());
-      failed = true;
-      continue;
-    }
-    results.push_back(std::move(result).ValueOrDie());
-  }
-  if (failed) return 1;
+  const std::vector<core::ExperimentResult> results = bench::RunAll(configs, options);
 
   for (size_t i = 0; i < results.size(); ++i) {
     const metrics::Summary& s = results[i].summary;

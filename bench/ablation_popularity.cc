@@ -5,36 +5,30 @@
 // Zipf head and do little for the tail. This bench splits every metric by
 // the popularity rank of the queried file and makes that gradient visible.
 #include <cstdio>
-#include <future>
 #include <vector>
 
-#include "core/experiment.h"
 #include "fig_common.h"
 
 int main(int argc, char** argv) {
   using namespace locaware;
-  const uint64_t queries = bench::ParseQueryCount(argc, argv, 4000);
+  const bench::FigOptions options = bench::ParseArgs(argc, argv);
 
   std::printf("== Analysis: metrics by file-popularity band (%llu queries) ==\n\n",
-              static_cast<unsigned long long>(queries));
+              static_cast<unsigned long long>(options.num_queries));
 
   const std::vector<uint32_t> boundaries{1, 10, 100, 1000, 3000};
   const char* band_names[] = {"rank 0 (head)", "ranks 1-9", "ranks 10-99",
                               "ranks 100-999", "ranks 1000+"};
 
-  std::vector<std::future<core::ExperimentResult>> futures;
+  std::vector<core::ExperimentConfig> configs;
   for (core::ProtocolKind kind :
        {core::ProtocolKind::kFlooding, core::ProtocolKind::kDicas,
         core::ProtocolKind::kLocaware}) {
-    futures.push_back(std::async(std::launch::async, [kind, queries] {
-      return std::move(
-                 core::RunExperiment(core::MakePaperConfig(kind, queries, 42), 4))
-          .ValueOrDie();
-    }));
+    configs.push_back(bench::MakeConfig(kind, options));
   }
+  const std::vector<core::ExperimentResult> results = bench::RunAll(configs, options);
 
-  for (auto& f : futures) {
-    const core::ExperimentResult r = f.get();
+  for (const core::ExperimentResult& r : results) {
     const auto bands = metrics::ByPopularity(r.records, boundaries);
     std::printf("%s:\n", r.label.c_str());
     std::printf("  %-14s %9s %10s %12s %14s\n", "band", "queries", "success",
@@ -47,6 +41,8 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
+
+  bench::MaybeWriteJson(results, options);
 
   std::printf(
       "reading guide: the head file is queried hundreds of times — caching\n"

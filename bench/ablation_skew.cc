@@ -12,7 +12,6 @@
 // --shards=K is wall-clock-only, and the --json output is byte-identical for
 // every K at a fixed seed (CI diffs shards=1 vs shards=4).
 #include <cstdio>
-#include <future>
 #include <string>
 #include <vector>
 
@@ -40,38 +39,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<std::future<Result<core::ExperimentResult>>> futures;
+  std::vector<core::ExperimentConfig> configs;
   for (const Cell& cell : cells) {
-    futures.push_back(std::async(std::launch::async, [cell, queries, &options] {
-      core::ExperimentConfig cfg =
-          core::MakePaperConfig(cell.kind, queries, options.seed);
-      cfg.scheduler.shards = options.shards;
-      cfg.scheduler.workers = options.workers;
-      cfg.scheduler.placement = options.placement;
-      cfg.workload.zipf_exponent = cell.zipf;
-      char label[64];
-      std::snprintf(label, sizeof label, "%s zipf=%.1f",
-                    core::ProtocolKindName(cell.kind), cell.zipf);
-      cfg.label = label;
-      return core::RunExperiment(cfg, options.buckets);
-    }));
+    core::ExperimentConfig cfg = bench::MakeConfig(cell.kind, options);
+    cfg.workload.zipf_exponent = cell.zipf;
+    char label[64];
+    std::snprintf(label, sizeof label, "%s zipf=%.1f", core::ProtocolKindName(cell.kind),
+                  cell.zipf);
+    cfg.label = label;
+    configs.push_back(std::move(cfg));
   }
-  // Failures are reported from the main thread after every worker joined (an
-  // exit() inside a worker would tear down statics under running siblings).
-  std::vector<core::ExperimentResult> results;
-  results.reserve(futures.size());
-  bool failed = false;
-  for (auto& f : futures) {
-    auto result = f.get();
-    if (!result.ok()) {
-      std::fprintf(stderr, "experiment failed: %s\n",
-                   result.status().ToString().c_str());
-      failed = true;
-      continue;
-    }
-    results.push_back(std::move(result).ValueOrDie());
-  }
-  if (failed) return 1;
+  const std::vector<core::ExperimentResult> results = bench::RunAll(configs, options);
 
   std::printf("%-21s %5s %8s %8s %8s %9s %9s %9s %9s\n", "cell", "zipf",
               "success", "msgs/q", "KB/q", "dht hops", "escalate", "head ok",

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <future>
 #include <string_view>
 
 #include "core/config_io.h"
@@ -77,55 +76,50 @@ FigOptions ParseArgs(int argc, char** argv) {
   return options;
 }
 
-uint64_t ParseQueryCount(int argc, char** argv, uint64_t default_queries) {
-  if (argc == 1) return default_queries;
-  auto parsed = core::ParseUnsigned("queries", argv[1]);
-  if (argc == 2 && parsed.ok()) return parsed.ValueOrDie();
-  if (!parsed.ok()) std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-  std::fprintf(stderr, "usage: %s [QUERIES]\n", argv[0]);
-  std::exit(2);
+core::ExperimentConfig MakeConfig(core::ProtocolKind kind, const FigOptions& options) {
+  core::ExperimentConfig config =
+      core::MakePaperConfig(kind, options.num_queries, options.seed);
+  config.scheduler.shards = options.shards;
+  config.scheduler.workers = options.workers;
+  config.scheduler.placement = options.placement;
+  if (options.peers != 0) {
+    config.num_peers = options.peers;
+    // ~1 router per 25 peers keeps the locality structure meaningful;
+    // the 1000 cap bounds the O(r * E log V) all-pairs precompute.
+    config.underlay.num_routers =
+        std::min<size_t>(1000, std::max(config.underlay.num_routers, options.peers / 25));
+  }
+  config.trace_path = options.trace_path;
+  return config;
 }
 
-std::vector<core::ExperimentResult> RunAllProtocols(
-    const FigOptions& options,
-    const std::function<void(core::ExperimentConfig*)>& tweak) {
-  const core::ProtocolKind kinds[] = {
-      core::ProtocolKind::kFlooding,
-      core::ProtocolKind::kDicas,
-      core::ProtocolKind::kDicasKeys,
-      core::ProtocolKind::kLocaware,
-  };
-  std::vector<std::future<core::ExperimentResult>> futures;
-  for (core::ProtocolKind kind : kinds) {
-    futures.push_back(std::async(std::launch::async, [=] {
-      core::ExperimentConfig config =
-          core::MakePaperConfig(kind, options.num_queries, options.seed);
-      config.scheduler.shards = options.shards;
-      config.scheduler.workers = options.workers;
-      config.scheduler.placement = options.placement;
-      if (options.peers != 0) {
-        config.num_peers = options.peers;
-        // ~1 router per 25 peers keeps the locality structure meaningful;
-        // the 1000 cap bounds the O(r * E log V) all-pairs precompute.
-        config.underlay.num_routers =
-            std::min<size_t>(1000, std::max(config.underlay.num_routers,
-                                            options.peers / 25));
-      }
-      config.trace_path = options.trace_path;
-      if (tweak) tweak(&config);
-      auto result = core::RunExperiment(config, options.buckets);
-      if (!result.ok()) {
-        std::fprintf(stderr, "experiment %s failed: %s\n",
-                     core::ProtocolKindName(kind), result.status().ToString().c_str());
-        std::exit(1);
-      }
-      return std::move(result).ValueOrDie();
-    }));
-  }
+std::vector<core::ExperimentResult> RunAll(
+    const std::vector<core::ExperimentConfig>& configs, const FigOptions& options) {
+  auto runs = core::RunExperiments(configs, options.buckets);
   std::vector<core::ExperimentResult> results;
-  results.reserve(futures.size());
-  for (auto& f : futures) results.push_back(f.get());
+  results.reserve(runs.size());
+  bool failed = false;
+  for (size_t i = 0; i < runs.size(); ++i) {
+    if (!runs[i].ok()) {
+      std::fprintf(stderr, "experiment %s failed: %s\n", configs[i].label.c_str(),
+                   runs[i].status().ToString().c_str());
+      failed = true;
+      continue;
+    }
+    results.push_back(std::move(runs[i]).ValueOrDie());
+  }
+  if (failed) std::exit(1);
   return results;
+}
+
+std::vector<core::ExperimentResult> RunAllProtocols(const FigOptions& options) {
+  std::vector<core::ExperimentConfig> configs;
+  for (core::ProtocolKind kind :
+       {core::ProtocolKind::kFlooding, core::ProtocolKind::kDicas,
+        core::ProtocolKind::kDicasKeys, core::ProtocolKind::kLocaware}) {
+    configs.push_back(MakeConfig(kind, options));
+  }
+  return RunAll(configs, options);
 }
 
 std::vector<metrics::LabeledSeries> ToSeries(

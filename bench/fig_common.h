@@ -3,7 +3,6 @@
 // fixed-width table plus CSV.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -45,17 +44,27 @@ struct FigOptions {
 
 /// Parses --queries=N --seed=S --buckets=B --shards=K --workers=W
 /// --placement=P --peers=N --trace=PATH --svg=PATH --json=PATH for the
-/// figure benches, ablation_churn and ablation_skew (CI's determinism gates
-/// read their --json output). The flags that name a config field parse
-/// through its key (core::SetConfigValue), the other counts through
-/// core::ParseUnsigned; an unknown flag or a bad value exits 2, so a typo
-/// cannot silently run the default experiment.
+/// figure benches, ablation_churn, ablation_skew and ablation_popularity
+/// (CI's determinism gates read their --json output). The flags that name a
+/// config field parse through its key (core::SetConfigValue), the other
+/// counts through core::ParseUnsigned; an unknown flag or a bad value exits
+/// 2, so a typo cannot silently run the default experiment.
 FigOptions ParseArgs(int argc, char** argv);
 
-/// The other ablation mains' one optional positional argument, a query
-/// count: `default_queries` without it; anything but one unsigned integer
-/// exits 2 with a usage line.
-uint64_t ParseQueryCount(int argc, char** argv, uint64_t default_queries);
+/// The paper config for `kind` at options' query count and seed, with the
+/// run-wide flags applied: the scheduler block, --peers (which scales the
+/// router plane with it) and --trace. Every FigOptions main builds its
+/// configs here and then sets only what its cells vary.
+core::ExperimentConfig MakeConfig(core::ProtocolKind kind, const FigOptions& options);
+
+/// Runs `configs` through core::RunExperiments at options.buckets. If any run
+/// failed, prints every failure and exits 1, after all of them have joined.
+std::vector<core::ExperimentResult> RunAll(
+    const std::vector<core::ExperimentConfig>& configs, const FigOptions& options);
+
+/// The four paper protocols through MakeConfig and RunAll. Order: Flooding,
+/// Dicas, Dicas-Keys, Locaware.
+std::vector<core::ExperimentResult> RunAllProtocols(const FigOptions& options);
 
 /// Writes the figure as an SVG chart when options.svg_path is set.
 void MaybeWriteSvg(const std::vector<metrics::LabeledSeries>& series,
@@ -66,13 +75,6 @@ void MaybeWriteSvg(const std::vector<metrics::LabeledSeries>& series,
 /// machine-readable artifact CI's determinism gate byte-compares.
 void MaybeWriteJson(const std::vector<core::ExperimentResult>& results,
                     const FigOptions& options);
-
-/// Runs all four protocols on the paper config (plus an optional per-config
-/// tweak), in parallel worker threads. Order: Flooding, Dicas, Dicas-Keys,
-/// Locaware.
-std::vector<core::ExperimentResult> RunAllProtocols(
-    const FigOptions& options,
-    const std::function<void(core::ExperimentConfig*)>& tweak = {});
 
 /// Converts results to labeled series for the report formatters.
 std::vector<metrics::LabeledSeries> ToSeries(

@@ -8,17 +8,16 @@
 // MakePaperConfig(protocol), `protocol` being the cell's value or the config
 // default when it is not varied, so protocol-specific defaults hold (Dicas
 // keeps one provider per file); it then sets every other key in command-line
-// order. Cells are independent experiments, at most one per hardware thread
-// at a time, and rows print in cell order. A bad key or value, an empty list,
-// a repeated key or no --vary at all exits 2 before anything runs.
+// order. Cells are independent experiments run by core::RunExperiments, at
+// most one per hardware thread at a time, and rows print in cell order. A
+// bad key or value, an empty list, a repeated key or no --vary at all exits
+// 2 before anything runs.
 // bench/README.md lists the commands that regenerate each ablation table.
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/string_util.h"
@@ -33,13 +32,6 @@ using namespace locaware;
 struct Axis {
   std::string key;
   std::vector<std::string> values;
-};
-
-/// What a row prints for one cell.
-struct Row {
-  Status status;
-  metrics::Summary summary;
-  double probes_per_query = 0.0;
 };
 
 [[noreturn]] void Usage(const char* argv0, const std::string& why) {
@@ -106,16 +98,6 @@ core::ExperimentConfig BuildCell(const std::vector<Axis>& axes, size_t cell) {
   return config;
 }
 
-Row RunCell(const std::vector<Axis>& axes, size_t cell) {
-  auto result = core::RunExperiment(BuildCell(axes, cell));
-  if (!result.ok()) return Row{result.status(), {}, 0.0};
-  const core::ExperimentResult r = std::move(result).ValueOrDie();
-  uint64_t probes = 0;
-  for (const metrics::QueryRecord& q : r.records) probes += q.probe_msgs;
-  const uint64_t n = r.summary.num_queries;
-  return Row{Status::OK(), r.summary, n == 0 ? 0.0 : static_cast<double>(probes) / n};
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -123,18 +105,11 @@ int main(int argc, char** argv) {
   size_t num_cells = 1;
   for (const Axis& axis : axes) num_cells *= axis.values.size();
 
-  std::vector<Row> rows(num_cells);
-  std::atomic<size_t> next{0};
-  const auto worker = [&] {
-    for (size_t cell; (cell = next.fetch_add(1)) < num_cells;) {
-      rows[cell] = RunCell(axes, cell);
-    }
-  };
-  const size_t hardware_threads = std::max(1u, std::thread::hardware_concurrency());
-  const size_t num_threads = std::min(num_cells, hardware_threads);
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < num_threads; ++t) threads.emplace_back(worker);
-  for (std::thread& t : threads) t.join();
+  std::vector<core::ExperimentConfig> configs;
+  for (size_t cell = 0; cell < num_cells; ++cell) {
+    configs.push_back(BuildCell(axes, cell));
+  }
+  const std::vector<Result<core::ExperimentResult>> runs = core::RunExperiments(configs);
 
   std::printf("== sweep: %zu cells ==\n", num_cells);
   const core::ExperimentConfig defaults;
@@ -159,8 +134,9 @@ int main(int argc, char** argv) {
     }
     std::printf("%-*s ", widths[a], axes[a].key.c_str());
   }
-  std::printf("%10s %12s %12s %10s %10s %12s %14s\n", "success", "msgs/query",
-              "download ms", "loc-match", "cache-hit", "probes/query", "gossip bytes");
+  std::printf("%10s %12s %12s %10s %10s %12s %15s %14s\n", "success", "msgs/query",
+              "download ms", "loc-match", "cache-hit", "probes/query", "providers/query",
+              "gossip bytes");
 
   int exit_code = 0;
   for (size_t cell = 0; cell < num_cells; ++cell) {
@@ -168,18 +144,22 @@ int main(int argc, char** argv) {
     for (size_t a = 0; a < axes.size(); ++a) {
       if (widths[a] > 0) std::printf("%-*s ", widths[a], axes[a].values[pick[a]].c_str());
     }
-    const Row& row = rows[cell];
-    if (!row.status.ok()) {
-      std::printf("failed: %s\n", row.status.ToString().c_str());
+    if (!runs[cell].ok()) {
+      std::printf("failed: %s\n", runs[cell].status().ToString().c_str());
       exit_code = 1;
       continue;
     }
-    const metrics::Summary& s = row.summary;
+    const core::ExperimentResult& r = runs[cell].ValueOrDie();
+    const metrics::Summary& s = r.summary;
+    uint64_t probes = 0;
+    for (const metrics::QueryRecord& q : r.records) probes += q.probe_msgs;
+    const double probes_per_query =
+        s.num_queries == 0 ? 0.0 : static_cast<double>(probes) / s.num_queries;
     const auto gossip_bytes = static_cast<unsigned long long>(s.bloom_update_bytes);
-    std::printf("%9.1f%% %12.1f %12.1f %9.1f%% %9.1f%% %12.2f %14llu\n",
+    std::printf("%9.1f%% %12.1f %12.1f %9.1f%% %9.1f%% %12.2f %15.2f %14llu\n",
                 s.success_rate * 100, s.msgs_per_query, s.avg_download_ms,
-                s.loc_match_rate * 100, s.cache_answer_share * 100, row.probes_per_query,
-                gossip_bytes);
+                s.loc_match_rate * 100, s.cache_answer_share * 100, probes_per_query,
+                s.avg_providers_offered, gossip_bytes);
   }
   return exit_code;
 }

@@ -6,9 +6,13 @@
 // file in a short window. This example builds that workload as a trace
 // (exercising the record/replay API), runs Locaware and Flooding on it, and
 // prints how the crowd's download distance collapses as replicas spread.
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
-#include <future>
+#include <string>
+#include <vector>
 
 #include "core/engine.h"
 #include "core/experiment.h"
@@ -50,7 +54,15 @@ int main() {
   std::printf("flash crowd target: \"%s\" (file %u)\n",
               scout->catalog().filename(hot).c_str(), hot);
 
-  const std::string trace_path = "/tmp/locaware_flash_crowd.trace";
+  // A fresh temporary file per run, so concurrent runs never share a trace.
+  std::string trace_path =
+      (std::filesystem::temp_directory_path() / "locaware_flash_crowd.XXXXXX").string();
+  const int fd = mkstemp(trace_path.data());
+  if (fd < 0) {
+    std::perror("mkstemp");
+    return 1;
+  }
+  close(fd);
   {
     // Traces are a string edge: ids resolve to words through the catalog.
     std::ofstream trace(trace_path);
@@ -67,17 +79,22 @@ int main() {
     }
   }
 
-  auto run = [&](core::ProtocolKind kind) {
-    return std::async(std::launch::async, [&, kind] {
-      core::ExperimentConfig cfg = BaseConfig(kind);
-      cfg.trace_path = trace_path;
-      return std::move(core::RunExperiment(cfg, /*num_buckets=*/8)).ValueOrDie();
-    });
-  };
-  auto locaware_f = run(core::ProtocolKind::kLocaware);
-  auto flooding_f = run(core::ProtocolKind::kFlooding);
-  const core::ExperimentResult locaware = locaware_f.get();
-  const core::ExperimentResult flooding = flooding_f.get();
+  std::vector<core::ExperimentConfig> configs;
+  for (core::ProtocolKind kind :
+       {core::ProtocolKind::kFlooding, core::ProtocolKind::kLocaware}) {
+    configs.push_back(BaseConfig(kind));
+    configs.back().trace_path = trace_path;
+  }
+  auto runs = core::RunExperiments(configs, /*num_buckets=*/8);
+  std::remove(trace_path.c_str());
+  for (const auto& run : runs) {
+    if (!run.ok()) {
+      std::fprintf(stderr, "run failed: %s\n", run.status().ToString().c_str());
+      return 1;
+    }
+  }
+  const core::ExperimentResult& flooding = runs[0].ValueOrDie();
+  const core::ExperimentResult& locaware = runs[1].ValueOrDie();
 
   std::printf("\ncrowd of 400 queries for one file, 400 peers:\n");
   std::printf("%-10s %10s %12s %14s %12s\n", "protocol", "success", "msgs/query",

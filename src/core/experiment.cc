@@ -1,5 +1,10 @@
 #include "core/experiment.h"
 
+#include <algorithm>
+#include <atomic>
+#include <optional>
+#include <thread>
+
 #include "core/engine.h"
 
 namespace locaware::core {
@@ -32,6 +37,28 @@ Result<ExperimentResult> RunExperiment(const ExperimentConfig& config,
   result.series = metrics::Bucketize(engine->metrics().records(), num_buckets);
   result.records = engine->metrics().records();
   return result;
+}
+
+std::vector<Result<ExperimentResult>> RunExperiments(
+    const std::vector<ExperimentConfig>& configs, size_t num_buckets) {
+  std::vector<std::optional<Result<ExperimentResult>>> slots(configs.size());
+  std::atomic<size_t> next{0};
+  const auto worker = [&] {
+    for (size_t i; (i = next.fetch_add(1)) < configs.size();) {
+      slots[i].emplace(RunExperiment(configs[i], num_buckets));
+    }
+  };
+  const size_t hardware_threads = std::max(1u, std::thread::hardware_concurrency());
+  {
+    std::vector<std::jthread> threads;
+    for (size_t t = 0; t < std::min(configs.size(), hardware_threads); ++t) {
+      threads.emplace_back(worker);
+    }
+  }  // joins every worker
+  std::vector<Result<ExperimentResult>> results;
+  results.reserve(slots.size());
+  for (auto& slot : slots) results.push_back(std::move(*slot));
+  return results;
 }
 
 }  // namespace locaware::core

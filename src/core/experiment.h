@@ -28,4 +28,11 @@ struct ExperimentResult {
 Result<ExperimentResult> RunExperiment(const ExperimentConfig& config,
                                        size_t num_buckets = 10);
 
+/// Runs every config, at most one per hardware thread at a time, and returns
+/// once all have finished. Result i belongs to configs[i]; a run that fails
+/// leaves its Status in its slot and the others still run. The only place
+/// experiments run concurrently: callers report failures after it returns.
+std::vector<Result<ExperimentResult>> RunExperiments(
+    const std::vector<ExperimentConfig>& configs, size_t num_buckets = 10);
+
 }  // namespace locaware::core

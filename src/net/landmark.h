@@ -45,8 +45,8 @@ LocId ComputeLocId(const Underlay& underlay, PeerId peer);
 std::vector<LocId> ComputeAllLocIds(const Underlay& underlay);
 
 /// \brief Population statistics of a locId assignment — how many distinct
-/// locIds are inhabited and how many peers share each. Used to reproduce the
-/// paper's landmark-count discussion (§5.1) in `bench/ablation_landmarks`.
+/// locIds are inhabited and how many peers share each: the census behind the
+/// paper's landmark-count discussion (§5.1) that bench/README.md quotes.
 struct LocIdStats {
   uint32_t num_possible = 0;    ///< k!
   uint32_t num_inhabited = 0;   ///< locIds with >= 1 peer

@@ -6,6 +6,8 @@
 
 #include <future>
 
+#include "core/config_io.h"
+
 #include <gtest/gtest.h>
 
 namespace locaware::core {
@@ -140,6 +142,35 @@ TEST(RunExperimentTest, CustomLabelIsKept) {
   cfg.workload.num_queries = 50;
   auto result = std::move(RunExperiment(cfg, 2)).ValueOrDie();
   EXPECT_EQ(result.label, "Dicas-M8");
+}
+
+TEST(ExperimentTest, RunExperimentsMatchesRunExperimentPerConfig) {
+  std::vector<ExperimentConfig> configs;
+  for (ProtocolKind kind : {ProtocolKind::kFlooding, ProtocolKind::kDicasKeys,
+                            ProtocolKind::kLocaware, ProtocolKind::kHybrid}) {
+    ExperimentConfig cfg = ShapeConfig(kind);
+    cfg.workload.num_queries = 120;
+    configs.push_back(cfg);
+  }
+  configs[2].scheduler.shards = 2;
+  ExperimentConfig rejected = ShapeConfig(ProtocolKind::kDicas);
+  rejected.num_peers = 0;
+  configs.insert(configs.begin() + 1, rejected);
+
+  const auto runs = RunExperiments(configs, /*num_buckets=*/3);
+  ASSERT_EQ(runs.size(), configs.size());
+  for (size_t i = 0; i < configs.size(); ++i) {
+    const auto sequential = RunExperiment(configs[i], /*num_buckets=*/3);
+    ASSERT_EQ(runs[i].ok(), sequential.ok()) << "slot " << i;
+    if (!sequential.ok()) {
+      EXPECT_EQ(runs[i].status().ToString(), sequential.status().ToString());
+      continue;
+    }
+    EXPECT_EQ(ResultToJson(runs[i].ValueOrDie()), ResultToJson(sequential.ValueOrDie()))
+        << "slot " << i;
+  }
+  EXPECT_FALSE(runs[1].ok());
+  EXPECT_TRUE(RunExperiments({}).empty());
 }
 
 TEST(MakePaperConfigTest, MatchesSection51) {
