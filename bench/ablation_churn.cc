@@ -23,8 +23,7 @@ int main(int argc, char** argv) {
   std::printf("== Ablation: churn & index staleness (%llu queries) ==\n",
               static_cast<unsigned long long>(queries));
   std::printf("churn model: mean session 30 min, mean offline 10 min\n");
-  std::printf("run: seed=%llu shards=%u\n\n",
-              static_cast<unsigned long long>(options.seed), options.shards);
+  bench::PrintRunLine(options);
   std::printf("%-22s %-10s %8s %13s %12s %11s %8s %11s %8s\n", "cell", "TTL",
               "success", "stale fails", "stale hits", "repair msg", "rep KB",
               "download ms", "churns");

@@ -25,8 +25,7 @@ int main(int argc, char** argv) {
 
   std::printf("== Ablation: popularity skew vs protocol (%llu queries) ==\n",
               static_cast<unsigned long long>(queries));
-  std::printf("run: seed=%llu shards=%u\n\n",
-              static_cast<unsigned long long>(options.seed), options.shards);
+  bench::PrintRunLine(options);
 
   struct Cell {
     core::ProtocolKind kind;

@@ -135,9 +135,14 @@ void PrintHeader(const std::string& figure, const FigOptions& options) {
   std::printf(
       "paper setup: 1000 peers, avg degree 3, TTL 7, 3000 files, 9000 keywords,\n"
       "             Zipf queries @0.00083 q/s/peer, 4 landmarks (24 locIds)\n");
-  std::printf("run: queries=%llu seed=%llu buckets=%zu",
+  PrintRunLine(options);
+}
+
+void PrintRunLine(const FigOptions& options) {
+  std::printf("run: queries=%llu seed=%llu buckets=%zu shards=%u",
               static_cast<unsigned long long>(options.num_queries),
-              static_cast<unsigned long long>(options.seed), options.buckets);
+              static_cast<unsigned long long>(options.seed), options.buckets,
+              options.shards);
   if (options.peers != 0) std::printf(" peers=%zu", options.peers);
   if (!options.trace_path.empty())
     std::printf(" trace=%s", options.trace_path.c_str());

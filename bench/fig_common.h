@@ -83,6 +83,10 @@ std::vector<metrics::LabeledSeries> ToSeries(
 /// Prints the standard run header (config echo) and per-protocol summaries
 /// (plus the scheduler's shape when options.shards > 1).
 void PrintHeader(const std::string& figure, const FigOptions& options);
+/// The header's last line, shared with the ablation benches: the run-wide
+/// flags (queries, seed, buckets, shards, plus --peers and --trace when
+/// given) and a blank line, so a saved table says what it measured.
+void PrintRunLine(const FigOptions& options);
 void PrintSummaries(const std::vector<core::ExperimentResult>& results,
                     const FigOptions& options);
 

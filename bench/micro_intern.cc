@@ -1,9 +1,11 @@
 // micro_intern: string plane vs id plane, head to head.
 //
-// Measures the two operations the interning PR moved off strings:
+// Measures the three operations the interning PR moved off strings:
 //   * keyword-match — "does file f satisfy query q" (the per-file check the
 //     catalog and every file store answer runs): string-compare containment
-//     vs sorted-id containment.
+//     vs FileCatalog::MatchesSorted, the production check (signature
+//     prefilter, then the sorted-id merge), with each query's signature
+//     computed once as the engine does.
 //   * ri-lookup — ResponseIndex::LookupByKeywords on a paper-sized 50-entry
 //     index: the id path (posting-list intersection) vs a faithful
 //     reimplementation of the string-era index (full scan with string
@@ -111,6 +113,7 @@ int main(int argc, char** argv) {
   struct Query {
     std::vector<KeywordId> ids;        // sorted
     std::vector<std::string> strings;  // original order
+    uint64_t signature = 0;            // KeywordSignature(ids), once per query
   };
   std::vector<Query> queries;
   Rng qrng(7);
@@ -126,6 +129,7 @@ int main(int argc, char** argv) {
       q.strings.push_back(catalog.keyword(kw));
     }
     std::sort(q.ids.begin(), q.ids.end());
+    q.signature = KeywordSignature(q.ids);
     queries.push_back(std::move(q));
   }
 
@@ -143,9 +147,8 @@ int main(int argc, char** argv) {
   });
   const double match_id_ops = Throughput([&](size_t i) {
     const Query& q = queries[i & 255];
-    g_sink = g_sink + ContainsAllIds(catalog.sorted_keywords(
-                                 static_cast<FileId>(i % catalog.num_files())),
-                             q.ids);
+    const FileId f = static_cast<FileId>(i % catalog.num_files());
+    g_sink = g_sink + catalog.MatchesSorted(f, q.ids, q.signature);
   });
 
   // --- ri-lookup: full 50-entry index ---------------------------------------

@@ -39,6 +39,7 @@ Result<FileCatalog> FileCatalog::Generate(const CatalogConfig& config, Rng* rng)
   }
   cat.postings_.resize(cat.keyword_table_.size());
   cat.files_.reserve(config.num_files);
+  cat.signatures_.reserve(config.num_files);
   cat.filename_index_.reserve(config.num_files);
 
   // With 9000 keywords choose-3 there are ~1.2e11 possible filenames for 3000
@@ -66,6 +67,7 @@ Result<FileCatalog> FileCatalog::Generate(const CatalogConfig& config, Rng* rng)
       std::sort(entry.sorted_keywords.begin(), entry.sorted_keywords.end());
       entry.set_fnv = cat.CanonicalSetFnv(entry.keywords);
       for (KeywordId kw : entry.keywords) cat.postings_[kw].push_back(fid);
+      cat.signatures_.push_back(KeywordSignature(entry.keywords));
       cat.files_.push_back(std::move(entry));
       cat.filename_index_.try_emplace(cat.files_.back().filename, fid);
       placed = true;
@@ -195,6 +197,7 @@ Result<FileCatalog> FileCatalog::LoadBinary(const std::string& path) {
   // the entries' filename strings, which must never relocate (same contract
   // as Generate).
   cat.files_.reserve(files);
+  cat.signatures_.reserve(files);
   cat.filename_index_.reserve(files);
   for (uint64_t f = 0; f < files; ++f) {
     FileEntry entry;
@@ -223,6 +226,7 @@ Result<FileCatalog> FileCatalog::LoadBinary(const std::string& path) {
     entry.set_fnv = cat.CanonicalSetFnv(entry.keywords);
     const FileId fid = static_cast<FileId>(f);
     for (KeywordId kw : entry.keywords) cat.postings_[kw].push_back(fid);
+    cat.signatures_.push_back(KeywordSignature(entry.keywords));
     cat.files_.push_back(std::move(entry));
     if (!cat.filename_index_.try_emplace(cat.files_.back().filename, fid).second) {
       return Status::InvalidArgument(path + ": duplicate filename '" +
@@ -273,9 +277,15 @@ uint64_t FileCatalog::FileSetFnv(FileId f) const {
   return files_[f].set_fnv;
 }
 
-bool FileCatalog::MatchesSorted(FileId f,
-                                std::span<const KeywordId> sorted_query) const {
+uint64_t FileCatalog::FileSignature(FileId f) const {
+  LOCAWARE_CHECK_LT(f, signatures_.size());
+  return signatures_[f];
+}
+
+bool FileCatalog::MatchesSorted(FileId f, std::span<const KeywordId> sorted_query,
+                                uint64_t query_signature) const {
   LOCAWARE_CHECK_LT(f, files_.size());
+  if ((signatures_[f] & query_signature) != query_signature) return false;
   return ContainsAllIds(files_[f].sorted_keywords, sorted_query);
 }
 
@@ -284,7 +294,7 @@ bool FileCatalog::Matches(FileId f, std::span<const KeywordId> sorted_query) con
   // merge; the check is two compares for the common 1..3-keyword query.
   LOCAWARE_CHECK(std::is_sorted(sorted_query.begin(), sorted_query.end()))
       << "Matches query must be sorted ascending";
-  return MatchesSorted(f, sorted_query);
+  return MatchesSorted(f, sorted_query, KeywordSignature(sorted_query));
 }
 
 std::vector<FileId> FileCatalog::FindMatches(
@@ -301,9 +311,10 @@ std::vector<FileId> FileCatalog::FindMatches(
         return &postings_[kw];
       });
   if (seed == nullptr) return {};  // some keyword in no filename: no match
+  const uint64_t signature = KeywordSignature(sorted_query);
   std::vector<FileId> out;
   for (FileId f : *seed) {
-    if (MatchesSorted(f, sorted_query)) out.push_back(f);
+    if (MatchesSorted(f, sorted_query, signature)) out.push_back(f);
   }
   return out;
 }

@@ -106,6 +106,10 @@ class FileCatalog : public WireNames {
   /// string-era GroupOfFilename preimage). Group of the file = this mod M.
   uint64_t FileSetFnv(FileId f) const;
 
+  /// KeywordSignature of the file's keyword set, built by both factories
+  /// beside the file table and never serialized.
+  uint64_t FileSignature(FileId f) const;
+
   /// True iff `f`'s keyword set contains every id of `sorted_query` (ids
   /// sorted ascending; duplicates tolerated). Validates the sort order.
   bool Matches(FileId f, std::span<const KeywordId> sorted_query) const;
@@ -115,10 +119,14 @@ class FileCatalog : public WireNames {
                                                  sorted_query.size()));
   }
 
-  /// Matches without the is_sorted validation — for loops that check the
-  /// same query repeatedly and validated it once at entry (FindMatches, the
-  /// engine's per-file-store scans).
-  bool MatchesSorted(FileId f, std::span<const KeywordId> sorted_query) const;
+  /// The match every hot loop runs: Matches without the is_sorted
+  /// validation, for loops that check one query against many files and
+  /// validated it once at entry. `query_signature` must be
+  /// KeywordSignature(sorted_query), computed once per query, not per file:
+  /// a file whose signature lacks one of its bits is rejected without
+  /// touching the file's keyword vector.
+  bool MatchesSorted(FileId f, std::span<const KeywordId> sorted_query,
+                     uint64_t query_signature) const;
 
   /// All files matching the query, via the inverted index (posting-list
   /// intersection seeded from the rarest keyword). Empty when the query is
@@ -182,6 +190,9 @@ class FileCatalog : public WireNames {
   /// rehashes. The views key into keyword_table_ / files_ storage.
   FlatMap<std::string_view, KeywordId> keyword_ids_;  // word -> id
   std::vector<FileEntry> files_;
+  /// FileId -> KeywordSignature(keywords), dense so the prefilter reads 8
+  /// bytes per file instead of chasing the entry and its keyword vector.
+  std::vector<uint64_t> signatures_;
   std::vector<std::vector<FileId>> postings_;  // KeywordId -> resident FileIds
   FlatMap<std::string_view, FileId> filename_index_;
 };

@@ -6,8 +6,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
+#include "common/hash.h"
 #include "common/types.h"
 
 namespace locaware {
@@ -26,6 +28,17 @@ inline bool ContainsAllIds(std::span<const KeywordId> sorted_keywords,
     }
   }
   return true;
+}
+
+/// One-word keyword signature of an id set: the OR of `1 << (Mix64(kw) >> 58)`
+/// over its keywords (order and duplicates do not matter). A set can contain
+/// a query only if its signature holds every bit of the query's, so the
+/// catalog rejects most non-matching files on one AND before the merge. A
+/// prefilter only: bits collide, so a pass still needs ContainsAllIds.
+inline uint64_t KeywordSignature(std::span<const KeywordId> kws) {
+  uint64_t signature = 0;
+  for (KeywordId kw : kws) signature |= uint64_t{1} << (Mix64(kw) >> 58);
+  return signature;
 }
 
 /// The seed step of a posting-list intersection, shared by the catalog's

@@ -21,6 +21,10 @@
 //   * Keyword-id *sets* (query keywords, a file's keyword set) are kept
 //     sorted ascending and deduplicated, so containment checks are linear
 //     merges instead of string compares.
+//   * Each file also carries a one-word keyword signature
+//     (`KeywordSignature`, common/keyword_set.h) that both catalog factories
+//     build and no format serializes. It is only a prefilter in front of the
+//     merge: a file it passes still has to contain every query keyword.
 //   * Wire-size accounting (`overlay::EstimateSizeBytes`) charges the byte
 //     length of the *underlying strings* via `common::WireNames`, so traffic
 //     metrics are identical to a string-carrying encoding.

@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "common/hash.h"
+#include "common/keyword_set.h"
 #include "common/logging.h"
 #include "core/provider_selection.h"
 #include "net/landmark.h"
@@ -454,10 +455,11 @@ overlay::RecordVec Engine::AnswerFromFileStore(
   // Message keywords are sorted by contract (SubmitQuery canonicalizes);
   // validate once here, then use the unchecked match in the per-file loop.
   LOCAWARE_CHECK(std::is_sorted(query.keywords.begin(), query.keywords.end()));
+  const uint64_t signature = KeywordSignature(query.keywords);
   overlay::RecordVec records;
   const NodeState& n = node(node_id);
   for (FileId f : n.file_store) {
-    if (!catalog_.MatchesSorted(f, query.keywords)) continue;
+    if (!catalog_.MatchesSorted(f, query.keywords, signature)) continue;
     overlay::ResponseRecord record;
     record.file = f;
     record.providers.push_back(overlay::ProviderInfo{node_id, n.loc_id});
@@ -495,8 +497,9 @@ void Engine::SubmitQuery(const catalog::QueryEvent& ev) {
   // A peer that already shares a matching file needs neither search nor
   // download. (sorted_kws was sorted two lines up: the unchecked match is
   // safe.)
+  const uint64_t signature = KeywordSignature(sorted_kws);
   for (FileId f : origin.file_store) {
-    if (catalog_.MatchesSorted(f, sorted_kws)) {
+    if (catalog_.MatchesSorted(f, sorted_kws, signature)) {
       metrics::QueryRecord* record = shard.metrics.Record(slot);
       record->success = true;
       record->source = metrics::AnswerSource::kLocalStore;
@@ -644,10 +647,11 @@ void Engine::OfferRecords(PeerId origin, QueryId qid, PeerId responder,
   auto it = shard.pending.find(qid);
   if (it == shard.pending.end()) return;  // arrived after the deadline
   PendingQuery& pq = it->second;
+  const uint64_t signature = KeywordSignature(pq.keywords);
   bool matched = false;
   for (overlay::ResponseRecord& rec : records) {
     // A DHT owner indexes one keyword; the query may demand several.
-    if (!catalog_.MatchesSorted(rec.file, pq.keywords)) continue;
+    if (!catalog_.MatchesSorted(rec.file, pq.keywords, signature)) continue;
     matched = true;
     pq.offers.push_back(PendingQuery::Offer{std::move(rec), responder});
   }

@@ -10,6 +10,7 @@
 
 #include "catalog/keyword_pool.h"
 #include "catalog/workload.h"
+#include "common/hash.h"
 #include "common/keyword_set.h"
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -175,6 +176,80 @@ TEST(FileCatalogTest, FindMatchesAgreesWithBruteForce) {
     EXPECT_EQ(std::set<FileId>(fast.begin(), fast.end()), brute);
     EXPECT_TRUE(brute.contains(probe));
   }
+}
+
+// Oracle for the signature prefilter: for every file, MatchesSorted equals
+// std::includes on queries of 1-6 keywords mixed from the file's own
+// keywords and one of three other pools — random catalog keywords, keywords
+// minted after construction, and keywords whose signature bit collides with
+// one of the file's. Also checks that some non-matching queries passed the
+// signature, i.e. that the collision pool reached the merge.
+void ExpectSignatureNeverRejectsAMatch(FileCatalog& cat, uint64_t seed) {
+  const auto slot = [](KeywordId kw) { return Mix64(kw) >> 58; };
+  const size_t generated = cat.num_keywords();
+  std::vector<KeywordId> minted;
+  for (char c = 'a'; c <= 'p'; ++c) {
+    std::string word = "mintedword";  // longer than any pool word: always new
+    word += c;
+    minted.push_back(cat.InternKeyword(word));
+    EXPECT_GE(minted.back(), generated);
+  }
+  std::vector<std::vector<KeywordId>> by_bit(64);
+  for (KeywordId kw = 0; kw < cat.num_keywords(); ++kw) {
+    by_bit[slot(kw)].push_back(kw);
+  }
+
+  Rng rng(seed);
+  size_t matches = 0;
+  size_t collisions = 0;
+  for (FileId f = 0; f < cat.num_files(); ++f) {
+    const std::vector<KeywordId>& own = cat.sorted_keywords(f);
+    uint64_t own_signature = 0;
+    for (KeywordId kw : own) own_signature |= uint64_t{1} << slot(kw);
+    ASSERT_EQ(cat.FileSignature(f), own_signature) << "file " << f;
+    for (int q = 0; q < 8; ++q) {
+      const uint64_t other_pool = rng.UniformInt(1, 3);
+      const size_t size = rng.UniformInt(1, 6);
+      std::vector<KeywordId> query;
+      for (size_t i = 0; i < size; ++i) {
+        const KeywordId mine = own[rng.UniformInt(0, own.size() - 1)];
+        if (rng.Bernoulli(0.5)) {
+          query.push_back(mine);
+        } else if (other_pool == 1) {
+          query.push_back(static_cast<KeywordId>(rng.UniformInt(0, generated - 1)));
+        } else if (other_pool == 2) {
+          query.push_back(minted[rng.UniformInt(0, minted.size() - 1)]);
+        } else {
+          const std::vector<KeywordId>& same_bit = by_bit[slot(mine)];
+          query.push_back(same_bit[rng.UniformInt(0, same_bit.size() - 1)]);
+        }
+      }
+      std::sort(query.begin(), query.end());
+      query.erase(std::unique(query.begin(), query.end()), query.end());
+      const bool expected =
+          std::includes(own.begin(), own.end(), query.begin(), query.end());
+      const uint64_t signature = KeywordSignature(query);
+      ASSERT_EQ(cat.MatchesSorted(f, query, signature), expected)
+          << "file " << f << " query " << cat.KeywordsToString(query);
+      matches += expected;
+      collisions += !expected && (own_signature & signature) == signature;
+    }
+  }
+  EXPECT_GT(matches, cat.num_files());
+  EXPECT_GT(collisions, 0u);
+}
+
+TEST(FileCatalogTest, SignatureNeverRejectsAMatch) {
+  Rng rng(12);
+  auto cat = std::move(FileCatalog::Generate(PaperCatalog(), &rng)).ValueOrDie();
+  const std::string path = ::testing::TempDir() + "/locaware_signature_catalog.bin";
+  ASSERT_TRUE(cat.SaveBinary(path).ok());
+  auto loaded = FileCatalog::LoadBinary(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  FileCatalog copy = std::move(loaded).ValueOrDie();
+  ExpectSignatureNeverRejectsAMatch(cat, 1);
+  ExpectSignatureNeverRejectsAMatch(copy, 2);
 }
 
 TEST(FileCatalogTest, InternQueryKeywordsSortsAndRejectsUnknown) {
