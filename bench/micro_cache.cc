@@ -2,9 +2,9 @@
 // and the keyword-containment lookups every visited node performs. All on
 // the id plane — see bench/micro_intern.cc for the string-vs-id comparison.
 //
-// The index's per-entry lists (keywords, providers, postings) live in
-// SmallVectors with inline capacity, so steady-state churn should not touch
-// the allocator at all. Every benchmark therefore reports an `allocs/op`
+// The index's per-entry lists (keywords, providers) live in SmallVectors
+// with inline capacity, so steady-state churn should not touch the
+// allocator at all. Every benchmark therefore reports an `allocs/op`
 // counter next to its time: the small-vector win is that number pinned at
 // ~0 on the hot paths (the string/vector era paid several per insert).
 #include <benchmark/benchmark.h>
@@ -94,20 +94,29 @@ BENCHMARK(BM_AddProviderWithEviction)
     ->Arg(static_cast<int>(EvictionPolicy::kFifo))
     ->Arg(static_cast<int>(EvictionPolicy::kRandom));
 
-void BM_LookupByKeywords(benchmark::State& state) {
-  // A full 50-file index probed with a 2-keyword query — the per-node cost a
-  // query pays at every hop.
-  const Corpus corpus = MakeCorpus(50);
+/// A full index of `entries` files: 50 is the paper's size, 200 the largest
+/// `ri.max_filenames` measured so far. A lookup scans every entry, so the
+/// 200 rows show the scan's cost where it is highest.
+ResponseIndex FullIndex(size_t entries) {
+  const Corpus corpus = MakeCorpus(entries);
   ResponseIndexConfig cfg;
-  cfg.max_filenames = 50;
+  cfg.max_filenames = entries;
   ResponseIndex ri(cfg);
-  for (size_t f = 0; f < 50; ++f) {
+  for (size_t f = 0; f < entries; ++f) {
     ri.AddProvider(corpus.files[f], corpus.keywords[f], ProviderEntry{1, 0, 0}, 0);
   }
+  return ri;
+}
+
+void BM_LookupByKeywords(benchmark::State& state, size_t entries) {
+  // A full index probed with a 2-keyword query — the per-node cost a query
+  // pays at every hop.
+  const Corpus corpus = MakeCorpus(entries);
+  ResponseIndex ri = FullIndex(entries);
   size_t i = 0;
   const uint64_t allocs_before = g_alloc_count;
   for (auto _ : state) {
-    const size_t f = i++ % 50;
+    const size_t f = i++ % entries;
     const KeywordId query[2] = {corpus.keywords[f][0], corpus.keywords[f][2]};
     auto hits = ri.LookupByKeywords(query, 1);
     benchmark::DoNotOptimize(hits);
@@ -115,16 +124,12 @@ void BM_LookupByKeywords(benchmark::State& state) {
   ReportAllocs(state, allocs_before);
   state.SetItemsProcessed(state.iterations());
 }
+void BM_LookupByKeywords(benchmark::State& state) { BM_LookupByKeywords(state, 50); }
 BENCHMARK(BM_LookupByKeywords);
+BENCHMARK_CAPTURE(BM_LookupByKeywords, 200, 200);
 
-void BM_LookupMiss(benchmark::State& state) {
-  const Corpus corpus = MakeCorpus(50);
-  ResponseIndexConfig cfg;
-  cfg.max_filenames = 50;
-  ResponseIndex ri(cfg);
-  for (size_t f = 0; f < 50; ++f) {
-    ri.AddProvider(corpus.files[f], corpus.keywords[f], ProviderEntry{1, 0, 0}, 0);
-  }
+void BM_LookupMiss(benchmark::State& state, size_t entries) {
+  ResponseIndex ri = FullIndex(entries);
   const std::vector<KeywordId> absent{90000};
   const uint64_t allocs_before = g_alloc_count;
   for (auto _ : state) {
@@ -134,7 +139,9 @@ void BM_LookupMiss(benchmark::State& state) {
   ReportAllocs(state, allocs_before);
   state.SetItemsProcessed(state.iterations());
 }
+void BM_LookupMiss(benchmark::State& state) { BM_LookupMiss(state, 50); }
 BENCHMARK(BM_LookupMiss);
+BENCHMARK_CAPTURE(BM_LookupMiss, 200, 200);
 
 void BM_ProviderRefresh(benchmark::State& state) {
   // Locaware constantly refreshes providers of hot files (§4.1.2); measure
@@ -181,8 +188,8 @@ BENCHMARK(BM_ExpireStaleSweep);
 void BM_SteadyStateChurn(benchmark::State& state) {
   // The engine's actual per-node life: a full index absorbing inserts (with
   // eviction), provider refreshes, and containment lookups in a fixed ratio.
-  // This is the lever's acceptance number — with inline posting/provider/
-  // keyword storage the mixed path settles near 0 allocs/op (the residual is
+  // This is the lever's acceptance number — with inline provider/keyword
+  // storage the mixed path settles near 0 allocs/op (the residual is
   // the Hit vector a successful lookup returns).
   const Corpus corpus = MakeCorpus(1024);
   ResponseIndexConfig cfg;

@@ -7,9 +7,9 @@
 //     prefilter, then the sorted-id merge), with each query's signature
 //     computed once as the engine does.
 //   * ri-lookup — ResponseIndex::LookupByKeywords on a paper-sized 50-entry
-//     index: the id path (posting-list intersection) vs a faithful
-//     reimplementation of the string-era index (full scan with string
-//     compares).
+//     index: the id path (a scan rejecting on each entry's keyword
+//     signature before the sorted-id merge) vs a faithful reimplementation
+//     of the string-era index (full scan with string compares).
 //   * bloom-probe — Bloom-filter membership for a 3-keyword query: Murmur3
 //     per string vs the catalog's precomputed per-keyword 64-bit hash pair.
 //

@@ -23,36 +23,29 @@ ResponseIndex::ResponseIndex(const ResponseIndexConfig& config)
     : config_(config), eviction_rng_state_(config.eviction_seed | 1) {
   LOCAWARE_CHECK_GT(config.max_filenames, 0u);
   LOCAWARE_CHECK_GT(config.max_providers_per_file, 0u);
-  // The tables are deliberately NOT pre-sized to max_filenames: an Entry
-  // slot is fat (inline keyword/provider SmallVectors), the engine builds one
+  // The entry array is deliberately NOT pre-sized to max_filenames: an Entry
+  // is fat (inline keyword/provider SmallVectors), the engine builds one
   // index per peer, and most peers' caches stay far below capacity — eager
   // full-capacity buffers cost hundreds of MB of cold pages at 10k peers
   // (measured 3x engine slowdown). Growth is amortized instead.
 }
 
-void ResponseIndex::AddPostings(FileId file, std::span<const KeywordId> keywords) {
-  for (KeywordId kw : keywords) {
-    inverted_[kw].push_back(file);
-  }
+ResponseIndex::Entry* ResponseIndex::Find(FileId file) {
+  auto it = std::find_if(entries_.begin(), entries_.end(),
+                         [&](const Entry& e) { return e.file == file; });
+  return it == entries_.end() ? nullptr : &*it;
 }
 
-void ResponseIndex::RemovePostings(FileId file, std::span<const KeywordId> keywords) {
-  for (KeywordId kw : keywords) {
-    auto it = inverted_.find(kw);
-    LOCAWARE_CHECK(it != inverted_.end());
-    auto pos = std::find(it->second.begin(), it->second.end(), file);
-    LOCAWARE_CHECK(pos != it->second.end());
-    it->second.erase(pos);  // preserves posting order for determinism
-    if (it->second.empty()) inverted_.erase(it);
-  }
+const ResponseIndex::Entry* ResponseIndex::Find(FileId file) const {
+  return const_cast<ResponseIndex*>(this)->Find(file);
 }
 
 ResponseIndex::UpdateOutcome ResponseIndex::AddProvider(
     FileId file, std::span<const KeywordId> sorted_keywords,
     const ProviderEntry& entry, sim::SimTime now) {
   // The id-plane contract (common/types.h): keyword sets travel sorted and
-  // deduplicated. A violation would corrupt containment checks or double-
-  // post the file under one keyword silently, so fail loudly.
+  // deduplicated. A violation would corrupt containment checks silently, so
+  // fail loudly.
   LOCAWARE_CHECK(std::is_sorted(sorted_keywords.begin(), sorted_keywords.end()))
       << "AddProvider keywords must be sorted ascending";
   LOCAWARE_CHECK(std::adjacent_find(sorted_keywords.begin(), sorted_keywords.end()) ==
@@ -60,34 +53,32 @@ ResponseIndex::UpdateOutcome ResponseIndex::AddProvider(
       << "AddProvider keywords must be deduplicated";
   UpdateOutcome outcome;
 
-  auto it = entries_.find(file);
-  if (it == entries_.end()) {
+  Entry* e = Find(file);
+  if (e == nullptr) {
     while (entries_.size() >= config_.max_filenames) EvictOne(&outcome.evicted);
-    use_order_.push_back(file);
-    Entry fresh;
-    fresh.keywords.assign(sorted_keywords.begin(), sorted_keywords.end());
-    fresh.use_pos = std::prev(use_order_.end());
-    it = entries_.try_emplace(file, std::move(fresh)).first;
-    AddPostings(file, it->second.keywords);
+    e = &entries_.emplace_back();
+    e->signature = KeywordSignature(sorted_keywords);
+    e->last_use = ++use_clock_;
+    e->file = file;
+    e->keywords.assign(sorted_keywords.begin(), sorted_keywords.end());
     outcome.file_inserted = true;
   } else {
-    Touch(file, &it->second);
+    Touch(e);
   }
 
-  Entry& e = it->second;
   // Refresh an existing provider: drop its old slot, re-insert at front.
-  auto existing = std::find_if(e.providers.begin(), e.providers.end(),
+  auto existing = std::find_if(e->providers.begin(), e->providers.end(),
                                [&](const ProviderEntry& p) {
                                  return p.provider == entry.provider;
                                });
-  if (existing != e.providers.end()) e.providers.erase(existing);
+  if (existing != e->providers.end()) e->providers.erase(existing);
 
   ProviderEntry stamped = entry;
   stamped.added_at = now;
   oldest_added_at_ = std::min(oldest_added_at_, now);
-  e.providers.insert(e.providers.begin(), stamped);
-  if (e.providers.size() > config_.max_providers_per_file) {
-    e.providers.pop_back();  // most-recent replaces oldest (§4.1.2)
+  e->providers.insert(e->providers.begin(), stamped);
+  if (e->providers.size() > config_.max_providers_per_file) {
+    e->providers.pop_back();  // most-recent replaces oldest (§4.1.2)
   }
   outcome.provider_inserted = true;
   ++stats_.inserts;
@@ -124,39 +115,14 @@ std::vector<ResponseIndex::Hit> ResponseIndex::LookupByKeywords(
   // (sweep), so owners with derived structures (Locaware's counting Bloom
   // filter) see every removal.
   std::vector<Hit> hits;
-  if (sorted_query.empty()) {
-    // An empty query is satisfied by every file (vacuous containment), same
-    // as the string-era semantics. Sorted file order, not table order: the
-    // hit list feeds provider selection, so iteration order is observable.
-    for (FileId file : Files()) {
-      auto it = entries_.find(file);
-      LOCAWARE_CHECK(it != entries_.end());
-      ProviderVec live = LiveProviders(it->second, now);
-      if (!live.empty()) hits.push_back(Hit{file, std::move(live)});
-    }
-  } else {
-    // Seed from the rarest query keyword's posting list; any query keyword
-    // with no posting means no entry can contain them all.
-    const FilePostingVec* seed =
-        SmallestPosting(sorted_query, [&](KeywordId kw) -> const FilePostingVec* {
-          auto it = inverted_.find(kw);
-          return it == inverted_.end() ? nullptr : &it->second;
-        });
-    if (seed != nullptr) {
-      for (FileId file : *seed) {
-        auto it = entries_.find(file);
-        LOCAWARE_CHECK(it != entries_.end());
-        if (!ContainsAllIds(it->second.keywords, sorted_query)) continue;
-        ProviderVec live = LiveProviders(it->second, now);
-        if (live.empty()) continue;
-        hits.push_back(Hit{file, std::move(live)});
-      }
-    }
-  }
-  for (Hit& h : hits) {
-    auto it = entries_.find(h.file);
-    LOCAWARE_CHECK(it != entries_.end());
-    Touch(h.file, &it->second);
+  const uint64_t signature = KeywordSignature(sorted_query);
+  for (Entry& e : entries_) {
+    if ((e.signature & signature) != signature) continue;
+    if (!ContainsAllIds(e.keywords, sorted_query)) continue;
+    ProviderVec live = LiveProviders(e, now);
+    if (live.empty()) continue;
+    Touch(&e);
+    hits.push_back(Hit{e.file, std::move(live)});
   }
   if (!hits.empty()) ++stats_.hits;
   return hits;
@@ -165,136 +131,109 @@ std::vector<ResponseIndex::Hit> ResponseIndex::LookupByKeywords(
 std::optional<ResponseIndex::Hit> ResponseIndex::LookupFile(FileId file,
                                                             sim::SimTime now) {
   ++stats_.lookups;
-  auto it = entries_.find(file);
-  if (it == entries_.end()) return std::nullopt;
-  ProviderVec live = LiveProviders(it->second, now);
+  Entry* e = Find(file);
+  if (e == nullptr) return std::nullopt;
+  ProviderVec live = LiveProviders(*e, now);
   if (live.empty()) return std::nullopt;
-  Touch(file, &it->second);
+  Touch(e);
   ++stats_.hits;
   return Hit{file, std::move(live)};
 }
 
-std::vector<ResponseIndex::EvictedFile> ResponseIndex::ExpireStale(sim::SimTime now) {
+template <typename DropFn>
+std::vector<ResponseIndex::EvictedFile> ResponseIndex::RemoveEntries(DropFn&& drop) {
   std::vector<EvictedFile> removed;
-  if (config_.entry_ttl <= 0 || now - config_.entry_ttl <= oldest_added_at_) {
-    return removed;
-  }
-  // Collect-and-sort before acting: the table is unordered, so sweeping in
-  // iteration order would let table layout leak into the removal report (and
-  // through it into any order-sensitive consumer). Sorted keys make the
-  // sweep a pure function of the index's *contents*, whatever container
-  // backs it.
-  oldest_added_at_ = std::numeric_limits<sim::SimTime>::max();
-  for (FileId file : Files()) {
-    auto it = entries_.find(file);
-    LOCAWARE_CHECK(it != entries_.end());
-    if (PruneStale(&it->second, now)) {
-      for (const ProviderEntry& p : it->second.providers) {
-        oldest_added_at_ = std::min(oldest_added_at_, p.added_at);
-      }
+  size_t kept = 0;
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    Entry& e = entries_[i];
+    if (drop(e)) {
+      removed.push_back(EvictedFile{e.file, std::move(e.keywords)});
       continue;
     }
-    removed.push_back(EvictedFile{file, std::move(it->second.keywords)});
-    EraseIt(it, removed.back().keywords);
+    if (kept != i) entries_[kept] = std::move(e);
+    ++kept;
   }
+  entries_.erase(entries_.begin() + kept, entries_.end());
+  std::sort(removed.begin(), removed.end(),
+            [](const EvictedFile& a, const EvictedFile& b) { return a.file < b.file; });
   return removed;
+}
+
+std::vector<ResponseIndex::EvictedFile> ResponseIndex::ExpireStale(sim::SimTime now) {
+  if (config_.entry_ttl <= 0 || now - config_.entry_ttl <= oldest_added_at_) {
+    return {};
+  }
+  oldest_added_at_ = std::numeric_limits<sim::SimTime>::max();
+  return RemoveEntries([&](Entry& e) {
+    if (!PruneStale(&e, now)) return true;
+    for (const ProviderEntry& p : e.providers) {
+      oldest_added_at_ = std::min(oldest_added_at_, p.added_at);
+    }
+    return false;
+  });
 }
 
 std::vector<ResponseIndex::EvictedFile> ResponseIndex::RemoveProvider(
     PeerId provider) {
-  std::vector<EvictedFile> removed;
-  // Same collect-and-sort rule as ExpireStale: act in sorted key order, never
-  // table order.
-  for (FileId file : Files()) {
-    auto it = entries_.find(file);
-    LOCAWARE_CHECK(it != entries_.end());
-    ProviderVec& providers = it->second.providers;
-    auto pos = std::find_if(providers.begin(), providers.end(),
+  return RemoveEntries([&](Entry& e) {
+    auto pos = std::find_if(e.providers.begin(), e.providers.end(),
                             [&](const ProviderEntry& p) {
                               return p.provider == provider;
                             });
-    if (pos == providers.end()) continue;
-    providers.erase(pos);
+    if (pos == e.providers.end()) return false;
+    e.providers.erase(pos);
     ++stats_.invalidations;
-    if (providers.empty()) {
-      removed.push_back(EvictedFile{file, std::move(it->second.keywords)});
-      EraseIt(it, removed.back().keywords);
-    }
-  }
-  return removed;
+    return e.providers.empty();
+  });
 }
 
-void ResponseIndex::EraseIt(EntryMap::iterator it) {
-  EraseIt(it, it->second.keywords);
-}
-
-void ResponseIndex::EraseIt(EntryMap::iterator it,
-                            std::span<const KeywordId> keywords) {
-  RemovePostings(it->first, keywords);
-  use_order_.erase(it->second.use_pos);
-  entries_.erase(it);
-}
-
-bool ResponseIndex::Erase(FileId file) {
-  auto it = entries_.find(file);
-  if (it == entries_.end()) return false;
-  EraseIt(it);
-  return true;
-}
-
-bool ResponseIndex::Contains(FileId file) const { return entries_.contains(file); }
+bool ResponseIndex::Contains(FileId file) const { return Find(file) != nullptr; }
 
 size_t ResponseIndex::TotalProviderCount() const {
   size_t total = 0;
-  for (const auto& [file, entry] : entries_) total += entry.providers.size();
+  for (const Entry& e : entries_) total += e.providers.size();
   return total;
 }
 
 std::vector<FileId> ResponseIndex::Files() const {
   std::vector<FileId> out;
   out.reserve(entries_.size());
-  for (const auto& [file, entry] : entries_) out.push_back(file);
-  // Sorted, not table order: callers act on this list (sweeps, reports), and
-  // the backing table's layout must never leak into observable behavior.
+  for (const Entry& e : entries_) out.push_back(e.file);
   std::sort(out.begin(), out.end());
   return out;
 }
 
 const KeywordVec& ResponseIndex::KeywordsOf(FileId file) const {
-  auto it = entries_.find(file);
-  LOCAWARE_CHECK(it != entries_.end()) << "KeywordsOf(" << file << ") absent";
-  return it->second.keywords;
+  const Entry* e = Find(file);
+  LOCAWARE_CHECK(e != nullptr) << "KeywordsOf(" << file << ") absent";
+  return e->keywords;
 }
 
-void ResponseIndex::Touch(FileId /*file*/, Entry* entry) {
+void ResponseIndex::Touch(Entry* entry) {
   if (config_.eviction != EvictionPolicy::kLru) return;  // FIFO/random ignore use
-  // Splice relocates the existing node (no realloc, iterator stays valid) —
-  // the LRU refresh on every lookup and insert is allocation-free.
-  use_order_.splice(use_order_.end(), use_order_, entry->use_pos);
+  entry->last_use = ++use_clock_;
 }
 
 void ResponseIndex::EvictOne(std::vector<EvictedFile>* evicted) {
   LOCAWARE_CHECK(!entries_.empty());
-  FileId victim = kInvalidFile;
+  size_t victim = 0;
   if (config_.eviction == EvictionPolicy::kRandom) {
     // xorshift64* steps a private generator; cheap and reproducible.
     eviction_rng_state_ ^= eviction_rng_state_ >> 12;
     eviction_rng_state_ ^= eviction_rng_state_ << 25;
     eviction_rng_state_ ^= eviction_rng_state_ >> 27;
     const uint64_t r = eviction_rng_state_ * 0x2545F4914F6CDD1DULL;
-    size_t idx = static_cast<size_t>(r % entries_.size());
-    auto it = use_order_.begin();
-    std::advance(it, idx);
-    victim = *it;
+    victim = static_cast<size_t>(r % entries_.size());
   } else {
-    victim = use_order_.front();  // LRU and FIFO both pop the front
+    // LRU evicts the smallest use stamp. FIFO never re-stamps, so its
+    // smallest stamp is the oldest insertion, the front.
+    for (size_t i = 1; i < entries_.size(); ++i) {
+      if (entries_[i].last_use < entries_[victim].last_use) victim = i;
+    }
   }
-  auto entry_it = entries_.find(victim);
-  LOCAWARE_CHECK(entry_it != entries_.end());
-  // Keywords are moved into the eviction report first, so posting removal
-  // reads them from there (the entry's own vector is empty afterwards).
-  evicted->push_back(EvictedFile{victim, std::move(entry_it->second.keywords)});
-  EraseIt(entry_it, evicted->back().keywords);
+  Entry& e = entries_[victim];
+  evicted->push_back(EvictedFile{e.file, std::move(e.keywords)});
+  entries_.erase(entries_.begin() + victim);
   ++stats_.evictions;
 }
 

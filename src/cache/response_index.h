@@ -10,22 +10,22 @@
 // (Markatos' observation that cached results go stale quickly in Gnutella).
 //
 // The index lives entirely on the id plane (common/types.h): entries are
-// keyed by FileId and carry sorted KeywordId sets — no strings. Keyword
-// search intersects per-keyword posting lists (KeywordId -> files) instead
-// of scanning every entry with string compares. All three per-entry lists
-// (keywords, providers, postings) are SmallVectors with inline storage sized
-// for the common case, so steady-state insert/evict churn touches the heap
-// only for outlier entries (bench/micro_cache pins the win).
+// keyed by FileId and carry sorted KeywordId sets — no strings. The paper
+// bounds an index to a few dozen files, so it is one array of entries in
+// insertion order, and keyword search scans it: each entry's one-word
+// KeywordSignature rejects most non-matching files before the sorted merge,
+// the same check the catalog runs on a peer's own files. The per-entry lists
+// (keywords, providers) are SmallVectors with inline storage sized for the
+// common case, so steady-state insert/evict churn touches the heap only for
+// outlier entries.
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <list>
 #include <optional>
 #include <span>
 #include <vector>
 
-#include "common/flat_map.h"
 #include "common/small_vector.h"
 #include "common/types.h"
 #include "sim/sim_time.h"
@@ -40,11 +40,10 @@ struct ProviderEntry {
 };
 
 /// Inline-capacity lists sized for the steady state: the catalog generates 3
-/// keywords per file, posting lists stay short under a 50-file cap, and the
-/// provider cap defaults to 8 (Locaware's "several providers").
+/// keywords per file, and the provider cap defaults to 8 (Locaware's
+/// "several providers").
 using KeywordVec = SmallVector<KeywordId, 4>;
 using ProviderVec = SmallVector<ProviderEntry, 8>;
-using FilePostingVec = SmallVector<FileId, 4>;
 
 /// Which cached file to sacrifice when the index is full.
 enum class EvictionPolicy {
@@ -107,9 +106,10 @@ class ResponseIndex {
   };
 
   /// All cached files whose keyword set contains every query keyword
-  /// (`sorted_query` ascending). Counts as a "use" for LRU. Stale providers
-  /// are filtered out of the result (but not erased — only AddProvider and
-  /// ExpireStale remove state); files with no live provider do not match.
+  /// (`sorted_query` ascending), in insertion order. Counts as a "use" for
+  /// LRU, touching the hits in that order. Stale providers are filtered out
+  /// of the result (but not erased — only AddProvider and ExpireStale remove
+  /// state); files with no live provider do not match.
   std::vector<Hit> LookupByKeywords(std::span<const KeywordId> sorted_query,
                                     sim::SimTime now);
 
@@ -117,10 +117,9 @@ class ResponseIndex {
   std::optional<Hit> LookupFile(FileId file, sim::SimTime now);
 
   /// Removes every provider older than the ttl (no-op when ttl = 0); returns
-  /// the files that became empty and were removed, sorted by FileId — the
-  /// sweep collects keys and processes them in sorted order, so the backing
-  /// table's layout never leaks into the report. Returns at once, without
-  /// the sweep, while no provider can be stale yet (see oldest_added_at_).
+  /// the files that became empty and were removed, sorted by FileId. Returns
+  /// at once, without the sweep, while no provider can be stale yet (see
+  /// oldest_added_at_).
   std::vector<EvictedFile> ExpireStale(sim::SimTime now);
 
   /// Invalidates every entry naming `provider` (a peer known to have left the
@@ -130,19 +129,18 @@ class ResponseIndex {
   /// an expiry sweep.
   std::vector<EvictedFile> RemoveProvider(PeerId provider);
 
-  /// Removes one file outright; returns whether it was present.
-  bool Erase(FileId file);
-
   bool Contains(FileId file) const;
   size_t num_filenames() const { return entries_.size(); }
   size_t capacity() const { return config_.max_filenames; }
   /// Total provider entries across all files (the storage-cost metric for
   /// the Dicas-Keys duplication comparison).
   size_t TotalProviderCount() const;
-  /// Cached files, sorted ascending (deterministic whatever table backs the
-  /// index).
+  /// Cached files, sorted ascending.
   std::vector<FileId> Files() const;
   /// Sorted keyword ids stored for a cached file. CHECK-fails if absent.
+  /// The reference is valid only until the next insert or eviction (the
+  /// entries live in one array); refreshing a present file with AddProvider
+  /// keeps it valid.
   const KeywordVec& KeywordsOf(FileId file) const;
 
   // --- lifetime counters (monotonic) ---
@@ -158,39 +156,35 @@ class ResponseIndex {
 
  private:
   struct Entry {
-    KeywordVec keywords;                  // sorted ascending
-    ProviderVec providers;                // most recent first
-    std::list<FileId>::iterator use_pos;  // position in use_order_
+    uint64_t signature = 0;  // KeywordSignature(keywords)
+    uint64_t last_use = 0;   // use_clock_ stamp of the last insert or touch
+    FileId file = kInvalidFile;
+    KeywordVec keywords;    // sorted ascending
+    ProviderVec providers;  // most recent first
   };
-  using EntryMap = FlatMap<FileId, Entry>;
 
-  /// Moves a file to the most-recently-used position.
-  void Touch(FileId file, Entry* entry);
+  /// The entry of `file`, or nullptr.
+  Entry* Find(FileId file);
+  const Entry* Find(FileId file) const;
+  /// Stamps an entry most-recently-used (LRU only; FIFO/random ignore use).
+  void Touch(Entry* entry);
   /// Evicts one victim per policy; appends it to *evicted.
   void EvictOne(std::vector<EvictedFile>* evicted);
   /// Drops stale providers of one entry; true if any provider survives.
   bool PruneStale(Entry* entry, sim::SimTime now);
   /// Non-mutating copy of an entry's live (non-stale) providers.
   ProviderVec LiveProviders(const Entry& entry, sim::SimTime now) const;
-  /// Inverted-index maintenance around entry insertion/removal.
-  void AddPostings(FileId file, std::span<const KeywordId> keywords);
-  void RemovePostings(FileId file, std::span<const KeywordId> keywords);
-  /// Removes the entry at `it` (postings + LRU slot + map entry) without a
-  /// second map lookup. The keyword-taking overload is for callers that moved
-  /// the entry's keywords into an eviction report first. Invalidates `it`.
-  void EraseIt(EntryMap::iterator it);
-  void EraseIt(EntryMap::iterator it, std::span<const KeywordId> keywords);
+  /// Removes every entry for which `drop(entry)` is true, keeping the rest in
+  /// order; returns the removed files sorted by FileId, so the report is a
+  /// function of the index's contents, not of its insertion history.
+  template <typename DropFn>
+  std::vector<EvictedFile> RemoveEntries(DropFn&& drop);
 
   ResponseIndexConfig config_;
-  /// Flat tables (single allocation each). Iteration is table order — every
-  /// list the index exposes is sorted first (the collect-and-sort rule, see
-  /// common/flat_map.h).
-  EntryMap entries_;
-  /// KeywordId -> files carrying it (posting order = insertion order). Sized
-  /// by residency (max ~3 keywords x max_filenames keys), not by vocabulary.
-  FlatMap<KeywordId, FilePostingVec> inverted_;
-  /// LRU/FIFO order: front = next victim, back = most recent.
-  std::list<FileId> use_order_;
+  /// Insertion order: front = oldest insertion (the FIFO victim).
+  std::vector<Entry> entries_;
+  /// Source of Entry::last_use stamps; the LRU victim has the smallest.
+  uint64_t use_clock_ = 0;
   uint64_t eviction_rng_state_;
   /// Lower bound on every provider's added_at (max while the index is
   /// empty): inserts lower it, a full ExpireStale sweep recomputes it

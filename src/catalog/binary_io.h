@@ -39,7 +39,6 @@ class Writer {
     for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
     buf_.append(reinterpret_cast<const char*>(b), sizeof(b));
   }
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
   void Bytes(const void* data, size_t n) {
     buf_.append(static_cast<const char*>(data), n);
   }

@@ -37,7 +37,6 @@ Result<FileCatalog> FileCatalog::Generate(const CatalogConfig& config, Rng* rng)
   for (KeywordId kw = 0; kw < cat.keyword_table_.size(); ++kw) {
     cat.keyword_ids_.try_emplace(cat.keyword_table_[kw], kw);
   }
-  cat.postings_.resize(cat.keyword_table_.size());
   cat.files_.reserve(config.num_files);
   cat.signatures_.reserve(config.num_files);
   cat.filename_index_.reserve(config.num_files);
@@ -66,7 +65,6 @@ Result<FileCatalog> FileCatalog::Generate(const CatalogConfig& config, Rng* rng)
       entry.sorted_keywords = entry.keywords;
       std::sort(entry.sorted_keywords.begin(), entry.sorted_keywords.end());
       entry.set_fnv = cat.CanonicalSetFnv(entry.keywords);
-      for (KeywordId kw : entry.keywords) cat.postings_[kw].push_back(fid);
       cat.signatures_.push_back(KeywordSignature(entry.keywords));
       cat.files_.push_back(std::move(entry));
       cat.filename_index_.try_emplace(cat.files_.back().filename, fid);
@@ -192,7 +190,6 @@ Result<FileCatalog> FileCatalog::LoadBinary(const std::string& path) {
   for (KeywordId kw = 0; kw < cat.keyword_table_.size(); ++kw) {
     cat.keyword_ids_.try_emplace(cat.keyword_table_[kw], kw);
   }
-  cat.postings_.resize(keywords);
   // Reserved for the full count up front: filename_index_ holds views into
   // the entries' filename strings, which must never relocate (same contract
   // as Generate).
@@ -225,7 +222,6 @@ Result<FileCatalog> FileCatalog::LoadBinary(const std::string& path) {
     entry.filename = Join(words, " ");
     entry.set_fnv = cat.CanonicalSetFnv(entry.keywords);
     const FileId fid = static_cast<FileId>(f);
-    for (KeywordId kw : entry.keywords) cat.postings_[kw].push_back(fid);
     cat.signatures_.push_back(KeywordSignature(entry.keywords));
     cat.files_.push_back(std::move(entry));
     if (!cat.filename_index_.try_emplace(cat.files_.back().filename, fid).second) {
@@ -297,28 +293,6 @@ bool FileCatalog::Matches(FileId f, std::span<const KeywordId> sorted_query) con
   return MatchesSorted(f, sorted_query, KeywordSignature(sorted_query));
 }
 
-std::vector<FileId> FileCatalog::FindMatches(
-    std::span<const KeywordId> sorted_query) const {
-  LOCAWARE_CHECK(std::is_sorted(sorted_query.begin(), sorted_query.end()))
-      << "FindMatches query must be sorted ascending";
-  if (sorted_query.empty()) return {};
-  // Seed from the rarest keyword's posting list, then verify the rest
-  // (through the unchecked MatchesSorted — the query was validated once
-  // above, not per candidate).
-  const std::vector<FileId>* seed =
-      SmallestPosting(sorted_query, [&](KeywordId kw) {
-        LOCAWARE_CHECK_LT(kw, postings_.size());
-        return &postings_[kw];
-      });
-  if (seed == nullptr) return {};  // some keyword in no filename: no match
-  const uint64_t signature = KeywordSignature(sorted_query);
-  std::vector<FileId> out;
-  for (FileId f : *seed) {
-    if (MatchesSorted(f, sorted_query, signature)) out.push_back(f);
-  }
-  return out;
-}
-
 FileId FileCatalog::LookupFilename(const std::string& filename) const {
   auto it = filename_index_.find(std::string_view{filename});
   if (it == filename_index_.end()) return kInvalidFile;
@@ -333,7 +307,6 @@ KeywordId FileCatalog::InternKeyword(std::string_view word) {
   const std::string& stored = keyword_table_.back();
   keyword_fnv_.push_back(Fnv1a64(stored));
   keyword_bloom_.push_back(BloomKeyHash(stored));
-  postings_.emplace_back();  // no generated filename carries it
   keyword_ids_.try_emplace(stored, kw);
   return kw;
 }

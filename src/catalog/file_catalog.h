@@ -1,5 +1,5 @@
-// The shared-file universe: filenames, their keyword decomposition, and an
-// inverted keyword index used as ground truth for query matching.
+// The shared-file universe: filenames, their keyword decomposition, and the
+// keyword signatures every query-matching scan checks first.
 //
 // Paper §5.1: 3000 files, each filename formed of 3 keywords drawn from a
 // 9000-keyword pool. Matching rule (§3.1): a query is satisfied by any file
@@ -37,7 +37,7 @@ struct CatalogConfig {
   size_t keywords_per_file = 3;
 };
 
-/// \brief Immutable catalog of files with an inverted keyword index.
+/// \brief Immutable catalog of files and their interned keywords.
 class FileCatalog : public WireNames {
  public:
   /// Empty catalog; assign from Generate before use.
@@ -63,8 +63,8 @@ class FileCatalog : public WireNames {
   Status SaveBinary(const std::string& path) const;
 
   /// Loads a catalog written by SaveBinary, rebuilding every derived
-  /// constant (FNV/Bloom hashes, sorted sets, set hashes, postings, lookup
-  /// maps) exactly as Generate would. Corrupt/truncated/version-mismatched
+  /// constant (FNV/Bloom hashes, sorted sets, set hashes, signatures,
+  /// lookup maps) exactly as Generate would. Corrupt/truncated/version-mismatched
   /// files return Status, never crash.
   static Result<FileCatalog> LoadBinary(const std::string& path);
 
@@ -128,16 +128,6 @@ class FileCatalog : public WireNames {
   bool MatchesSorted(FileId f, std::span<const KeywordId> sorted_query,
                      uint64_t query_signature) const;
 
-  /// All files matching the query, via the inverted index (posting-list
-  /// intersection seeded from the rarest keyword). Empty when the query is
-  /// empty. `sorted_query` ids must be sorted ascending.
-  std::vector<FileId> FindMatches(std::span<const KeywordId> sorted_query) const;
-  /// Braced-list convenience (C++20 spans take no initializer_list).
-  std::vector<FileId> FindMatches(std::initializer_list<KeywordId> sorted_query) const {
-    return FindMatches(std::span<const KeywordId>(sorted_query.begin(),
-                                                  sorted_query.size()));
-  }
-
   /// FileId of an exact filename, or kInvalidFile when absent.
   static constexpr FileId kInvalidFile = locaware::kInvalidFile;
   FileId LookupFilename(const std::string& filename) const;
@@ -193,7 +183,6 @@ class FileCatalog : public WireNames {
   /// FileId -> KeywordSignature(keywords), dense so the prefilter reads 8
   /// bytes per file instead of chasing the entry and its keyword vector.
   std::vector<uint64_t> signatures_;
-  std::vector<std::vector<FileId>> postings_;  // KeywordId -> resident FileIds
   FlatMap<std::string_view, FileId> filename_index_;
 };
 

@@ -19,9 +19,9 @@
 // Iteration caveat — THE rule for call sites: iteration order is TABLE order
 // (hash layout), not insertion or key order, and changes on rehash. Callers
 // whose behavior depends on the order they act on entries (sweeps, reports,
-// anything feeding the deterministic engine) must collect keys and sort first
-// — see ResponseIndex::Files() for the canonical pattern. Order-insensitive
-// folds (counting, summing, set-equality checks) may iterate directly.
+// anything feeding the deterministic engine) must collect keys and sort
+// first. Order-insensitive folds (counting, summing, set-equality checks)
+// may iterate directly.
 //
 // The flat buffer comes from sized ::operator new / ::operator delete. A move
 // steals the source's buffer; a copy allocates its own.

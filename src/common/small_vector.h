@@ -1,8 +1,8 @@
 // Inline small-capacity vector for the data plane's short lists.
 //
 // The response index stores thousands of tiny lists (a file's ~3 keyword
-// ids, its <= 8 providers, a keyword's posting list): std::vector puts every
-// one of them on the heap, so cache churn turns into allocator churn. A
+// ids, its <= 8 providers): std::vector puts every one of them on the heap,
+// so cache churn turns into allocator churn. A
 // SmallVector<T, N> keeps up to N elements inline inside the owner and only
 // spills to the heap past that, which removes the per-entry allocation on
 // the common path entirely (bench/micro_cache pins the win).

@@ -15,7 +15,6 @@ class DhtProtocol final : public Protocol {
   using Protocol::Protocol;
 
   ProtocolKind kind() const override { return ProtocolKind::kDht; }
-  const char* name() const override { return "DHT"; }
 
   /// Routing state only: no response index.
   void InitNodeState(NodeState& node, uint64_t seed) const override;

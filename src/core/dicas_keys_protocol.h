@@ -18,7 +18,6 @@ class DicasKeysProtocol final : public DicasProtocol {
   using DicasProtocol::DicasProtocol;
 
   ProtocolKind kind() const override { return ProtocolKind::kDicasKeys; }
-  const char* name() const override { return "Dicas-Keys"; }
 
  protected:
   GroupVec QueryGroups(Engine& engine,

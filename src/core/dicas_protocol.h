@@ -19,7 +19,6 @@ class DicasProtocol : public Protocol {
   using Protocol::Protocol;
 
   ProtocolKind kind() const override { return ProtocolKind::kDicas; }
-  const char* name() const override { return "Dicas"; }
 
   PeerVec ForwardTargets(Engine& engine, PeerId node,
                          const overlay::QueryMessage& query,

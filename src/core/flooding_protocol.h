@@ -13,7 +13,6 @@ class FloodingProtocol final : public Protocol {
   using Protocol::Protocol;
 
   ProtocolKind kind() const override { return ProtocolKind::kFlooding; }
-  const char* name() const override { return "Flooding"; }
 
   /// Nothing to allocate: no index, no filters.
   void InitNodeState(NodeState& /*node*/, uint64_t /*seed*/) const override {}

@@ -22,7 +22,6 @@ class HybridProtocol final : public LocawareProtocol {
   using LocawareProtocol::LocawareProtocol;
 
   ProtocolKind kind() const override { return ProtocolKind::kHybrid; }
-  const char* name() const override { return "Hybrid"; }
 
   /// Locaware's index and filters plus the DHT routing state.
   void InitNodeState(NodeState& node, uint64_t seed) const override;

@@ -26,7 +26,6 @@ class LocawareProtocol : public Protocol {
   using Protocol::Protocol;
 
   ProtocolKind kind() const override { return ProtocolKind::kLocaware; }
-  const char* name() const override { return "Locaware"; }
 
   /// The response index plus the counting keyword filter and its last
   /// advertised projection.

@@ -42,7 +42,6 @@ class Protocol {
   virtual ~Protocol() = default;
 
   virtual ProtocolKind kind() const = 0;
-  virtual const char* name() const = 0;
 
   /// Allocates the per-peer state this protocol uses, once per peer at setup
   /// (`node.id` is set). The base allocates the response index, its

@@ -169,8 +169,6 @@ class GeometricUnderlay final : public Underlay {
   RouterId landmark_router(size_t l) const { return landmark_router_[l]; }
   /// One-way router-to-router latency (ms) along the shortest path.
   double RouterLatencyMs(RouterId a, RouterId b) const;
-  /// One-way access latency of a peer (ms).
-  double AccessLatencyMs(PeerId p) const { return peer_access_ms_[p]; }
 
  private:
   GeometricUnderlay() = default;

@@ -77,15 +77,17 @@ double AllocsPerEvent(const ExperimentConfig& cfg) {
 }
 
 // The pinned bars. Measured on this workload with every spill buffer and
-// flat table on the global heap: Dicas 0.149 (0.205 at 4 shards), Locaware
-// 0.293, Flooding 0.036 / 0.071 (1 / 4 shards) allocs/event — down from
-// 1.97 / 2.15 / 1.90 with node-based hash maps and make_shared forward
-// payloads, and from Dicas 0.150 / Locaware 0.295 while every relay hop
-// copied the response it forwarded. Hybrid measures 0.091 / 0.095 (1 / 4
-// shards; 0.101 / 0.103 while every DHT reply was copied out of its event);
-// DHT messages are about 80% of its ~14.4k events, so one new allocation
-// per DHT hop would add about 0.8. What remains is table and list growth
-// to plateau (a flat table that doubles, a spilled list that outgrows its
+// flat table on the global heap: Dicas 0.130 (0.188 at 4 shards), Locaware
+// 0.274, Flooding 0.036 / 0.071 (1 / 4 shards) allocs/event — down from
+// Dicas 0.148 / Locaware 0.293 while the response index kept a posting
+// table and a list node per cached file, from 1.97 / 2.15 / 1.90 with
+// node-based hash maps and make_shared forward payloads, and from Dicas
+// 0.150 / Locaware 0.295 while every relay hop copied the response it
+// forwarded. Hybrid measures 0.091 / 0.095 (1 / 4 shards; 0.101 / 0.103
+// while every DHT reply was copied out of its event); DHT messages are
+// about 80% of its ~14.4k events, so one new allocation per DHT hop would
+// add about 0.8. What remains is table and array growth to plateau (a flat
+// table or index array that doubles, a spilled list that outgrows its
 // buffer), response and evict-report vectors, and Locaware's Bloom
 // filters, which allocate their storage on first write instead of at
 // Engine::Create (a one-off per filter, not per event). The numbers are

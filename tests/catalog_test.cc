@@ -158,26 +158,6 @@ TEST(FileCatalogTest, MatchesImplementsContainment) {
   EXPECT_FALSE(cat.Matches(0, query));
 }
 
-TEST(FileCatalogTest, FindMatchesAgreesWithBruteForce) {
-  Rng rng(9);
-  CatalogConfig cfg;
-  cfg.num_files = 400;
-  cfg.keyword_pool_size = 120;  // dense keyword reuse -> multi-file matches
-  cfg.keywords_per_file = 3;
-  auto cat = std::move(FileCatalog::Generate(cfg, &rng)).ValueOrDie();
-
-  for (FileId probe = 0; probe < 50; ++probe) {
-    const std::vector<KeywordId> query{cat.keywords(probe)[0]};
-    std::set<FileId> brute;
-    for (FileId f = 0; f < cat.num_files(); ++f) {
-      if (cat.Matches(f, query)) brute.insert(f);
-    }
-    const auto fast = cat.FindMatches(query);
-    EXPECT_EQ(std::set<FileId>(fast.begin(), fast.end()), brute);
-    EXPECT_TRUE(brute.contains(probe));
-  }
-}
-
 // Oracle for the signature prefilter: for every file, MatchesSorted equals
 // std::includes on queries of 1-6 keywords mixed from the file's own
 // keywords and one of three other pools — random catalog keywords, keywords
@@ -255,7 +235,8 @@ TEST(FileCatalogTest, SignatureNeverRejectsAMatch) {
 TEST(FileCatalogTest, InternQueryKeywordsSortsAndRejectsUnknown) {
   Rng rng(10);
   auto cat = std::move(FileCatalog::Generate(PaperCatalog(), &rng)).ValueOrDie();
-  EXPECT_TRUE(cat.FindMatches({}).empty());
+  // An empty query is vacuously contained in every file.
+  EXPECT_TRUE(cat.Matches(0, {}));
 
   const auto& kws = cat.keywords(0);
   auto interned = cat.InternQueryKeywords(
@@ -480,7 +461,9 @@ TEST_F(WorkloadFixture, LoadTraceInternsUnknownKeywords) {
   EXPECT_EQ(catalog_.keyword(minted), "notacatalogword");
   EXPECT_EQ(catalog_.LookupKeyword("notacatalogword"), minted);
   EXPECT_EQ(catalog_.KeywordWireBytes(minted), std::string("notacatalogword").size());
-  EXPECT_TRUE(catalog_.FindMatches({minted}).empty());
+  for (FileId f = 0; f < catalog_.num_files(); ++f) {
+    EXPECT_FALSE(catalog_.Matches(f, {minted}));
+  }
   // Re-loading does not mint again.
   auto again = QueryWorkload::LoadTrace(path, &catalog_);
   ASSERT_TRUE(again.ok());

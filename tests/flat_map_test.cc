@@ -144,8 +144,8 @@ TEST(FlatMapTest, EraseByIteratorRemovesThePointee) {
 }
 
 TEST(FlatMapTest, NonTriviallyCopyableValues) {
-  // The real payloads: SmallVector values (response-index postings) and
-  // strings. Growth and displacement must move them, not bit-copy them.
+  // Non-trivial payloads: SmallVector values and strings. Growth and
+  // displacement must move them, not bit-copy them.
   FlatMap<uint32_t, SmallVector<uint32_t, 2>> m;
   for (uint32_t i = 0; i < 200; ++i) {
     auto [it, inserted] = m.try_emplace(i);

@@ -1,5 +1,5 @@
 // The interned-symbol contract, property-tested: every id-plane fast path
-// (catalog matching, response-index posting lists, group hashing, Bloom probe
+// (catalog matching, response-index lookups, group hashing, Bloom probe
 // hashes, wire-size accounting) must agree exactly with a string-based
 // reference implementation of the same rule.
 #include <algorithm>
@@ -79,9 +79,6 @@ TEST(InternPropertyTest, CatalogMatchesAgreesWithStringReference) {
       if (cat.Matches(f, query)) got.insert(f);
     }
     EXPECT_EQ(got, expected) << "trial " << trial;
-    const auto fast = cat.FindMatches(query);
-    EXPECT_EQ(std::set<FileId>(fast.begin(), fast.end()), expected)
-        << "trial " << trial;
   }
 }
 

@@ -15,11 +15,15 @@
 namespace locaware::cache {
 namespace {
 
-/// Straight-line reference for ResponseIndex with LRU eviction.
+/// Straight-line reference for ResponseIndex with LRU or FIFO eviction.
 class ReferenceIndex {
  public:
-  ReferenceIndex(size_t max_files, size_t max_providers, sim::SimTime ttl)
-      : max_files_(max_files), max_providers_(max_providers), ttl_(ttl) {}
+  ReferenceIndex(size_t max_files, size_t max_providers, sim::SimTime ttl,
+                 EvictionPolicy eviction)
+      : max_files_(max_files),
+        max_providers_(max_providers),
+        ttl_(ttl),
+        eviction_(eviction) {}
 
   std::vector<FileId> AddProvider(FileId file, const std::vector<KeywordId>& kws,
                                   PeerId provider, LocId loc, sim::SimTime now) {
@@ -30,11 +34,10 @@ class ReferenceIndex {
         evicted.push_back(entries_.front().file);
         entries_.erase(entries_.begin());
       }
-      entries_.push_back(Entry{file, kws, {}});
+      entries_.push_back(Entry{file, next_seq_++, kws, {}});
       it = std::prev(entries_.end());
     } else {
-      Touch(it);
-      it = std::prev(entries_.end());
+      it = Touch(it);
     }
     auto& provs = it->providers;
     provs.erase(std::remove_if(provs.begin(), provs.end(),
@@ -57,23 +60,24 @@ class ReferenceIndex {
     return live;
   }
 
-  /// Files matching the query (with >=1 live provider), LRU-refreshing each
-  /// match like the real index does. Callers must keep queries single-match:
-  /// with several matches the real index's touch order follows posting-list
-  /// order, which a reference cannot (and should not) replicate.
+  /// Files matching the query (with >=1 live provider) in insertion order,
+  /// LRU-refreshing each match in that order like the real index does.
   std::vector<FileId> MatchingFiles(const std::vector<KeywordId>& query,
                                     sim::SimTime now) {
+    std::vector<const Entry*> by_insertion;
+    for (const auto& e : entries_) by_insertion.push_back(&e);
+    std::sort(by_insertion.begin(), by_insertion.end(),
+              [](const Entry* a, const Entry* b) { return a->seq < b->seq; });
     std::vector<FileId> out;
-    for (const auto& e : entries_) {
-      if (!ContainsAllIds(e.keywords, query)) continue;
+    for (const Entry* e : by_insertion) {
+      if (!ContainsAllIds(e->keywords, query)) continue;
       bool any_live = false;
-      for (const auto& p : e.providers) {
+      for (const auto& p : e->providers) {
         if (ttl_ <= 0 || now - p.added_at <= ttl_) any_live = true;
       }
-      if (any_live) out.push_back(e.file);
+      if (any_live) out.push_back(e->file);
     }
     for (FileId file : out) Touch(Find(file));
-    std::sort(out.begin(), out.end());
     return out;
   }
 
@@ -101,6 +105,7 @@ class ReferenceIndex {
  private:
   struct Entry {
     FileId file;
+    uint64_t seq;  // insertion sequence number
     std::vector<KeywordId> keywords;
     std::vector<ProviderEntry> providers;
   };
@@ -109,24 +114,34 @@ class ReferenceIndex {
     return std::find_if(entries_.begin(), entries_.end(),
                         [&](const Entry& e) { return e.file == file; });
   }
-  void Touch(std::vector<Entry>::iterator it) {
+  /// Moves the entry to the back (most recently used) under LRU; FIFO
+  /// ignores use. Returns the entry's new position.
+  std::vector<Entry>::iterator Touch(std::vector<Entry>::iterator it) {
+    if (eviction_ != EvictionPolicy::kLru) return it;
     Entry copy = *it;
     entries_.erase(it);
     entries_.push_back(std::move(copy));
+    return std::prev(entries_.end());
   }
 
   size_t max_files_;
   size_t max_providers_;
   sim::SimTime ttl_;
-  std::vector<Entry> entries_;  // front = LRU victim
+  EvictionPolicy eviction_;
+  uint64_t next_seq_ = 0;
+  std::vector<Entry> entries_;  // front = next victim
 };
 
+/// 32 bytes: gtest prints the parameter's size in each case's listed name,
+/// so the seed is 32-bit to make room for the policy without renaming cases.
 struct ModelParams {
   size_t max_filenames;
   size_t max_providers;
   int64_t ttl_s;  // 0 = no expiry
-  uint64_t seed;
+  uint32_t seed;
+  EvictionPolicy eviction = EvictionPolicy::kLru;
 };
+static_assert(sizeof(ModelParams) == 32);
 
 class ResponseIndexModelTest : public ::testing::TestWithParam<ModelParams> {};
 
@@ -136,9 +151,10 @@ TEST_P(ResponseIndexModelTest, AgreesWithReferenceOverRandomOps) {
   cfg.max_filenames = params.max_filenames;
   cfg.max_providers_per_file = params.max_providers;
   cfg.entry_ttl = params.ttl_s * sim::kSecond;
-  cfg.eviction = EvictionPolicy::kLru;
+  cfg.eviction = params.eviction;
   ResponseIndex real(cfg);
-  ReferenceIndex reference(params.max_filenames, params.max_providers, cfg.entry_ttl);
+  ReferenceIndex reference(params.max_filenames, params.max_providers, cfg.entry_ttl,
+                           params.eviction);
 
   // A small universe of files so operations collide often. Keyword-id
   // layout: shared ids 0..2, mid ids 10..14, a unique id 100+i per file —
@@ -183,15 +199,15 @@ TEST_P(ResponseIndexModelTest, AgreesWithReferenceOverRandomOps) {
           EXPECT_EQ(got->providers[i].added_at, (*expected)[i].added_at);
         }
       }
-    } else if (op < 9) {  // keyword lookup via the file's unique keyword, so
-                          // at most one entry matches and LRU-touch order is
-                          // deterministic (see ReferenceIndex::MatchingFiles)
-      const std::vector<KeywordId> query{kws[2]};
+    } else if (op < 9) {  // keyword lookup on one of the file's keywords: the
+                          // shared ids kws[0] and kws[1] match several files,
+                          // which must come back (and be touched) in
+                          // insertion order; the unique kws[2] matches one
+      const std::vector<KeywordId> query{kws[rng.UniformInt(0, 2)]};
       std::vector<FileId> got;
       for (const auto& hit : real.LookupByKeywords(query, now)) {
         got.push_back(hit.file);
       }
-      std::sort(got.begin(), got.end());
       EXPECT_EQ(got, reference.MatchingFiles(query, now)) << "step " << step;
     } else {  // expiry sweep
       std::vector<FileId> got;
@@ -207,12 +223,16 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, ResponseIndexModelTest,
     ::testing::Values(ModelParams{3, 1, 0, 1}, ModelParams{3, 2, 5, 2},
                       ModelParams{5, 8, 0, 3}, ModelParams{5, 3, 2, 4},
-                      ModelParams{12, 2, 3, 5}, ModelParams{2, 1, 1, 6}),
+                      ModelParams{12, 2, 3, 5}, ModelParams{2, 1, 1, 6},
+                      ModelParams{3, 2, 0, 7, EvictionPolicy::kFifo},
+                      ModelParams{5, 3, 2, 8, EvictionPolicy::kFifo},
+                      ModelParams{8, 1, 4, 9, EvictionPolicy::kFifo}),
     [](const auto& info) {
       return "cap" + std::to_string(info.param.max_filenames) + "prov" +
              std::to_string(info.param.max_providers) + "ttl" +
              std::to_string(info.param.ttl_s) + "seed" +
-             std::to_string(info.param.seed);
+             std::to_string(info.param.seed) +
+             (info.param.eviction == EvictionPolicy::kFifo ? "fifo" : "");
     });
 
 }  // namespace

@@ -277,16 +277,6 @@ TEST(ResponseIndexTest, ExpireStaleAfterOldestProviderRemoved) {
   EXPECT_EQ(ri.num_filenames(), 0u);
 }
 
-TEST(ResponseIndexTest, EraseRemovesEntry) {
-  ResponseIndex ri(SmallConfig());
-  ri.AddProvider(kAbc, kAbcKws, P(1), 0);
-  EXPECT_TRUE(ri.Erase(kAbc));
-  EXPECT_FALSE(ri.Erase(kAbc));
-  EXPECT_EQ(ri.num_filenames(), 0u);
-  // The inverted index dropped the postings too: no keyword matches remain.
-  EXPECT_TRUE(ri.LookupByKeywords(Q({kAlpha}), 1).empty());
-}
-
 TEST(ResponseIndexTest, TotalProviderCountTracksDuplication) {
   ResponseIndex ri(SmallConfig());
   ri.AddProvider(1, FKws(1), P(1), 1);

@@ -1,5 +1,5 @@
 // SmallVector: the inline-until-N storage under the response index's
-// keyword/provider/posting lists. The interesting transitions are the
+// keyword and provider lists. The interesting transitions are the
 // inline->heap spill (and that everything survives it) and move semantics
 // in both storage states.
 #include "common/small_vector.h"
