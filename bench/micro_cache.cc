@@ -171,17 +171,24 @@ void BM_ExpireStaleSweep(benchmark::State& state) {
   ResponseIndexConfig cfg;
   cfg.max_filenames = 50;
   cfg.entry_ttl = 1000;
+  // Only the sweep's own allocations count, not the untimed refill's.
+  uint64_t refill_allocs = 0;
+  const uint64_t allocs_before = g_alloc_count;
   for (auto _ : state) {
     state.PauseTiming();
+    const uint64_t refill_before = g_alloc_count;
     ResponseIndex ri(cfg);
     for (size_t f = 0; f < 50; ++f) {
       ri.AddProvider(corpus.files[f], corpus.keywords[f], ProviderEntry{1, 0, 0},
                      0);
     }
+    refill_allocs += g_alloc_count - refill_before;
     state.ResumeTiming();
     auto removed = ri.ExpireStale(5000);
     benchmark::DoNotOptimize(removed);
   }
+  ReportAllocs(state, allocs_before + refill_allocs);
+  state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ExpireStaleSweep);
 

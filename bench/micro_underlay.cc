@@ -1,6 +1,11 @@
-// Microbenchmarks for the underlay: Waxman build + APSP cost, the O(1) RTT
-// lookups the engine makes per message, and locId computation.
+// Microbenchmarks for the underlay: a whole GeometricUnderlay::Build (router
+// graph, connectivity patch, the all-sources router APSP, peer
+// attachment) for Waxman graphs of 100 to 1000 routers and a 400-router
+// Barabási–Albert graph, the O(1) RTT lookups the engine makes per message,
+// and locId computation.
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #include "common/rng.h"
 #include "net/landmark.h"
@@ -12,9 +17,12 @@ using locaware::PeerId;
 using locaware::Rng;
 using locaware::net::GeometricUnderlay;
 using locaware::net::GeometricUnderlayConfig;
+using locaware::net::RouterGraphModel;
+using locaware::net::RouterGraphModelName;
 
-void BM_BuildGeometric(benchmark::State& state) {
+void BM_BuildGeometric(benchmark::State& state, RouterGraphModel model) {
   GeometricUnderlayConfig cfg;
+  cfg.model = model;
   cfg.num_routers = static_cast<size_t>(state.range(0));
   cfg.num_peers = 1000;
   uint64_t seed = 1;
@@ -23,9 +31,21 @@ void BM_BuildGeometric(benchmark::State& state) {
     auto u = GeometricUnderlay::Build(cfg, &rng);
     benchmark::DoNotOptimize(u);
   }
-  state.SetLabel("routers=" + std::to_string(state.range(0)) + " (incl. APSP)");
+  state.SetLabel(std::string(RouterGraphModelName(model)) +
+                 " routers=" + std::to_string(state.range(0)) + " (incl. APSP)");
 }
-BENCHMARK(BM_BuildGeometric)->Arg(100)->Arg(200)->Arg(400)->Unit(benchmark::kMillisecond);
+void BM_BuildGeometric(benchmark::State& state) {
+  BM_BuildGeometric(state, RouterGraphModel::kWaxman);
+}
+BENCHMARK(BM_BuildGeometric)
+    ->Arg(100)
+    ->Arg(200)
+    ->Arg(400)
+    ->Arg(1000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BuildGeometric, barabasi_albert, RouterGraphModel::kBarabasiAlbert)
+    ->Arg(400)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RttLookup(benchmark::State& state) {
   Rng rng(2);

@@ -1,6 +1,7 @@
 #include "net/underlay.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -48,124 +49,6 @@ struct Edge {
   RouterId to;
   double length;  // Euclidean, converted to ms after normalization
 };
-
-/// The router graph in compressed sparse row form: router u's edges are
-/// [offsets[u], offsets[u + 1]) of `targets` and `lengths`.
-struct CsrGraph {
-  explicit CsrGraph(const std::vector<std::vector<Edge>>& adj) : offsets(adj.size() + 1) {
-    for (size_t u = 0; u < adj.size(); ++u) offsets[u + 1] = offsets[u] + adj[u].size();
-    targets.reserve(offsets.back());
-    lengths.reserve(offsets.back());
-    for (const std::vector<Edge>& edges : adj) {
-      for (const Edge& e : edges) {
-        targets.push_back(e.to);
-        lengths.push_back(e.length);
-      }
-    }
-  }
-
-  std::vector<size_t> offsets;
-  std::vector<RouterId> targets;
-  std::vector<double> lengths;
-};
-
-/// Indexed 4-ary min-heap of router ids ordered by a distance row the caller
-/// owns, with decrease-key. The keys are read from the row (full doubles), so
-/// the heap orders exactly as the distances do.
-class RouterHeap {
- public:
-  explicit RouterHeap(size_t num_routers) : pos_(num_routers, kAbsent) {
-    heap_.reserve(num_routers);
-  }
-
-  bool empty() const { return heap_.empty(); }
-
-  /// Inserts `v`, or restores the order after dist[v] decreased.
-  void PushOrDecrease(RouterId v, const double* dist) {
-    if (pos_[v] == kAbsent) {
-      pos_[v] = heap_.size();
-      heap_.push_back(v);
-    }
-    SiftUp(pos_[v], dist);
-  }
-
-  RouterId PopMin(const double* dist) {
-    const RouterId top = heap_.front();
-    pos_[top] = kAbsent;
-    const RouterId last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) {
-      heap_[0] = last;
-      pos_[last] = 0;
-      SiftDown(0, dist);
-    }
-    return top;
-  }
-
- private:
-  static constexpr size_t kArity = 4;
-  static constexpr size_t kAbsent = SIZE_MAX;
-
-  void Place(size_t i, RouterId v) {
-    heap_[i] = v;
-    pos_[v] = i;
-  }
-
-  void SiftUp(size_t i, const double* dist) {
-    const RouterId v = heap_[i];
-    while (i > 0) {
-      const size_t parent = (i - 1) / kArity;
-      if (!(dist[v] < dist[heap_[parent]])) break;
-      Place(i, heap_[parent]);
-      i = parent;
-    }
-    Place(i, v);
-  }
-
-  void SiftDown(size_t i, const double* dist) {
-    const RouterId v = heap_[i];
-    const size_t n = heap_.size();
-    while (true) {
-      const size_t first = i * kArity + 1;
-      if (first >= n) break;
-      size_t best = first;
-      const size_t end = std::min(first + kArity, n);
-      for (size_t c = first + 1; c < end; ++c) {
-        if (dist[heap_[c]] < dist[heap_[best]]) best = c;
-      }
-      if (!(dist[heap_[best]] < dist[v])) break;
-      Place(i, heap_[best]);
-      i = best;
-    }
-    Place(i, v);
-  }
-
-  std::vector<RouterId> heap_;
-  std::vector<size_t> pos_;  // heap index of each router, kAbsent when out
-};
-
-/// Dijkstra from `source`, writing distances (edge-length unit) to
-/// dist[0, num_routers). A router is settled when popped and never
-/// re-enters the heap: weights are positive, so no later label can undercut
-/// it.
-void Dijkstra(const CsrGraph& graph, RouterId source, RouterHeap* heap, double* dist) {
-  const size_t r = graph.offsets.size() - 1;
-  std::fill(dist, dist + r, std::numeric_limits<double>::infinity());
-  dist[source] = 0.0;
-  heap->PushOrDecrease(source, dist);
-  while (!heap->empty()) {
-    const RouterId u = heap->PopMin(dist);
-    const double du = dist[u];
-    for (size_t e = graph.offsets[u]; e < graph.offsets[u + 1]; ++e) {
-      const RouterId v = graph.targets[e];
-      const double nd = du + graph.lengths[e];
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        heap->PushOrDecrease(v, dist);
-      }
-    }
-  }
-}
 
 }  // namespace
 
@@ -298,19 +181,51 @@ Result<std::unique_ptr<GeometricUnderlay>> GeometricUnderlay::Build(
     underlay->router_degree_[u] = static_cast<uint32_t>(adj[u].size());
   }
 
-  // 4. Router-level APSP in Euclidean units, one Dijkstra per source row
-  // (see the class comment for why the rows are bit-stable).
-  underlay->router_spath_ms_.resize(r * r);
-  const CsrGraph graph(adj);
-  RouterHeap heap(r);
-  double max_path = 0.0;
-  for (RouterId s = 0; s < r; ++s) {
-    double* row = &underlay->router_spath_ms_[s * r];
-    Dijkstra(graph, s, &heap, row);
-    for (RouterId t = 0; t < r; ++t) {
-      LOCAWARE_CHECK(std::isfinite(row[t])) << "router graph disconnected";
-      max_path = std::max(max_path, row[t]);
+  // 4. Router-level APSP in Euclidean units, every source at once (see the
+  // class comment for why the table is bit-stable). While it is computed,
+  // spath[v * r + s] is the distance from s to v, so relaxing edge u -> v for
+  // every source is one pass over two contiguous rows. Gauss–Seidel sweeps
+  // visit v in index order and skip a neighbour u whose row has not changed
+  // since v last read it; a sweep that changes nothing is the fixed point.
+  std::vector<double>& spath = underlay->router_spath_ms_;
+  spath.assign(r * r, std::numeric_limits<double>::infinity());
+  for (RouterId v = 0; v < r; ++v) spath[v * r + v] = 0.0;
+  std::vector<uint64_t> changed_at(r, 1);  // clock of each row's last change
+  std::vector<uint64_t> read_at(r, 0);     // clock of each row's last read
+  uint64_t clock = 1;
+  for (bool sweep_changed = true; sweep_changed;) {
+    sweep_changed = false;
+    for (RouterId v = 0; v < r; ++v) {
+      const uint64_t last_read = read_at[v];
+      read_at[v] = ++clock;
+      double* row_v = &spath[v * r];
+      uint64_t changed_bits = 0;  // a bool here would block vectorization
+      for (const Edge& e : adj[v]) {
+        if (changed_at[e.to] < last_read) continue;
+        const double* row_u = &spath[e.to * r];
+        const double w = e.length;
+        for (size_t s = 0; s < r; ++s) {
+          const double via = row_u[s] + w;
+          const double old = row_v[s];
+          const double best = via < old ? via : old;
+          changed_bits |= std::bit_cast<uint64_t>(best) ^ std::bit_cast<uint64_t>(old);
+          row_v[s] = best;
+        }
+      }
+      if (changed_bits != 0) {
+        changed_at[v] = clock;
+        sweep_changed = true;
+      }
     }
+  }
+  // Transpose in place to row-major by source, as the accessors read it.
+  for (RouterId a = 0; a < r; ++a) {
+    for (RouterId b = a + 1; b < r; ++b) std::swap(spath[a * r + b], spath[b * r + a]);
+  }
+  double max_path = 0.0;
+  for (const double d : spath) {
+    LOCAWARE_CHECK(std::isfinite(d)) << "router graph disconnected";
+    max_path = std::max(max_path, d);
   }
 
   // 5. Normalize path lengths into milliseconds so that peer-to-peer RTTs span

@@ -123,20 +123,24 @@ struct GeometricUnderlayConfig {
 /// Build via GeometricUnderlay::Build. Router-level all-pairs shortest paths
 /// are precomputed, so RttMs is O(1).
 ///
-/// The precompute runs one Dijkstra per source router over a CSR copy of the
-/// router graph, with an indexed 4-ary heap (decrease-key, so each router
-/// enters the heap once per source) whose keys are the full-precision
-/// distances of the row being filled; each row is written straight into the
-/// table. The rows are bit-stable: every label is dist[u] + w(u, v) with u
-/// already settled and w > 0, and IEEE addition is monotone, so any correct
-/// label-setting Dijkstra reaches the same fixed point bit for bit, whatever
-/// its heap or tie order. Rewrites that re-associate the sums would change
-/// bits and so every seed's results: Floyd–Warshall, filling row t from row
-/// s by symmetry (a fold from t is not a fold from s), or keys of reduced
-/// precision in the heap. `GeometricUnderlayTest.ApspTableIsPinnedBitForBit`
-/// pins the table. The Dijkstras are not threaded: set-up is measured as
-/// process CPU time, which threads do not lower, and Build would stop being
-/// single-threaded for every caller.
+/// The precompute relaxes every source at once. While it runs, the table is
+/// stored transposed (entry [v][s] is the distance from s to v), so relaxing
+/// edge u -> v for all sources is `row_v[s] = min(row_v[s], row_u[s] + w)`
+/// over two contiguous rows, a loop GCC vectorizes at -O3. Gauss–Seidel
+/// sweeps visit v in index order, skip a neighbour whose row has not changed
+/// since v last read it, and stop after a sweep that changes nothing; the
+/// table is then transposed in place to row-major by source. The result is
+/// bit-stable: every label is a left fold d[u] + w(u, v) with w > 0, and IEEE
+/// addition is monotone, so Dijkstra and any label-correcting scheme reach
+/// the same least fixed point, the minimum over paths of those folds,
+/// whatever their visiting order. Rewrites that re-associate the sums would
+/// change bits and so every seed's results: Floyd–Warshall (d[i][k] +
+/// d[k][j]), filling row t from row s by symmetry (a fold from t is not a
+/// fold from s), float labels, and fast-math or FMA-contraction flags.
+/// `GeometricUnderlayTest.ApspTableIsPinnedBitForBit` pins the table. The
+/// kernel is not threaded: set-up is measured as process CPU time, which
+/// threads do not lower, and Build would stop being single-threaded for
+/// every caller.
 class GeometricUnderlay final : public Underlay {
  public:
   /// Constructs the underlay. Fails with InvalidArgument on nonsensical

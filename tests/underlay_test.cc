@@ -322,15 +322,18 @@ std::string Hex(uint64_t v) {
 }
 
 /// The router table feeds every RTT, so any change to its bits shifts every
-/// seed's results. The goldens come from a plain lazy-deletion binary-heap
-/// Dijkstra; a kernel rewrite must reproduce them exactly (the GeometricUnderlay
-/// comment in underlay.h says which rewrites can and which cannot).
+/// seed's results. The goldens come from Dijkstra kernels (a lazy-deletion
+/// binary heap; the three long-path shapes an indexed 4-ary heap); a kernel
+/// rewrite must reproduce them exactly (the GeometricUnderlay comment in
+/// underlay.h says which rewrites can and which cannot).
 TEST(GeometricUnderlayTest, ApspTableIsPinnedBitForBit) {
   struct Golden {
     RouterGraphModel model;
     size_t routers;
     uint64_t seed;
     uint64_t digest;
+    double waxman_alpha = 0.15;
+    size_t ba_links = 2;
   };
   const Golden kGoldens[] = {
       {RouterGraphModel::kWaxman, 1, 1, 0x44bd2bd473ccf799ULL},
@@ -357,18 +360,26 @@ TEST(GeometricUnderlayTest, ApspTableIsPinnedBitForBit) {
       {RouterGraphModel::kBarabasiAlbert, 400, 1, 0x04a77e6086d3c16bULL},
       {RouterGraphModel::kBarabasiAlbert, 400, 2, 0xe0d30a397d7a6e9fULL},
       {RouterGraphModel::kBarabasiAlbert, 400, 3, 0x06db1ce2b13beb4bULL},
+      // Shapes with long shortest paths, which need the most relaxation
+      // sweeps: a Barabási–Albert tree, a sparse Waxman graph, 1000 routers.
+      {RouterGraphModel::kBarabasiAlbert, 400, 1, 0xb2a3eebf36acee46ULL, 0.15, 1},
+      {RouterGraphModel::kWaxman, 400, 1, 0x8107d15b3d59dc78ULL, 0.03},
+      {RouterGraphModel::kWaxman, 1000, 1, 0xf8892b73b16825d0ULL},
   };
   for (const Golden& g : kGoldens) {
     GeometricUnderlayConfig cfg;
     cfg.model = g.model;
     cfg.num_routers = g.routers;
+    cfg.waxman_alpha = g.waxman_alpha;
+    cfg.ba_links_per_router = g.ba_links;
     cfg.num_peers = 100;
     cfg.num_landmarks = 1;
     Rng rng(g.seed);
     auto built = GeometricUnderlay::Build(cfg, &rng);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     EXPECT_EQ(Hex(ApspDigest(*built.ValueOrDie())), Hex(g.digest))
-        << RouterGraphModelName(g.model) << "/" << g.routers << "/" << g.seed;
+        << RouterGraphModelName(g.model) << "/" << g.routers << "/" << g.seed << "/alpha="
+        << g.waxman_alpha << "/m=" << g.ba_links;
   }
 
   // The end-to-end benchmark's underlay: the 10k-peer workloads' network.
