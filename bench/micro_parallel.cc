@@ -42,7 +42,9 @@
 // mailbox drain and the window-end computation, with next to no event work.
 //
 // BM_EngineCreate/shards:{1,4,8} times Engine::Create alone on the 10k-peer
-// flooding network: the set-up cost, and whether it grows with the shards.
+// flooding network: the set-up cost, and whether it grows with the shards;
+// BM_EngineCreate/locaware_100k/shards:4 on the 100k-peer Locaware one,
+// where the per-peer set-up builders dominate.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -376,16 +378,19 @@ BENCHMARK(BM_EngineSharded)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Engine::Create alone at the e2e benchmark's fig3_flooding_10k network
-// (10k peers, 400 routers, flooding, 150 queries), in ms of CPU per Create.
-// The fixed cost is the underlay's all-pairs shortest paths; the K x K
-// lookahead matrix is the part that could grow with K, and the
-// shards:{1,4,8} rows show whether it does.
-void BM_EngineCreate(benchmark::State& state) {
-  core::ExperimentConfig cfg =
-      core::MakePaperConfig(core::ProtocolKind::kFlooding, /*num_queries=*/150,
-                            /*seed=*/42);
-  cfg.num_peers = 10000;
+// Engine::Create alone, in ms of CPU per Create, on two e2e benchmark
+// networks. BM_EngineCreate/shards:{1,4,8} builds fig3_flooding_10k's (10k
+// peers, 400 routers, flooding, 150 queries): the router all-pairs shortest
+// paths are about 6-8 ms of a 12-18 ms Create, the per-peer builders (locIds,
+// file placement, overlay, node state) most of the rest. The K x K lookahead
+// matrix is the part that could grow with K, and the shards rows show
+// whether it does. BM_EngineCreate/locaware_100k/shards:4 builds
+// fig3_locaware_100k's (100k Locaware peers, 400 routers, 400 queries),
+// where the per-peer builders and node state are nearly all of the set-up.
+void BM_EngineCreate(benchmark::State& state, core::ProtocolKind kind, size_t peers,
+                     uint64_t queries) {
+  core::ExperimentConfig cfg = core::MakePaperConfig(kind, queries, /*seed=*/42);
+  cfg.num_peers = peers;
   cfg.underlay.num_routers = 400;
   cfg.scheduler.shards = static_cast<uint32_t>(state.range(0));
   cfg.scheduler.workers = 1;
@@ -396,11 +401,21 @@ void BM_EngineCreate(benchmark::State& state) {
     state.ResumeTiming();
   }
 }
+
+void BM_EngineCreate(benchmark::State& state) {
+  BM_EngineCreate(state, core::ProtocolKind::kFlooding, 10000, 150);
+}
 BENCHMARK(BM_EngineCreate)
     ->ArgName("shards")
     ->Arg(1)
     ->Arg(4)
     ->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+
+BENCHMARK_CAPTURE(BM_EngineCreate, locaware_100k, core::ProtocolKind::kLocaware, 100000,
+                  400)
+    ->ArgName("shards")
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 // The million-peer data plane target: full Dicas engine at scale. Routers

@@ -141,50 +141,60 @@ std::optional<ResponseIndex::Hit> ResponseIndex::LookupFile(FileId file,
 }
 
 template <typename DropFn>
-std::vector<ResponseIndex::EvictedFile> ResponseIndex::RemoveEntries(DropFn&& drop) {
-  std::vector<EvictedFile> removed;
+size_t ResponseIndex::RemoveEntries(DropFn&& drop, std::vector<EvictedFile>* removed) {
+  if (removed != nullptr) removed->clear();
   size_t kept = 0;
   for (size_t i = 0; i < entries_.size(); ++i) {
     Entry& e = entries_[i];
     if (drop(e)) {
-      removed.push_back(EvictedFile{e.file, std::move(e.keywords)});
+      if (removed != nullptr) {
+        removed->push_back(EvictedFile{e.file, std::move(e.keywords)});
+      }
       continue;
     }
     if (kept != i) entries_[kept] = std::move(e);
     ++kept;
   }
+  const size_t count = entries_.size() - kept;
   entries_.erase(entries_.begin() + kept, entries_.end());
-  std::sort(removed.begin(), removed.end(),
-            [](const EvictedFile& a, const EvictedFile& b) { return a.file < b.file; });
-  return removed;
+  if (removed != nullptr) {
+    std::sort(removed->begin(), removed->end(),
+              [](const EvictedFile& a, const EvictedFile& b) { return a.file < b.file; });
+  }
+  return count;
 }
 
-std::vector<ResponseIndex::EvictedFile> ResponseIndex::ExpireStale(sim::SimTime now) {
+size_t ResponseIndex::ExpireStale(sim::SimTime now, std::vector<EvictedFile>* removed) {
   if (config_.entry_ttl <= 0 || now - config_.entry_ttl <= oldest_added_at_) {
-    return {};
+    if (removed != nullptr) removed->clear();
+    return 0;
   }
   oldest_added_at_ = std::numeric_limits<sim::SimTime>::max();
-  return RemoveEntries([&](Entry& e) {
-    if (!PruneStale(&e, now)) return true;
-    for (const ProviderEntry& p : e.providers) {
-      oldest_added_at_ = std::min(oldest_added_at_, p.added_at);
-    }
-    return false;
-  });
+  return RemoveEntries(
+      [&](Entry& e) {
+        if (!PruneStale(&e, now)) return true;
+        for (const ProviderEntry& p : e.providers) {
+          oldest_added_at_ = std::min(oldest_added_at_, p.added_at);
+        }
+        return false;
+      },
+      removed);
 }
 
-std::vector<ResponseIndex::EvictedFile> ResponseIndex::RemoveProvider(
-    PeerId provider) {
-  return RemoveEntries([&](Entry& e) {
-    auto pos = std::find_if(e.providers.begin(), e.providers.end(),
-                            [&](const ProviderEntry& p) {
-                              return p.provider == provider;
-                            });
-    if (pos == e.providers.end()) return false;
-    e.providers.erase(pos);
-    ++stats_.invalidations;
-    return e.providers.empty();
-  });
+size_t ResponseIndex::RemoveProvider(PeerId provider,
+                                     std::vector<EvictedFile>* removed) {
+  return RemoveEntries(
+      [&](Entry& e) {
+        auto pos = std::find_if(e.providers.begin(), e.providers.end(),
+                                [&](const ProviderEntry& p) {
+                                  return p.provider == provider;
+                                });
+        if (pos == e.providers.end()) return false;
+        e.providers.erase(pos);
+        ++stats_.invalidations;
+        return e.providers.empty();
+      },
+      removed);
 }
 
 bool ResponseIndex::Contains(FileId file) const { return Find(file) != nullptr; }

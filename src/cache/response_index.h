@@ -116,18 +116,21 @@ class ResponseIndex {
   /// Exact-file variant of LookupByKeywords.
   std::optional<Hit> LookupFile(FileId file, sim::SimTime now);
 
-  /// Removes every provider older than the ttl (no-op when ttl = 0); returns
-  /// the files that became empty and were removed, sorted by FileId. Returns
-  /// at once, without the sweep, while no provider can be stale yet (see
-  /// oldest_added_at_).
-  std::vector<EvictedFile> ExpireStale(sim::SimTime now);
+  /// Removes every provider older than the ttl (no-op when ttl = 0), and
+  /// every file left without one; returns how many files were removed. When
+  /// `removed` is non-null it is overwritten with those files, sorted by
+  /// FileId; a null list (an owner with no derived structures) costs no
+  /// report. Returns at once, without the sweep, while no provider can be
+  /// stale yet (see oldest_added_at_).
+  size_t ExpireStale(sim::SimTime now, std::vector<EvictedFile>* removed = nullptr);
 
   /// Invalidates every entry naming `provider` (a peer known to have left the
-  /// network); returns the files that lost their last provider and were
-  /// removed (sorted by FileId, like ExpireStale) — the owner mirrors those
-  /// into derived structures (Locaware's counting Bloom filter), exactly like
-  /// an expiry sweep.
-  std::vector<EvictedFile> RemoveProvider(PeerId provider);
+  /// network) and removes the files that lost their last provider; returns
+  /// their count and, like ExpireStale, reports them sorted by FileId in
+  /// `*removed` when it is non-null — the owner mirrors those into derived
+  /// structures (Locaware's counting Bloom filter), exactly like an expiry
+  /// sweep.
+  size_t RemoveProvider(PeerId provider, std::vector<EvictedFile>* removed = nullptr);
 
   bool Contains(FileId file) const;
   size_t num_filenames() const { return entries_.size(); }
@@ -175,10 +178,11 @@ class ResponseIndex {
   /// Non-mutating copy of an entry's live (non-stale) providers.
   ProviderVec LiveProviders(const Entry& entry, sim::SimTime now) const;
   /// Removes every entry for which `drop(entry)` is true, keeping the rest in
-  /// order; returns the removed files sorted by FileId, so the report is a
-  /// function of the index's contents, not of its insertion history.
+  /// order, and returns their count. A non-null `removed` receives the
+  /// removed files sorted by FileId, so the report is a function of the
+  /// index's contents, not of its insertion history.
   template <typename DropFn>
-  std::vector<EvictedFile> RemoveEntries(DropFn&& drop);
+  size_t RemoveEntries(DropFn&& drop, std::vector<EvictedFile>* removed);
 
   ResponseIndexConfig config_;
   /// Insertion order: front = oldest insertion (the FIFO victim).

@@ -47,14 +47,14 @@ Result<FileCatalog> FileCatalog::Generate(const CatalogConfig& config, Rng* rng)
   // the full count, so entries (and the strings its views point into) never
   // relocate while the loop appends.
   constexpr int kMaxAttemptsPerFile = 1000;
+  std::vector<KeywordId> kw_ids(config.keywords_per_file);
   while (cat.files_.size() < config.num_files) {
     bool placed = false;
     for (int attempt = 0; attempt < kMaxAttemptsPerFile; ++attempt) {
-      std::vector<size_t> kw_ids =
-          rng->SampleIndices(config.keyword_pool_size, config.keywords_per_file);
+      rng->SampleIndices(config.keyword_pool_size, std::span<KeywordId>(kw_ids));
       std::vector<std::string> kws;
       kws.reserve(kw_ids.size());
-      for (size_t id : kw_ids) kws.push_back(pool.word(id));
+      for (KeywordId id : kw_ids) kws.push_back(pool.word(id));
       std::string name = Join(kws, " ");
       if (cat.filename_index_.contains(std::string_view{name})) continue;
 

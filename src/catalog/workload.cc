@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <numeric>
+#include <span>
 #include <sstream>
 
 #include <string_view>
@@ -63,9 +64,10 @@ Result<QueryWorkload> QueryWorkload::Generate(const WorkloadConfig& config,
     const size_t max_x = std::min(config.max_query_keywords, kws.size());
     const size_t min_x = std::min(config.min_query_keywords, max_x);
     const size_t x = static_cast<size_t>(rng->UniformInt(min_x, max_x));
-    for (size_t pos : rng->SampleIndices(kws.size(), x)) {
-      ev.keywords.push_back(kws[pos]);
-    }
+    // Sample positions into the keyword list itself, then map each to its id.
+    ev.keywords.resize(x);
+    rng->SampleIndices(kws.size(), std::span<KeywordId>(ev.keywords));
+    for (KeywordId& kw : ev.keywords) kw = kws[kw];
     wl.queries_.push_back(std::move(ev));
   }
   return wl;
@@ -379,16 +381,14 @@ Result<QueryWorkload> QueryWorkload::LoadAuto(const std::string& path,
   return is_binary.ValueOrDie() ? LoadBinary(path, catalog) : LoadTrace(path, catalog);
 }
 
-std::vector<std::vector<FileId>> AssignInitialFiles(size_t num_peers,
-                                                    size_t files_per_peer,
-                                                    const FileCatalog& catalog,
-                                                    Rng* rng) {
+std::vector<FileId> AssignInitialFiles(size_t num_peers, size_t files_per_peer,
+                                       const FileCatalog& catalog, Rng* rng) {
   LOCAWARE_CHECK_LE(files_per_peer, catalog.num_files());
-  std::vector<std::vector<FileId>> placement(num_peers);
-  for (auto& shared : placement) {
-    for (size_t idx : rng->SampleIndices(catalog.num_files(), files_per_peer)) {
-      shared.push_back(static_cast<FileId>(idx));
-    }
+  std::vector<FileId> placement(num_peers * files_per_peer);
+  for (size_t p = 0; p < num_peers; ++p) {
+    rng->SampleIndices(catalog.num_files(),
+                       std::span<FileId>(placement).subspan(p * files_per_peer,
+                                                            files_per_peer));
   }
   return placement;
 }

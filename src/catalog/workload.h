@@ -100,11 +100,12 @@ class QueryWorkload {
 };
 
 /// Initial content placement: each peer shares `files_per_peer` distinct files
-/// chosen uniformly from the catalog (paper: 3 of 3000). Returned as
-/// per-peer file lists.
-std::vector<std::vector<FileId>> AssignInitialFiles(size_t num_peers,
-                                                    size_t files_per_peer,
-                                                    const FileCatalog& catalog,
-                                                    Rng* rng);
+/// chosen uniformly from the catalog (paper: 3 of 3000). Returned flat, one
+/// row per peer: peer p's files are elements [p·k, (p+1)·k) with
+/// k = files_per_peer, in sampled order. Row p holds exactly the sample that
+/// the p-th `rng->SampleIndices(catalog.num_files(), k)` call would return,
+/// so the layout changes no draw.
+std::vector<FileId> AssignInitialFiles(size_t num_peers, size_t files_per_peer,
+                                       const FileCatalog& catalog, Rng* rng);
 
 }  // namespace locaware::catalog

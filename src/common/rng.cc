@@ -80,11 +80,19 @@ double Rng::Exponential(double rate) {
 }
 
 std::vector<size_t> Rng::SampleIndices(size_t n, size_t k) {
+  std::vector<size_t> out(k);
+  SampleIndices(n, std::span<size_t>(out));
+  return out;
+}
+
+template <typename Index>
+void Rng::SampleIndices(size_t n, std::span<Index> out) {
+  const size_t k = out.size();
   LOCAWARE_CHECK_LE(k, n);
   // Partial Fisher–Yates over the identity array [0, n). Both branches below
   // consume exactly k UniformInt(i, n - 1) draws and compute the same swaps,
-  // so the returned sample is bit-identical regardless of which one runs —
-  // the split is purely a cost model.
+  // so the sample is bit-identical regardless of which one runs — the split
+  // is purely a cost model.
   //
   // The sparse branch never materializes the n-entry array: it tracks only
   // the O(k) displaced entries in an inline (index, value) list, making the
@@ -92,7 +100,6 @@ std::vector<size_t> Rng::SampleIndices(size_t n, size_t k) {
   // dozen, once per file — O(k) with zero heap traffic instead of an O(n)
   // fill through a fresh ~200 KB scratch vector per call. The linear scans
   // are O(k^2) total, so past a small k the dense array is cheaper again.
-  std::vector<size_t> out(k);
   if (k <= 64) {
     SmallVector<std::pair<size_t, size_t>, 16> displaced;
     auto value_at = [&](size_t x) {
@@ -116,9 +123,9 @@ std::vector<size_t> Rng::SampleIndices(size_t n, size_t k) {
       const size_t vj = value_at(j);
       set_value(i, vj);
       set_value(j, vi);
-      out[i] = vj;
+      out[i] = static_cast<Index>(vj);
     }
-    return out;
+    return;
   }
   std::vector<size_t> indices(n);
   for (size_t i = 0; i < n; ++i) indices[i] = i;
@@ -126,9 +133,11 @@ std::vector<size_t> Rng::SampleIndices(size_t n, size_t k) {
     size_t j = static_cast<size_t>(UniformInt(i, n - 1));
     std::swap(indices[i], indices[j]);
   }
-  for (size_t i = 0; i < k; ++i) out[i] = indices[i];
-  return out;
+  for (size_t i = 0; i < k; ++i) out[i] = static_cast<Index>(indices[i]);
 }
+
+template void Rng::SampleIndices<size_t>(size_t, std::span<size_t>);
+template void Rng::SampleIndices<uint32_t>(size_t, std::span<uint32_t>);
 
 Rng Rng::Split(std::string_view name) const {
   // Derive a child seed from the *current* state and the stream name without

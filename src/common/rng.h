@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -61,6 +62,15 @@ class Rng {
   /// draw sequence — and therefore the sample — depends only on (n, k) and
   /// the stream state, never on which internal branch runs.
   std::vector<size_t> SampleIndices(size_t n, size_t k);
+
+  /// The same sample written into caller storage: `out.size()` distinct
+  /// indices from [0, n) (out.size() <= n). It makes exactly the draws of
+  /// SampleIndices(n, out.size()) — k UniformInt(i, n - 1) calls for
+  /// i = 0..k-1, in that order — so out[i] equals that call's element i and
+  /// the stream is left in the same state. Allocates nothing for k <= 64.
+  /// Instantiated for size_t and uint32_t (the id types an index can be).
+  template <typename Index>
+  void SampleIndices(size_t n, std::span<Index> out);
 
   /// Derives an independent child stream keyed by `name`. Children of the same
   /// parent with different names are decorrelated; the parent is not advanced.

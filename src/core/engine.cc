@@ -11,6 +11,7 @@
 #include "common/logging.h"
 #include "core/provider_selection.h"
 #include "net/landmark.h"
+#include "sim/tick_order.h"
 
 namespace locaware::core {
 
@@ -184,7 +185,8 @@ Status Engine::Setup() {
     n.id = p;
     n.loc_id = loc_ids[p];
     n.gid = static_cast<GroupId>(gid_rng.UniformInt(0, config_.params.num_groups - 1));
-    n.file_store.assign(initial_files[p].begin(), initial_files[p].end());
+    const auto row = initial_files.begin() + p * config_.files_per_peer;
+    n.file_store.assign(row, row + config_.files_per_peer);
     protocol_->InitNodeState(n, config_.seed);
     maintenance_quiet_[p] = protocol_->MaintenanceIdle(n) ? 1 : 0;
   }
@@ -235,19 +237,17 @@ Status Engine::Setup() {
   // the relative order it had when the ticks were scheduled in peer order.
   if (protocol_->NeedsMaintenanceTicks() || config_.churn.enabled) {
     Rng stagger_rng = root_rng_.Split("maintenance");
-    std::vector<std::pair<sim::SimTime, PeerId>> starts(config_.num_peers);
+    std::vector<sim::SimTime> offsets(config_.num_peers);
     for (PeerId p = 0; p < config_.num_peers; ++p) {
-      starts[p] = {static_cast<sim::SimTime>(stagger_rng.UniformInt(
-                       0, static_cast<uint64_t>(config_.params.maintenance_interval))),
-                   p};
+      offsets[p] = static_cast<sim::SimTime>(stagger_rng.UniformInt(
+          0, static_cast<uint64_t>(config_.params.maintenance_interval)));
     }
-    std::sort(starts.begin(), starts.end());
     const std::vector<size_t>& shard_peers = placement_.shard_peer_counts();
     for (uint32_t s = 0; s < num_shards_; ++s) sim_->ReserveTicks(s, shard_peers[s]);
     // The initial tick re-arms before working, matching the historic
     // per-source sequence order.
-    for (const auto& [offset, p] : starts) {
-      sim_->ScheduleTick(shard_of(p), /*src=*/0, offset, [this, p] {
+    for (PeerId p : sim::TickOrder(offsets)) {
+      sim_->ScheduleTick(shard_of(p), /*src=*/0, offsets[p], [this, p] {
         RearmMaintenanceTick(p);
         MaintenanceWork(p);
       });

@@ -208,7 +208,9 @@ void LocawareProtocol::OnMaintenanceTick(Engine& engine, PeerId node) {
 
   // Index expiry, mirrored into the counting filter.
   const catalog::FileCatalog& catalog = engine.catalog();
-  for (const auto& evicted : state.ri->ExpireStale(engine.Now())) {
+  std::vector<cache::ResponseIndex::EvictedFile> expired;
+  state.ri->ExpireStale(engine.Now(), &expired);
+  for (const auto& evicted : expired) {
     for (KeywordId kw : evicted.keywords) {
       state.keyword_filter->Remove(catalog.KeywordBloomHash(kw));
     }
@@ -280,7 +282,9 @@ void LocawareProtocol::OnPeerDeparted(Engine& engine, PeerId node, PeerId depart
   state.neighbor_filters.erase(departed);
   if (state.ri == nullptr) return;
   const catalog::FileCatalog& catalog = engine.catalog();
-  for (const auto& evicted : state.ri->RemoveProvider(departed)) {
+  std::vector<cache::ResponseIndex::EvictedFile> invalidated;
+  state.ri->RemoveProvider(departed, &invalidated);
+  for (const auto& evicted : invalidated) {
     for (KeywordId kw : evicted.keywords) {
       state.keyword_filter->Remove(catalog.KeywordBloomHash(kw));
     }

@@ -1,6 +1,7 @@
 #include "net/landmark.h"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 #include <unordered_map>
 
@@ -11,6 +12,20 @@ namespace locaware::net {
 namespace {
 
 constexpr uint32_t kFactorial[9] = {1, 1, 2, 6, 24, 120, 720, 5040, 40320};
+
+/// Lehmer rank of a permutation of {0..k-1}, k <= 8, unchecked: digit i
+/// counts the smaller elements to the right of position i.
+uint32_t LehmerRank(const uint8_t* perm, size_t k) {
+  uint32_t rank = 0;
+  for (size_t i = 0; i < k; ++i) {
+    uint32_t smaller = 0;
+    for (size_t j = i + 1; j < k; ++j) {
+      if (perm[j] < perm[i]) ++smaller;
+    }
+    rank += smaller * kFactorial[k - 1 - i];
+  }
+  return rank;
+}
 
 }  // namespace
 
@@ -29,16 +44,7 @@ uint32_t LocIdCodec::PermutationRank(const std::vector<uint8_t>& perm) {
     LOCAWARE_CHECK_EQ((seen >> v) & 1u, 0u) << "duplicate element";
     seen |= 1u << v;
   }
-  // Lehmer code: digit i counts remaining smaller elements to the right.
-  uint32_t rank = 0;
-  for (size_t i = 0; i < k; ++i) {
-    uint32_t smaller = 0;
-    for (size_t j = i + 1; j < k; ++j) {
-      if (perm[j] < perm[i]) ++smaller;
-    }
-    rank += smaller * kFactorial[k - 1 - i];
-  }
-  return rank;
+  return LehmerRank(perm.data(), k);
 }
 
 std::vector<uint8_t> LocIdCodec::RankToPermutation(uint32_t rank, size_t k) {
@@ -61,15 +67,21 @@ std::vector<uint8_t> LocIdCodec::RankToPermutation(uint32_t rank, size_t k) {
 LocId ComputeLocId(const Underlay& underlay, PeerId peer) {
   const size_t k = underlay.num_landmarks();
   LOCAWARE_CHECK_GT(k, 0u) << "underlay has no landmarks";
-  std::vector<uint8_t> order(k);
-  std::iota(order.begin(), order.end(), 0);
-  std::vector<double> rtt(k);
-  for (size_t l = 0; l < k; ++l) rtt[l] = underlay.LandmarkRttMs(peer, l);
-  std::sort(order.begin(), order.end(), [&](uint8_t a, uint8_t b) {
+  LOCAWARE_CHECK_LE(k, 8u);
+  // Fixed-size scratch: one locId per peer at set-up must not cost two heap
+  // vectors per peer. `order` is a permutation by construction, so it is
+  // ranked directly, without PermutationRank's validation.
+  std::array<uint8_t, 8> order;
+  std::array<double, 8> rtt;
+  for (size_t l = 0; l < k; ++l) {
+    order[l] = static_cast<uint8_t>(l);
+    rtt[l] = underlay.LandmarkRttMs(peer, l);
+  }
+  std::sort(order.begin(), order.begin() + k, [&](uint8_t a, uint8_t b) {
     if (rtt[a] != rtt[b]) return rtt[a] < rtt[b];
     return a < b;  // deterministic tie-break
   });
-  return static_cast<LocId>(LocIdCodec::PermutationRank(order));
+  return static_cast<LocId>(LehmerRank(order.data(), k));
 }
 
 std::vector<LocId> ComputeAllLocIds(const Underlay& underlay) {

@@ -19,6 +19,9 @@ Result<OverlayGraph> OverlayGraph::Generate(const OverlayConfig& config, Rng* rn
     return Status::InvalidArgument("avg_degree must be <= num_peers - 1");
   }
 
+  // Every session epoch is 0 while the graph is generated, so AddLink fills
+  // only the adjacency; each link-epoch row is sized once, to zeros, at the
+  // end.
   OverlayGraph g;
   g.adjacency_.resize(config.num_peers);
   g.link_epoch_.resize(config.num_peers);
@@ -44,13 +47,16 @@ Result<OverlayGraph> OverlayGraph::Generate(const OverlayConfig& config, Rng* rn
   }
 
   // Connectivity patch: BFS labels components, then each non-root component
-  // gets one bridge to a random peer of the giant component.
+  // gets one bridge to a random peer of the giant component. A G(n, m) graph
+  // at degree 3 leaves about 5% of its peers isolated, so the frontier is
+  // shared across components rather than rebuilt per component.
   std::vector<int> component(n, -1);
   int num_components = 0;
+  std::deque<PeerId> frontier;
   for (PeerId seed = 0; seed < n; ++seed) {
     if (component[seed] != -1) continue;
     const int c = num_components++;
-    std::deque<PeerId> frontier{seed};
+    frontier.push_back(seed);
     component[seed] = c;
     while (!frontier.empty()) {
       const PeerId u = frontier.front();
@@ -64,18 +70,25 @@ Result<OverlayGraph> OverlayGraph::Generate(const OverlayConfig& config, Rng* rn
     }
   }
   if (num_components > 1) {
-    // Collect one representative per component; bridge them in a chain with
-    // random anchors so no single peer becomes a hub.
-    std::vector<std::vector<PeerId>> members(num_components);
-    for (PeerId p = 0; p < n; ++p) members[component[p]].push_back(p);
+    // Bridge every component to the first with random anchors so no single
+    // peer becomes a hub. Component c's members, in id order, are
+    // by_component[first[c], first[c + 1]): a counting sort by label.
+    std::vector<size_t> first(num_components + 1, 0);
+    for (PeerId p = 0; p < n; ++p) ++first[component[p] + 1];
+    for (int c = 0; c < num_components; ++c) first[c + 1] += first[c];
+    std::vector<size_t> next(first.begin(), first.end() - 1);
+    std::vector<PeerId> by_component(n);
+    for (PeerId p = 0; p < n; ++p) by_component[next[component[p]]++] = p;
+    const auto random_member = [&](int c) {
+      return by_component[first[c] + rng->UniformInt(0, first[c + 1] - first[c] - 1)];
+    };
     for (int c = 1; c < num_components; ++c) {
-      const PeerId from =
-          members[c][rng->UniformInt(0, members[c].size() - 1)];
-      const PeerId to =
-          members[0][rng->UniformInt(0, members[0].size() - 1)];
+      const PeerId from = random_member(c);
+      const PeerId to = random_member(0);
       LOCAWARE_CHECK(g.AddLink(from, to));
     }
   }
+  for (PeerId p = 0; p < n; ++p) g.link_epoch_[p].resize(g.adjacency_[p].size());
   LOCAWARE_CHECK(g.IsConnected());
   return g;
 }
@@ -189,6 +202,12 @@ const OverlayGraph::NeighborList& OverlayGraph::Neighbors(PeerId p) const {
   return adjacency_[p];
 }
 
+const OverlayGraph::EpochList& OverlayGraph::LinkEpochs(PeerId p) const {
+  LOCAWARE_CHECK_LT(p, link_epoch_.size());
+  AssertOwner(p);
+  return link_epoch_[p];
+}
+
 size_t OverlayGraph::Degree(PeerId p) const { return Neighbors(p).size(); }
 
 bool OverlayGraph::AreNeighbors(PeerId a, PeerId b) const {
@@ -200,9 +219,7 @@ bool OverlayGraph::AddLink(PeerId a, PeerId b) {
   LOCAWARE_CHECK_LT(b, adjacency_.size());
   if (a == b || AreNeighbors(a, b)) return false;
   adjacency_[a].push_back(b);
-  link_epoch_[a].push_back(session_epoch_[b]);
   adjacency_[b].push_back(a);
-  link_epoch_[b].push_back(session_epoch_[a]);
   half_edge_count_.fetch_add(2, std::memory_order_relaxed);
   return true;
 }

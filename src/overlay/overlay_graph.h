@@ -82,6 +82,9 @@ class OverlayGraph {
 
   bool IsAlive(PeerId p) const;
   const NeighborList& Neighbors(PeerId p) const;
+  /// Session-epoch stamps parallel to Neighbors(p): entry i is the remote
+  /// peer's epoch when the edge to Neighbors(p)[i] was established.
+  const EpochList& LinkEpochs(PeerId p) const;
   size_t Degree(PeerId p) const;
   bool AreNeighbors(PeerId a, PeerId b) const;
 
@@ -128,7 +131,8 @@ class OverlayGraph {
   OverlayGraph() = default;
 
   /// Generate's builder, before any peer goes offline or ownership is
-  /// partitioned: adds both halves of an undirected link. No-op (returns
+  /// partitioned: adds both adjacency halves of an undirected link, leaving
+  /// the link-epoch rows to Generate (every stamp is 0). No-op (returns
   /// false) if it already exists or would self-loop.
   bool AddLink(PeerId a, PeerId b);
 

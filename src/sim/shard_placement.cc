@@ -25,12 +25,21 @@ void ShardPlacement::BuildDigests(const std::vector<size_t>& peer_location) {
   shard_locations_.assign(num_shards_, {});
   if (num_shards_ <= 1) return;  // no matrix, no digests
   LOCAWARE_CHECK_EQ(peer_location.size(), num_peers_);
+  // Mark (shard, location) in a K x L byte table, then read each shard's row
+  // in location order: the sorted, deduplicated digest without pushing and
+  // sorting one entry per peer.
+  size_t num_locations = 0;
+  for (size_t loc : peer_location) num_locations = std::max(num_locations, loc + 1);
+  std::vector<uint8_t> present(num_shards_ * num_locations, 0);
   for (PeerId p = 0; p < num_peers_; ++p) {
-    shard_locations_[shard_of(p)].push_back(peer_location[p]);
+    present[shard_of(p) * num_locations + peer_location[p]] = 1;
   }
-  for (std::vector<size_t>& locs : shard_locations_) {
-    std::sort(locs.begin(), locs.end());
-    locs.erase(std::unique(locs.begin(), locs.end()), locs.end());
+  for (ShardId s = 0; s < num_shards_; ++s) {
+    const uint8_t* row = present.data() + s * num_locations;
+    std::vector<size_t>& locs = shard_locations_[s];
+    for (size_t loc = 0; loc < num_locations; ++loc) {
+      if (row[loc]) locs.push_back(loc);
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <map>
 #include <set>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -474,9 +475,10 @@ TEST_F(WorkloadFixture, LoadTraceInternsUnknownKeywords) {
 TEST_F(WorkloadFixture, InitialPlacementShape) {
   Rng rng(20);
   const auto placement = AssignInitialFiles(1000, 3, catalog_, &rng);
-  ASSERT_EQ(placement.size(), 1000u);
+  ASSERT_EQ(placement.size(), 1000u * 3u);
   size_t total = 0;
-  for (const auto& files : placement) {
+  for (size_t p = 0; p < 1000; ++p) {
+    const std::span<const FileId> files(placement.data() + p * 3, 3);
     EXPECT_EQ(files.size(), 3u);
     std::set<FileId> unique(files.begin(), files.end());
     EXPECT_EQ(unique.size(), 3u);  // distinct per peer
@@ -491,11 +493,33 @@ TEST_F(WorkloadFixture, PlacementLeavesSomeFilesUnhosted) {
   // This is the structural success-rate ceiling discussed in EXPERIMENTS.md.
   Rng rng(21);
   const auto placement = AssignInitialFiles(1000, 3, catalog_, &rng);
-  std::set<FileId> hosted;
-  for (const auto& files : placement) hosted.insert(files.begin(), files.end());
+  std::set<FileId> hosted(placement.begin(), placement.end());
   const double hosted_fraction =
       static_cast<double>(hosted.size()) / static_cast<double>(catalog_.num_files());
   EXPECT_NEAR(hosted_fraction, 1.0 - std::exp(-1.0), 0.05);
+}
+
+TEST_F(WorkloadFixture, FlatPlacementRowsMatchPerPeerSamples) {
+  // Reference: the nested layout's builder, one SampleIndices result vector
+  // per peer from the same stream. Row p of the flat layout must hold
+  // exactly peer p's sample, and both streams must end in the same state.
+  // The k = 70 case takes the sampler's dense branch.
+  for (const size_t k : {size_t{0}, size_t{1}, size_t{3}, size_t{8}, size_t{70}}) {
+    for (const size_t peers : {size_t{0}, size_t{1}, size_t{257}}) {
+      Rng flat_rng(31 + k);
+      Rng ref_rng(31 + k);
+      const std::vector<FileId> flat = AssignInitialFiles(peers, k, catalog_, &flat_rng);
+      ASSERT_EQ(flat.size(), peers * k);
+      for (size_t p = 0; p < peers; ++p) {
+        const std::vector<size_t> expected = ref_rng.SampleIndices(catalog_.num_files(), k);
+        for (size_t i = 0; i < k; ++i) {
+          ASSERT_EQ(flat[p * k + i], expected[i])
+              << "k=" << k << " peer " << p << " slot " << i;
+        }
+      }
+      EXPECT_EQ(flat_rng.NextU64(), ref_rng.NextU64()) << "k=" << k;
+    }
+  }
 }
 
 }  // namespace

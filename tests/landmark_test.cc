@@ -153,6 +153,68 @@ TEST(AnalyzeLocIdsTest, HandlesEmptyAndUniformInputs) {
   EXPECT_EQ(uniform.mean_peers_per_inhabited, 4.0);
 }
 
+/// The locId builder before it ranked in place: two heap vectors per peer, a
+/// sort, and the checked public codec. Kept as the oracle for ComputeLocId.
+LocId ReferenceLocId(const Underlay& underlay, PeerId peer) {
+  const size_t k = underlay.num_landmarks();
+  std::vector<uint8_t> order(k);
+  for (size_t l = 0; l < k; ++l) order[l] = static_cast<uint8_t>(l);
+  std::vector<double> rtt(k);
+  for (size_t l = 0; l < k; ++l) rtt[l] = underlay.LandmarkRttMs(peer, l);
+  std::sort(order.begin(), order.end(), [&](uint8_t a, uint8_t b) {
+    if (rtt[a] != rtt[b]) return rtt[a] < rtt[b];
+    return a < b;
+  });
+  return static_cast<LocId>(LocIdCodec::PermutationRank(order));
+}
+
+/// Landmark RTTs drawn from three values, so most peers see tied landmarks
+/// and the index tie-break decides their locId.
+class TiedUnderlay final : public Underlay {
+ public:
+  TiedUnderlay(size_t peers, size_t landmarks) : peers_(peers), landmarks_(landmarks) {}
+  size_t num_peers() const override { return peers_; }
+  size_t num_landmarks() const override { return landmarks_; }
+  double RttMs(PeerId a, PeerId b) const override { return a == b ? 0.0 : 1.0; }
+  double LandmarkRttMs(PeerId peer, size_t landmark) const override {
+    return static_cast<double>((peer * 7 + landmark * 13 + peer / 3) % 3);
+  }
+  std::string Describe() const override { return "tied"; }
+
+ private:
+  size_t peers_;
+  size_t landmarks_;
+};
+
+TEST(LocIdOracleTest, MatchesSortAndCheckedCodecForEveryLandmarkCount) {
+  for (size_t k = 1; k <= 8; ++k) {
+    Rng geo_rng(40 + k);
+    GeometricUnderlayConfig geo;
+    geo.num_routers = 60;
+    geo.num_peers = 600;
+    geo.num_landmarks = k;
+    auto geometric = std::move(GeometricUnderlay::Build(geo, &geo_rng)).ValueOrDie();
+    Rng uni_rng(80 + k);
+    UniformUnderlayConfig uni;
+    uni.num_peers = 600;
+    uni.num_landmarks = k;
+    auto uniform = std::move(UniformUnderlay::Build(uni, &uni_rng)).ValueOrDie();
+    const TiedUnderlay tied(600, k);
+    for (const Underlay* u : {static_cast<const Underlay*>(geometric.get()),
+                              static_cast<const Underlay*>(uniform.get()),
+                              static_cast<const Underlay*>(&tied)}) {
+      const std::vector<LocId> all = ComputeAllLocIds(*u);
+      ASSERT_EQ(all.size(), u->num_peers());
+      for (PeerId p = 0; p < u->num_peers(); ++p) {
+        const LocId expected = ReferenceLocId(*u, p);
+        ASSERT_EQ(ComputeLocId(*u, p), expected)
+            << u->Describe() << " k=" << k << " peer " << p;
+        ASSERT_EQ(all[p], expected) << u->Describe() << " k=" << k << " peer " << p;
+      }
+    }
+  }
+}
+
 class LandmarkCountTest : public ::testing::TestWithParam<size_t> {};
 
 /// Property (paper §5.1 rationale): more landmarks inflate the locId space

@@ -1,6 +1,7 @@
 #include "overlay/overlay_graph.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -184,6 +185,50 @@ TEST(OverlayGraphTest, DeterministicForSeed) {
   auto g1 = std::move(OverlayGraph::Generate(PaperOverlay(100), &r1)).ValueOrDie();
   auto g2 = std::move(OverlayGraph::Generate(PaperOverlay(100), &r2)).ValueOrDie();
   for (PeerId p = 0; p < 100; ++p) EXPECT_EQ(g1.Neighbors(p), g2.Neighbors(p));
+}
+
+/// FNV-1a over 32-bit values, byte by byte.
+uint64_t FnvMix(uint64_t h, uint32_t v) {
+  for (int b = 0; b < 4; ++b) {
+    h ^= (v >> (8 * b)) & 0xffu;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(OverlayGraphTest, GeneratedAdjacencyAndLinkEpochsArePinned) {
+  // Digests of every adjacency row and every link-epoch row (length, then
+  // entries) of the generated random graph, recorded before link epochs
+  // were filled once instead of per AddLink. A change to the draws, the
+  // bridging, or the row layout moves these.
+  struct Pinned {
+    size_t peers;
+    uint64_t seed;
+    uint64_t adjacency_fnv;
+    uint64_t epoch_fnv;
+  };
+  constexpr Pinned kPinned[] = {
+      {200, 1, 0x47f3d5bddb9d6209ull, 0x7103ee5569d51af5ull},
+      {200, 7, 0xe9545ab14f54b6e4ull, 0x1743a961d1815853ull},
+      {200, 42, 0x39f40c1b8b86ff0bull, 0x7bc655afb52e005dull},
+      {3000, 1, 0x21cb612cbe9e5cd5ull, 0x7e008793c8e49051ull},
+      {3000, 7, 0x215d3176e7ddc132ull, 0x2b3a7ce344b314b7ull},
+      {3000, 42, 0xc39d9fee20bd3ebdull, 0xcdbd4579a32e91fdull},
+  };
+  for (const Pinned& pin : kPinned) {
+    Rng rng(pin.seed);
+    auto g = std::move(OverlayGraph::Generate(PaperOverlay(pin.peers), &rng)).ValueOrDie();
+    uint64_t adjacency = 0xcbf29ce484222325ull;
+    uint64_t epochs = 0xcbf29ce484222325ull;
+    for (PeerId p = 0; p < pin.peers; ++p) {
+      adjacency = FnvMix(adjacency, static_cast<uint32_t>(g.Neighbors(p).size()));
+      for (PeerId nb : g.Neighbors(p)) adjacency = FnvMix(adjacency, nb);
+      epochs = FnvMix(epochs, static_cast<uint32_t>(g.LinkEpochs(p).size()));
+      for (uint32_t e : g.LinkEpochs(p)) epochs = FnvMix(epochs, e);
+    }
+    EXPECT_EQ(adjacency, pin.adjacency_fnv) << pin.peers << " peers, seed " << pin.seed;
+    EXPECT_EQ(epochs, pin.epoch_fnv) << pin.peers << " peers, seed " << pin.seed;
+  }
 }
 
 // --- messages ---

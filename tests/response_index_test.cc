@@ -47,7 +47,8 @@ TEST(ResponseIndexTest, RemoveProviderInvalidatesDepartedPeer) {
   // Peer 7 departs: kAbc keeps provider 8; kAd loses its only provider and is
   // reported with its keywords so derived structures (Locaware's counting
   // Bloom filter) can delete them.
-  const auto removed = ri.RemoveProvider(7);
+  std::vector<ResponseIndex::EvictedFile> removed;
+  EXPECT_EQ(ri.RemoveProvider(7, &removed), 1u);
   ASSERT_EQ(removed.size(), 1u);
   EXPECT_EQ(removed[0].file, kAd);
   EXPECT_EQ(removed[0].keywords, kAdKws);
@@ -58,7 +59,7 @@ TEST(ResponseIndexTest, RemoveProviderInvalidatesDepartedPeer) {
   EXPECT_EQ(hit->providers[0].provider, 8u);
   // A peer the index never knew is a clean no-op, and departure-driven drops
   // are counted apart from age expiries.
-  EXPECT_TRUE(ri.RemoveProvider(99).empty());
+  EXPECT_EQ(ri.RemoveProvider(99), 0u);
   EXPECT_EQ(ri.stats().invalidations, 2u);
   EXPECT_EQ(ri.stats().expirations, 0u);
 }
@@ -198,7 +199,8 @@ TEST(ResponseIndexTest, ExpireStaleSweepsAndReportsKeywords) {
   ri.AddProvider(kAbc, kAbcKws, P(1), 0);
   ri.AddProvider(2, FKws(2), P(2), 8 * kSecond);
 
-  const auto removed = ri.ExpireStale(15 * kSecond);
+  std::vector<ResponseIndex::EvictedFile> removed;
+  EXPECT_EQ(ri.ExpireStale(15 * kSecond, &removed), 1u);
   ASSERT_EQ(removed.size(), 1u);
   EXPECT_EQ(removed[0].file, kAbc);
   EXPECT_EQ(removed[0].keywords, kAbcKws);
@@ -210,7 +212,7 @@ TEST(ResponseIndexTest, ExpireStaleSweepsAndReportsKeywords) {
 TEST(ResponseIndexTest, ExpireStaleNoTtlIsNoOp) {
   ResponseIndex ri(SmallConfig());
   ri.AddProvider(kAbc, kAbcKws, P(1), 0);
-  EXPECT_TRUE(ri.ExpireStale(1000 * kSecond).empty());
+  EXPECT_EQ(ri.ExpireStale(1000 * kSecond), 0u);
   EXPECT_TRUE(ri.Contains(kAbc));
 }
 
@@ -225,18 +227,19 @@ TEST(ResponseIndexTest, ExpireStaleTtlBoundaryIsExact) {
   const sim::SimTime added = 3 * kSecond;
   ri.AddProvider(kAbc, kAbcKws, P(1), added);
 
-  EXPECT_TRUE(ri.ExpireStale(added + cfg.entry_ttl - 1).empty());
-  EXPECT_TRUE(ri.ExpireStale(added + cfg.entry_ttl).empty());  // age == ttl: live
+  EXPECT_EQ(ri.ExpireStale(added + cfg.entry_ttl - 1), 0u);
+  EXPECT_EQ(ri.ExpireStale(added + cfg.entry_ttl), 0u);  // age == ttl: live
   EXPECT_TRUE(ri.Contains(kAbc));
-  const auto removed = ri.ExpireStale(added + cfg.entry_ttl + 1);
+  std::vector<ResponseIndex::EvictedFile> removed;
+  ri.ExpireStale(added + cfg.entry_ttl + 1, &removed);
   ASSERT_EQ(removed.size(), 1u);
   EXPECT_EQ(removed[0].file, kAbc);
   EXPECT_EQ(ri.stats().expirations, 1u);
 
   // Emptied by the sweep, then refilled: the bound follows the new insert.
   ri.AddProvider(kAd, kAdKws, P(2), 40 * kSecond);
-  EXPECT_TRUE(ri.ExpireStale(50 * kSecond).empty());
-  EXPECT_EQ(ri.ExpireStale(50 * kSecond + 1).size(), 1u);
+  EXPECT_EQ(ri.ExpireStale(50 * kSecond), 0u);
+  EXPECT_EQ(ri.ExpireStale(50 * kSecond + 1), 1u);
 }
 
 TEST(ResponseIndexTest, ExpireStaleHonoursRefreshedProvider) {
@@ -248,11 +251,11 @@ TEST(ResponseIndexTest, ExpireStaleHonoursRefreshedProvider) {
 
   // The bound still says 0, so this sweep runs, finds the refreshed provider
   // live, and tightens the bound to 8 s.
-  EXPECT_TRUE(ri.ExpireStale(12 * kSecond).empty());
+  EXPECT_EQ(ri.ExpireStale(12 * kSecond), 0u);
   EXPECT_EQ(ri.stats().expirations, 0u);
-  EXPECT_TRUE(ri.ExpireStale(18 * kSecond).empty());
+  EXPECT_EQ(ri.ExpireStale(18 * kSecond), 0u);
   EXPECT_TRUE(ri.Contains(kAbc));
-  EXPECT_EQ(ri.ExpireStale(18 * kSecond + 1).size(), 1u);
+  EXPECT_EQ(ri.ExpireStale(18 * kSecond + 1), 1u);
   EXPECT_FALSE(ri.Contains(kAbc));
 }
 
@@ -263,17 +266,18 @@ TEST(ResponseIndexTest, ExpireStaleAfterOldestProviderRemoved) {
   ri.AddProvider(kAbc, kAbcKws, P(1), 0);
   ri.AddProvider(kAbc, kAbcKws, P(2), 5 * kSecond);
   ri.AddProvider(kAd, kAdKws, P(3), 7 * kSecond);
-  EXPECT_TRUE(ri.RemoveProvider(1).empty());  // kAbc keeps provider 2
+  EXPECT_EQ(ri.RemoveProvider(1), 0u);  // kAbc keeps provider 2
 
   // Provider 1 would have been stale at 11 s; the survivors are not.
-  EXPECT_TRUE(ri.ExpireStale(11 * kSecond).empty());
+  EXPECT_EQ(ri.ExpireStale(11 * kSecond), 0u);
   EXPECT_EQ(ri.stats().expirations, 0u);
-  EXPECT_TRUE(ri.ExpireStale(15 * kSecond).empty());
-  const auto removed = ri.ExpireStale(15 * kSecond + 1);
+  EXPECT_EQ(ri.ExpireStale(15 * kSecond), 0u);
+  std::vector<ResponseIndex::EvictedFile> removed;
+  ri.ExpireStale(15 * kSecond + 1, &removed);
   ASSERT_EQ(removed.size(), 1u);
   EXPECT_EQ(removed[0].file, kAbc);
   EXPECT_TRUE(ri.Contains(kAd));
-  EXPECT_EQ(ri.ExpireStale(17 * kSecond + 1).size(), 1u);
+  EXPECT_EQ(ri.ExpireStale(17 * kSecond + 1), 1u);
   EXPECT_EQ(ri.num_filenames(), 0u);
 }
 
@@ -316,7 +320,8 @@ TEST(ResponseIndexTest, SweepsAndReportsAreSortedNotTableOrder) {
   EXPECT_EQ(ri.Files(), expected);
 
   // Everything is stale at t=100: the sweep must report in sorted order.
-  const auto expired = ri.ExpireStale(100);
+  std::vector<ResponseIndex::EvictedFile> expired;
+  ri.ExpireStale(100, &expired);
   ASSERT_EQ(expired.size(), scrambled.size());
   for (size_t i = 0; i < expired.size(); ++i) {
     EXPECT_EQ(expired[i].file, expected[i]) << "expiry sweep not sorted at " << i;
@@ -326,12 +331,51 @@ TEST(ResponseIndexTest, SweepsAndReportsAreSortedNotTableOrder) {
   for (FileId f : scrambled) {
     ri.AddProvider(f, FKws(static_cast<KeywordId>(f)), P(42), /*now=*/200);
   }
-  const auto invalidated = ri.RemoveProvider(42);
+  std::vector<ResponseIndex::EvictedFile> invalidated;
+  ri.RemoveProvider(42, &invalidated);
   ASSERT_EQ(invalidated.size(), scrambled.size());
   for (size_t i = 0; i < invalidated.size(); ++i) {
     EXPECT_EQ(invalidated[i].file, expected[i])
         << "departure sweep not sorted at " << i;
   }
+}
+
+TEST(ResponseIndexTest, SweepsWithoutReportRemoveTheSameFiles) {
+  // Owners with no derived structures (Dicas, Dicas-Keys) sweep without a
+  // report list; the index must end in the state a reporting sweep leaves,
+  // and both return the count of removed files.
+  ResponseIndexConfig cfg;
+  cfg.max_filenames = 16;
+  cfg.entry_ttl = 10;
+  ResponseIndex reported(cfg);
+  ResponseIndex silent(cfg);
+  for (ResponseIndex* ri : {&reported, &silent}) {
+    for (FileId f : {9u, 3u, 14u, 1u}) {
+      ri->AddProvider(f, FKws(static_cast<KeywordId>(f)), P(42), /*now=*/0);
+    }
+    for (FileId f : {12u, 7u}) {
+      ri->AddProvider(f, FKws(static_cast<KeywordId>(f)), P(43), /*now=*/8);
+    }
+    ri->AddProvider(3, FKws(3), P(44), /*now=*/8);
+  }
+  std::vector<ResponseIndex::EvictedFile> expired;
+  EXPECT_EQ(reported.ExpireStale(15, &expired), 3u);  // 9, 14, 1; 3 keeps 44
+  EXPECT_EQ(expired.size(), 3u);
+  EXPECT_EQ(silent.ExpireStale(15), 3u);
+  EXPECT_EQ(silent.Files(), reported.Files());
+  EXPECT_EQ(silent.stats().expirations, reported.stats().expirations);
+
+  std::vector<ResponseIndex::EvictedFile> invalidated;
+  EXPECT_EQ(reported.RemoveProvider(43, &invalidated), 2u);
+  EXPECT_EQ(invalidated.size(), 2u);
+  EXPECT_EQ(silent.RemoveProvider(43), 2u);
+  EXPECT_EQ(silent.Files(), reported.Files());
+  EXPECT_EQ(silent.stats().invalidations, reported.stats().invalidations);
+  EXPECT_EQ(silent.Files(), std::vector<FileId>{3});
+
+  // A sweep that runs nothing still overwrites a caller's stale list.
+  EXPECT_EQ(reported.ExpireStale(16, &expired), 0u);
+  EXPECT_TRUE(expired.empty());
 }
 
 TEST(ResponseIndexTest, StatsCountHitsAndMisses) {

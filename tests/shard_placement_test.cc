@@ -61,6 +61,46 @@ TEST(ShardPlacementTest, DigestsAreSortedDedupedAndComplete) {
   }
 }
 
+/// The digest builder before the byte table: push every peer's location
+/// onto its shard's list, then sort and deduplicate each list. No digests
+/// at one shard (there is no lookahead matrix to feed).
+std::vector<std::vector<size_t>> ReferenceDigests(const ShardPlacement& placement,
+                                                  const std::vector<size_t>& loc) {
+  std::vector<std::vector<size_t>> digests(placement.num_shards());
+  if (placement.num_shards() <= 1) return digests;
+  for (PeerId p = 0; p < placement.num_peers(); ++p) {
+    digests[placement.shard_of(p)].push_back(loc[p]);
+  }
+  for (std::vector<size_t>& d : digests) {
+    std::sort(d.begin(), d.end());
+    d.erase(std::unique(d.begin(), d.end()), d.end());
+  }
+  return digests;
+}
+
+TEST(ShardPlacementTest, DigestsMatchSortAndUniqueOracle) {
+  // Scattered locations (a multiplicative walk over 97 routers, some never
+  // used), for both strategies at 1, 2, 4 and 8 shards, and peer counts that
+  // leave some shards without peers.
+  for (const size_t peers : {size_t{0}, size_t{3}, size_t{500}}) {
+    std::vector<size_t> loc(peers);
+    for (size_t p = 0; p < peers; ++p) loc[p] = (p * 37 + p / 7) % 97;
+    for (const uint32_t shards : {1u, 2u, 4u, 8u}) {
+      const ShardPlacement modulo = ShardPlacement::Modulo(shards, loc);
+      const ShardPlacement clustered =
+          ShardPlacement::Clustered(shards, loc, {}, LineDistance);
+      for (const ShardPlacement* placement : {&modulo, &clustered}) {
+        const auto expected = ReferenceDigests(*placement, loc);
+        for (ShardId s = 0; s < shards; ++s) {
+          EXPECT_EQ(placement->ShardLocations(s), expected[s])
+              << PlacementStrategyName(placement->strategy()) << " shards=" << shards
+              << " peers=" << peers << " shard " << s;
+        }
+      }
+    }
+  }
+}
+
 TEST(ShardPlacementTest, ClusteredCoversEveryPeerExactlyOnce) {
   std::vector<size_t> loc(97);  // deliberately not divisible by anything
   std::vector<uint64_t> weight(97);
