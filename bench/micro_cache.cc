@@ -168,8 +168,8 @@ BENCHMARK(BM_ProviderRefresh);
 
 // One expiry sweep removing all 50 entries. BM_ExpireStaleSweep discards
 // the removed files (the Dicas / Dicas-Keys path: allocs/op must read 0);
-// BM_ExpireStaleSweep/reported collects them sorted, as Locaware does to
-// mirror them into its counting Bloom filter.
+// BM_ExpireStaleSweep/reported collects them in insertion order, as Locaware
+// does to mirror them into its counting Bloom filter.
 void BM_ExpireStaleSweep(benchmark::State& state, bool report) {
   const Corpus corpus = MakeCorpus(50);
   ResponseIndexConfig cfg;

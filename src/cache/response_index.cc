@@ -157,10 +157,6 @@ size_t ResponseIndex::RemoveEntries(DropFn&& drop, std::vector<EvictedFile>* rem
   }
   const size_t count = entries_.size() - kept;
   entries_.erase(entries_.begin() + kept, entries_.end());
-  if (removed != nullptr) {
-    std::sort(removed->begin(), removed->end(),
-              [](const EvictedFile& a, const EvictedFile& b) { return a.file < b.file; });
-  }
   return count;
 }
 

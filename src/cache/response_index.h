@@ -118,15 +118,15 @@ class ResponseIndex {
 
   /// Removes every provider older than the ttl (no-op when ttl = 0), and
   /// every file left without one; returns how many files were removed. When
-  /// `removed` is non-null it is overwritten with those files, sorted by
-  /// FileId; a null list (an owner with no derived structures) costs no
+  /// `removed` is non-null it is overwritten with those files, in insertion
+  /// order; a null list (an owner with no derived structures) costs no
   /// report. Returns at once, without the sweep, while no provider can be
   /// stale yet (see oldest_added_at_).
   size_t ExpireStale(sim::SimTime now, std::vector<EvictedFile>* removed = nullptr);
 
   /// Invalidates every entry naming `provider` (a peer known to have left the
   /// network) and removes the files that lost their last provider; returns
-  /// their count and, like ExpireStale, reports them sorted by FileId in
+  /// their count and, like ExpireStale, reports them in insertion order in
   /// `*removed` when it is non-null — the owner mirrors those into derived
   /// structures (Locaware's counting Bloom filter), exactly like an expiry
   /// sweep.
@@ -179,8 +179,8 @@ class ResponseIndex {
   ProviderVec LiveProviders(const Entry& entry, sim::SimTime now) const;
   /// Removes every entry for which `drop(entry)` is true, keeping the rest in
   /// order, and returns their count. A non-null `removed` receives the
-  /// removed files sorted by FileId, so the report is a function of the
-  /// index's contents, not of its insertion history.
+  /// removed files in insertion order: deterministic, and its one consumer
+  /// (Locaware's counting-Bloom decrements) does not depend on the order.
   template <typename DropFn>
   size_t RemoveEntries(DropFn&& drop, std::vector<EvictedFile>* removed);
 

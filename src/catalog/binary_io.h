@@ -1,4 +1,4 @@
-// Shared plumbing for the versioned binary trace/catalog formats.
+// Plumbing for the versioned binary trace format.
 //
 // Layout, endianness, and the string-table encoding are specified in
 // src/catalog/BINARY_FORMAT.md; this header supplies the mechanical pieces:
@@ -18,15 +18,15 @@
 
 namespace locaware::catalog::binio {
 
-/// 8-byte magic prefixes. A text trace starts with "# locawar", so eight
-/// bytes unambiguously separate the formats (and both from garbage).
+/// 8-byte magic prefix. A text trace starts with "# locawar", so eight
+/// bytes unambiguously separate the two trace formats (and both from
+/// garbage).
 inline constexpr std::string_view kTraceMagic = "LWTRACEB";
-inline constexpr std::string_view kCatalogMagic = "LWCATLGB";
 
-/// Format version both writers stamp and both loaders require.
+/// Format version the writer stamps and the loader requires.
 inline constexpr uint32_t kFormatVersion = 1;
 
-/// \brief Append-only little-endian byte buffer for the save paths.
+/// \brief Append-only little-endian byte buffer for the save path.
 class Writer {
  public:
   void U32(uint32_t v) {

@@ -1,15 +1,15 @@
 #include "catalog/file_catalog.h"
 
 #include <algorithm>
-#include <cstring>
-#include <unordered_set>
 
-#include "catalog/binary_io.h"
 #include "common/check.h"
 #include "common/string_util.h"
 
 namespace locaware::catalog {
 
+// Generate is the catalog's only factory, so this loop (and InternKeyword
+// for minted words) is the only code that fills the derived constants:
+// FNV and Bloom hashes, sorted keyword sets, set hashes and signatures.
 Result<FileCatalog> FileCatalog::Generate(const CatalogConfig& config, Rng* rng) {
   if (config.num_files == 0) {
     return Status::InvalidArgument("num_files must be > 0");
@@ -73,160 +73,6 @@ Result<FileCatalog> FileCatalog::Generate(const CatalogConfig& config, Rng* rng)
     }
     if (!placed) {
       return Status::Internal("could not generate a unique filename");
-    }
-  }
-  return cat;
-}
-
-Status FileCatalog::SaveBinary(const std::string& path) const {
-  if (keywords_per_file_ == 0) {
-    return Status::FailedPrecondition("empty catalog; nothing to serialize");
-  }
-  binio::Writer w;
-  w.U32(static_cast<uint32_t>(keywords_per_file_));
-  size_t string_bytes = 0;
-  for (const std::string& word : keyword_table_) string_bytes += word.size();
-  w.U64(keyword_table_.size());
-  w.U64(string_bytes);
-  w.U64(files_.size());
-  for (const std::string& word : keyword_table_) {
-    w.U32(static_cast<uint32_t>(word.size()));
-  }
-  for (const std::string& word : keyword_table_) w.Bytes(word.data(), word.size());
-  for (const FileEntry& entry : files_) {
-    if (entry.keywords.size() != keywords_per_file_) {
-      return Status::Internal("file '" + entry.filename +
-                              "' violates the fixed keywords-per-file shape");
-    }
-    // The format reconstructs filenames as the keyword join; a catalog that
-    // broke that derivation would silently rename its files on reload.
-    std::vector<std::string> words;
-    words.reserve(entry.keywords.size());
-    for (KeywordId kw : entry.keywords) words.push_back(keyword(kw));
-    if (Join(words, " ") != entry.filename) {
-      return Status::Internal("filename '" + entry.filename +
-                              "' is not the join of its keywords");
-    }
-    for (KeywordId kw : entry.keywords) w.U32(static_cast<uint32_t>(kw));
-  }
-  return binio::WriteFile(path, binio::kCatalogMagic, w.buffer());
-}
-
-Result<FileCatalog> FileCatalog::LoadBinary(const std::string& path) {
-  auto file = binio::InputFile::Open(path);
-  if (!file.ok()) return file.status();
-  const binio::InputFile& in = file.ValueOrDie();
-  binio::Reader r(in.data(), in.size(), path);
-  LOCAWARE_RETURN_NOT_OK(r.ExpectHeader(binio::kCatalogMagic, binio::kFormatVersion));
-
-  auto kpf_field = r.U32();
-  if (!kpf_field.ok()) return kpf_field.status();
-  auto num_keywords = r.U64();
-  if (!num_keywords.ok()) return num_keywords.status();
-  auto string_bytes = r.U64();
-  if (!string_bytes.ok()) return string_bytes.status();
-  auto num_files = r.U64();
-  if (!num_files.ok()) return num_files.status();
-
-  const uint64_t kpf = kpf_field.ValueOrDie();
-  const uint64_t keywords = num_keywords.ValueOrDie();
-  const uint64_t bytes = string_bytes.ValueOrDie();
-  const uint64_t files = num_files.ValueOrDie();
-  if (kpf == 0) return Status::InvalidArgument(path + ": keywords_per_file is 0");
-  const uint64_t avail = r.remaining();
-  // Per-count bounds first, so the expected-size arithmetic below cannot
-  // overflow on a hostile header (each term is at most `avail`).
-  if (keywords > avail / 4 || bytes > avail || files > avail / (4 * kpf)) {
-    return Status::InvalidArgument(path + ": header counts exceed file size");
-  }
-  const uint64_t expect = 4 * keywords + bytes + 4 * files * kpf;
-  if (avail != expect) {
-    return Status::InvalidArgument(
-        path + ": section sizes disagree with file size (expected " +
-        std::to_string(expect) + " payload bytes, have " + std::to_string(avail) + ")");
-  }
-
-  std::vector<uint32_t> lengths(keywords);
-  for (uint64_t i = 0; i < keywords; ++i) {
-    lengths[i] = r.U32().ValueOrDie();  // sized by the exact-size check
-  }
-  uint64_t length_sum = 0;
-  for (uint32_t len : lengths) length_sum += len;
-  if (length_sum != bytes) {
-    return Status::InvalidArgument(path + ": string lengths sum to " +
-                                   std::to_string(length_sum) + ", header says " +
-                                   std::to_string(bytes));
-  }
-  const uint8_t* chars = r.View(bytes).ValueOrDie();
-
-  FileCatalog cat;
-  cat.keywords_per_file_ = static_cast<size_t>(kpf);
-  {
-    // Build the symbol table and its derived constants exactly as Generate
-    // does, rejecting empty or duplicate words before touching the maps.
-    std::unordered_set<std::string_view> distinct;
-    distinct.reserve(keywords);
-    size_t offset = 0;
-    for (uint64_t i = 0; i < keywords; ++i) {
-      std::string_view word(reinterpret_cast<const char*>(chars) + offset, lengths[i]);
-      offset += lengths[i];
-      if (word.empty()) {
-        return Status::InvalidArgument(path + ": empty keyword in string table");
-      }
-      if (!distinct.insert(word).second) {
-        return Status::InvalidArgument(path + ": duplicate keyword '" +
-                                       std::string(word) + "'");
-      }
-      cat.keyword_table_.emplace_back(word);
-    }
-  }
-  cat.keyword_fnv_.reserve(keywords);
-  cat.keyword_bloom_.reserve(keywords);
-  for (const std::string& word : cat.keyword_table_) {
-    cat.keyword_fnv_.push_back(Fnv1a64(word));
-    cat.keyword_bloom_.push_back(BloomKeyHash(word));
-  }
-  cat.keyword_ids_.reserve(keywords);
-  for (KeywordId kw = 0; kw < cat.keyword_table_.size(); ++kw) {
-    cat.keyword_ids_.try_emplace(cat.keyword_table_[kw], kw);
-  }
-  // Reserved for the full count up front: filename_index_ holds views into
-  // the entries' filename strings, which must never relocate (same contract
-  // as Generate).
-  cat.files_.reserve(files);
-  cat.signatures_.reserve(files);
-  cat.filename_index_.reserve(files);
-  for (uint64_t f = 0; f < files; ++f) {
-    FileEntry entry;
-    entry.keywords.reserve(kpf);
-    std::vector<std::string> words;
-    words.reserve(kpf);
-    for (uint64_t k = 0; k < kpf; ++k) {
-      const uint32_t kw = r.U32().ValueOrDie();  // sized by the exact-size check
-      if (kw >= keywords) {
-        return Status::InvalidArgument(path + ": file " + std::to_string(f) +
-                                       " references keyword " + std::to_string(kw) +
-                                       " out of range");
-      }
-      entry.keywords.push_back(kw);
-      words.push_back(cat.keyword_table_[kw]);
-    }
-    entry.sorted_keywords = entry.keywords;
-    std::sort(entry.sorted_keywords.begin(), entry.sorted_keywords.end());
-    for (size_t k = 1; k < entry.sorted_keywords.size(); ++k) {
-      if (entry.sorted_keywords[k] == entry.sorted_keywords[k - 1]) {
-        return Status::InvalidArgument(path + ": file " + std::to_string(f) +
-                                       " repeats a keyword");
-      }
-    }
-    entry.filename = Join(words, " ");
-    entry.set_fnv = cat.CanonicalSetFnv(entry.keywords);
-    const FileId fid = static_cast<FileId>(f);
-    cat.signatures_.push_back(KeywordSignature(entry.keywords));
-    cat.files_.push_back(std::move(entry));
-    if (!cat.filename_index_.try_emplace(cat.files_.back().filename, fid).second) {
-      return Status::InvalidArgument(path + ": duplicate filename '" +
-                                     cat.files_.back().filename + "'");
     }
   }
   return cat;

@@ -7,9 +7,10 @@
 //
 // The catalog is also the system's symbol authority (see common/types.h): it
 // owns the only KeywordId/FileId <-> string tables, built once at Generate
-// time, plus the derived per-symbol constants every hot path reuses instead
-// of touching strings — FNV group hashes, 128-bit Bloom probe hashes, and
-// wire byte lengths (the WireNames interface).
+// time (the only factory: a catalog is never saved or loaded), plus the
+// derived per-symbol constants every hot path reuses instead of touching
+// strings — FNV group hashes, 128-bit Bloom probe hashes, and wire byte
+// lengths (the WireNames interface).
 #pragma once
 
 #include <cstddef>
@@ -56,18 +57,6 @@ class FileCatalog : public WireNames {
   /// unsatisfiable (e.g. more keywords per file than the pool holds).
   static Result<FileCatalog> Generate(const CatalogConfig& config, Rng* rng);
 
-  /// Serializes to the versioned binary catalog format (BINARY_FORMAT.md):
-  /// the keyword string table in id order plus fixed-width per-file
-  /// keyword-id rows. Filenames are not stored — they are the space-join of
-  /// the keywords by construction (Internal error if one is not).
-  Status SaveBinary(const std::string& path) const;
-
-  /// Loads a catalog written by SaveBinary, rebuilding every derived
-  /// constant (FNV/Bloom hashes, sorted sets, set hashes, signatures,
-  /// lookup maps) exactly as Generate would. Corrupt/truncated/version-mismatched
-  /// files return Status, never crash.
-  static Result<FileCatalog> LoadBinary(const std::string& path);
-
   size_t num_files() const { return files_.size(); }
   size_t keywords_per_file() const { return keywords_per_file_; }
   size_t num_keywords() const { return keyword_table_.size(); }
@@ -106,8 +95,8 @@ class FileCatalog : public WireNames {
   /// string-era GroupOfFilename preimage). Group of the file = this mod M.
   uint64_t FileSetFnv(FileId f) const;
 
-  /// KeywordSignature of the file's keyword set, built by both factories
-  /// beside the file table and never serialized.
+  /// KeywordSignature of the file's keyword set, built by Generate beside
+  /// the file table.
   uint64_t FileSignature(FileId f) const;
 
   /// True iff `f`'s keyword set contains every id of `sorted_query` (ids
@@ -176,8 +165,8 @@ class FileCatalog : public WireNames {
   std::vector<KeyHash128> keyword_bloom_;    // KeywordId -> Murmur3(word)
   /// Flat interning tables (single allocation each; heterogeneous lookup, so
   /// callers probe with whatever string type they hold). Pre-sized from the
-  /// generation config or the binary header's counts, so loading never
-  /// rehashes. The views key into keyword_table_ / files_ storage.
+  /// generation config, so Generate never rehashes. The views key into
+  /// keyword_table_ / files_ storage.
   FlatMap<std::string_view, KeywordId> keyword_ids_;  // word -> id
   std::vector<FileEntry> files_;
   /// FileId -> KeywordSignature(keywords), dense so the prefilter reads 8

@@ -27,7 +27,6 @@ Result<OverlayGraph> OverlayGraph::Generate(const OverlayConfig& config, Rng* rn
   g.link_epoch_.resize(config.num_peers);
   g.session_epoch_.assign(config.num_peers, 0);
   g.alive_.assign(config.num_peers, 1);
-  g.alive_count_.store(config.num_peers, std::memory_order_relaxed);
 
   const size_t n = config.num_peers;
   const size_t target_links = static_cast<size_t>(config.avg_degree * n / 2.0);
@@ -93,56 +92,6 @@ Result<OverlayGraph> OverlayGraph::Generate(const OverlayConfig& config, Rng* rn
   return g;
 }
 
-OverlayGraph::OverlayGraph(const OverlayGraph& other)
-    : adjacency_(other.adjacency_),
-      link_epoch_(other.link_epoch_),
-      session_epoch_(other.session_epoch_),
-      alive_(other.alive_),
-      owner_shards_(other.owner_shards_),
-      owner_of_(other.owner_of_),
-      alive_count_(other.alive_count_.load(std::memory_order_relaxed)),
-      half_edge_count_(other.half_edge_count_.load(std::memory_order_relaxed)) {}
-
-OverlayGraph& OverlayGraph::operator=(const OverlayGraph& other) {
-  if (this == &other) return *this;
-  adjacency_ = other.adjacency_;
-  link_epoch_ = other.link_epoch_;
-  session_epoch_ = other.session_epoch_;
-  alive_ = other.alive_;
-  owner_shards_ = other.owner_shards_;
-  owner_of_ = other.owner_of_;
-  alive_count_.store(other.alive_count_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  half_edge_count_.store(other.half_edge_count_.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-  return *this;
-}
-
-OverlayGraph::OverlayGraph(OverlayGraph&& other) noexcept
-    : adjacency_(std::move(other.adjacency_)),
-      link_epoch_(std::move(other.link_epoch_)),
-      session_epoch_(std::move(other.session_epoch_)),
-      alive_(std::move(other.alive_)),
-      owner_shards_(other.owner_shards_),
-      owner_of_(std::move(other.owner_of_)),
-      alive_count_(other.alive_count_.load(std::memory_order_relaxed)),
-      half_edge_count_(other.half_edge_count_.load(std::memory_order_relaxed)) {}
-
-OverlayGraph& OverlayGraph::operator=(OverlayGraph&& other) noexcept {
-  if (this == &other) return *this;
-  adjacency_ = std::move(other.adjacency_);
-  link_epoch_ = std::move(other.link_epoch_);
-  session_epoch_ = std::move(other.session_epoch_);
-  alive_ = std::move(other.alive_);
-  owner_shards_ = other.owner_shards_;
-  owner_of_ = std::move(other.owner_of_);
-  alive_count_.store(other.alive_count_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  half_edge_count_.store(other.half_edge_count_.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-  return *this;
-}
-
 void OverlayGraph::SetPartitionedOwnership(uint32_t num_shards,
                                            std::vector<uint32_t> owner_of) {
   LOCAWARE_CHECK_GT(num_shards, 0u);
@@ -164,23 +113,12 @@ void OverlayGraph::AssertOwner(PeerId p) const {
 }
 
 size_t OverlayGraph::num_alive() const {
-  const size_t count = alive_count_.load(std::memory_order_relaxed);
-#ifndef NDEBUG
-  LOCAWARE_CHECK_EQ(
-      count, static_cast<size_t>(std::count(alive_.begin(), alive_.end(), 1)))
-      << "alive tally diverged from the liveness scan";
-#endif
-  return count;
+  return static_cast<size_t>(std::count(alive_.begin(), alive_.end(), 1));
 }
 
 size_t OverlayGraph::num_links() const {
-  const size_t half_edges = half_edge_count_.load(std::memory_order_relaxed);
-#ifndef NDEBUG
-  size_t scanned = 0;
-  for (const auto& adj : adjacency_) scanned += adj.size();
-  LOCAWARE_CHECK_EQ(half_edges, scanned)
-      << "half-edge tally diverged from the adjacency scan";
-#endif
+  size_t half_edges = 0;
+  for (const auto& adj : adjacency_) half_edges += adj.size();
   return half_edges / 2;
 }
 
@@ -220,7 +158,6 @@ bool OverlayGraph::AddLink(PeerId a, PeerId b) {
   if (a == b || AreNeighbors(a, b)) return false;
   adjacency_[a].push_back(b);
   adjacency_[b].push_back(a);
-  half_edge_count_.fetch_add(2, std::memory_order_relaxed);
   return true;
 }
 
@@ -229,13 +166,11 @@ std::vector<PeerId> OverlayGraph::GoOffline(PeerId p) {
   AssertOwner(p);
   LOCAWARE_CHECK(alive_[p]) << "GoOffline of offline peer " << p;
   alive_[p] = 0;
-  alive_count_.fetch_sub(1, std::memory_order_relaxed);
   // ToVector + clear rather than a move: the row keeps its spilled
   // capacity for the links the peer re-establishes when it rejoins.
   std::vector<PeerId> dropped = adjacency_[p].ToVector();
   adjacency_[p].clear();
   link_epoch_[p].clear();
-  half_edge_count_.fetch_sub(dropped.size(), std::memory_order_relaxed);
   return dropped;
 }
 
@@ -245,7 +180,6 @@ void OverlayGraph::GoOnline(PeerId p) {
   LOCAWARE_CHECK(!alive_[p]) << "GoOnline of online peer " << p;
   LOCAWARE_CHECK(adjacency_[p].empty());
   alive_[p] = 1;
-  alive_count_.fetch_add(1, std::memory_order_relaxed);
   ++session_epoch_[p];
 }
 
@@ -265,7 +199,6 @@ bool OverlayGraph::AddHalfLink(PeerId p, PeerId nb, uint32_t nb_epoch) {
   }
   adjacency_[p].push_back(nb);
   link_epoch_[p].push_back(nb_epoch);
-  half_edge_count_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -278,7 +211,6 @@ bool OverlayGraph::RemoveHalfLink(PeerId p, PeerId nb, uint32_t max_epoch) {
   if (link_epoch_[p][idx] > max_epoch) return false;  // newer session's link
   adjacency_[p].erase(it);
   link_epoch_[p].erase(link_epoch_[p].begin() + idx);
-  half_edge_count_.fetch_sub(1, std::memory_order_relaxed);
   return true;
 }
 

@@ -25,7 +25,6 @@
 // map); an empty map means the modulo partition.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <vector>
 
@@ -61,21 +60,12 @@ class OverlayGraph {
   /// config cannot make a connected graph (n = 0, degree too small).
   static Result<OverlayGraph> Generate(const OverlayConfig& config, Rng* rng);
 
-  // The liveness/link tallies are atomics (shard-owned rows mutate
-  // concurrently under the parallel engine), which forfeits the implicit
-  // copy/move special members; these restore them.
-  OverlayGraph(const OverlayGraph& other);
-  OverlayGraph& operator=(const OverlayGraph& other);
-  OverlayGraph(OverlayGraph&& other) noexcept;
-  OverlayGraph& operator=(OverlayGraph&& other) noexcept;
-
   size_t num_peers() const { return adjacency_.size(); }
-  /// Peers currently online. O(1): maintained incrementally by every
-  /// liveness mutation (debug builds cross-check against a full scan).
+  /// Peers currently online: an O(n) scan of the liveness flags.
   size_t num_alive() const;
-  /// Half-edge count / 2. O(1): maintained incrementally by every link
-  /// mutation (debug builds cross-check against a full scan). With in-flight
-  /// link notifications the two endpoint views can briefly disagree, so this
+  /// Half-edge count / 2: an O(n) scan of the adjacency rows. With
+  /// in-flight link notifications the two endpoint views can briefly
+  /// disagree (a dangling half counts as half a link, rounded down), so this
   /// is exact only at quiescence.
   size_t num_links() const;
   double AverageDegree() const;
@@ -148,13 +138,6 @@ class OverlayGraph {
   uint32_t owner_shards_ = 1;
   /// Placement-defined owner shard per peer; empty = modulo partition.
   std::vector<uint32_t> owner_of_;
-  /// Incremental mirrors of the full scans (every mutator updates them;
-  /// num_alive/num_links assert agreement in debug builds). Counting
-  /// half-edges keeps dangling halves consistent with the scan semantics.
-  /// Relaxed atomics: owner-shard mutators bump them concurrently, readers
-  /// are controller-phase reporting at quiescence.
-  std::atomic<size_t> alive_count_{0};
-  std::atomic<size_t> half_edge_count_{0};
 };
 
 }  // namespace locaware::overlay

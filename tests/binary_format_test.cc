@@ -1,9 +1,8 @@
-// The versioned binary trace/catalog formats (BINARY_FORMAT.md). Three
-// contracts under test: the text and binary encodings are interchangeable
-// (byte-identical text -> binary -> text round trip, byte-identical metric
-// JSON whichever format replays the workload), a catalog survives its round
-// trip with every derived constant intact, and corrupt/truncated/mismatched
-// files fail with a Status — never a crash, never a half-mutated catalog.
+// The versioned binary trace format (BINARY_FORMAT.md). Two contracts under
+// test: the text and binary encodings are interchangeable (byte-identical
+// text -> binary -> text round trip, byte-identical metric JSON whichever
+// format replays the workload), and corrupt/truncated/mismatched files fail
+// with a Status — never a crash, never a half-mutated catalog.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -11,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "catalog/binary_io.h"
 #include "catalog/file_catalog.h"
 #include "catalog/workload.h"
 #include "common/rng.h"
@@ -122,46 +120,6 @@ TEST_F(BinaryFormatFixture, LoadAutoSniffsBothFormats) {
   std::remove(bin.c_str());
 }
 
-TEST_F(BinaryFormatFixture, CatalogRoundTripRebuildsEveryDerivedConstant) {
-  const std::string path = Temp("catalog.bin");
-  ASSERT_TRUE(catalog_.SaveBinary(path).ok());
-  auto loaded = FileCatalog::LoadBinary(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const FileCatalog& copy = loaded.ValueOrDie();
-  ASSERT_EQ(copy.num_files(), catalog_.num_files());
-  ASSERT_EQ(copy.num_keywords(), catalog_.num_keywords());
-  ASSERT_EQ(copy.keywords_per_file(), catalog_.keywords_per_file());
-  for (FileId f = 0; f < catalog_.num_files(); ++f) {
-    EXPECT_EQ(copy.filename(f), catalog_.filename(f));
-    EXPECT_EQ(copy.keywords(f), catalog_.keywords(f));
-    EXPECT_EQ(copy.sorted_keywords(f), catalog_.sorted_keywords(f));
-    EXPECT_EQ(copy.FileSetFnv(f), catalog_.FileSetFnv(f));
-  }
-  for (KeywordId kw = 0; kw < catalog_.num_keywords(); ++kw) {
-    EXPECT_EQ(copy.keyword(kw), catalog_.keyword(kw));
-    EXPECT_EQ(copy.KeywordFnv(kw), catalog_.KeywordFnv(kw));
-    EXPECT_EQ(copy.LookupKeyword(catalog_.keyword(kw)), kw);
-  }
-  // The keyword signatures came back too: matching agrees file by file.
-  const auto& probe = catalog_.sorted_keywords(0);
-  for (FileId f = 0; f < catalog_.num_files(); ++f) {
-    EXPECT_EQ(copy.FileSignature(f), catalog_.FileSignature(f));
-    EXPECT_EQ(copy.Matches(f, probe), catalog_.Matches(f, probe));
-  }
-  EXPECT_EQ(copy.LookupFilename(catalog_.filename(5)), FileId{5});
-  std::remove(path.c_str());
-}
-
-TEST_F(BinaryFormatFixture, MintedKeywordsSurviveTheCatalogRoundTrip) {
-  const KeywordId minted = catalog_.InternKeyword("zzqvnotinpool");
-  const std::string path = Temp("minted.bin");
-  ASSERT_TRUE(catalog_.SaveBinary(path).ok());
-  auto loaded = FileCatalog::LoadBinary(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.ValueOrDie().LookupKeyword("zzqvnotinpool"), minted);
-  std::remove(path.c_str());
-}
-
 TEST_F(BinaryFormatFixture, RejectsCorruptHeadersWithoutCrashing) {
   const std::string path = Temp("corrupt.bin");
   ASSERT_TRUE(workload_.SaveBinary(path, catalog_).ok());
@@ -182,15 +140,6 @@ TEST_F(BinaryFormatFixture, RejectsCorruptHeadersWithoutCrashing) {
   bad[8] = static_cast<char>(99);
   WriteFileBytes(path, bad);
   EXPECT_FALSE(QueryWorkload::LoadBinary(path, &scratch).ok());
-
-  // A catalog magic fed to the trace loader (and vice versa).
-  {
-    const std::string cat_path = Temp("crossmagic.bin");
-    ASSERT_TRUE(catalog_.SaveBinary(cat_path).ok());
-    EXPECT_FALSE(QueryWorkload::LoadBinary(cat_path, &scratch).ok());
-    EXPECT_FALSE(FileCatalog::LoadBinary(path).ok());
-    std::remove(cat_path.c_str());
-  }
 
   // Truncations at every section boundary flavor: header, counts, payload.
   for (size_t keep : {size_t{4}, size_t{11}, size_t{20}, good.size() / 2,
@@ -220,21 +169,7 @@ TEST_F(BinaryFormatFixture, RejectsCorruptHeadersWithoutCrashing) {
   std::remove(path.c_str());
 }
 
-TEST_F(BinaryFormatFixture, RejectsCorruptCatalogWithoutCrashing) {
-  const std::string path = Temp("catcorrupt.bin");
-  ASSERT_TRUE(catalog_.SaveBinary(path).ok());
-  const std::string good = ReadFileBytes(path);
-  for (size_t keep : {size_t{4}, size_t{12}, size_t{30}, good.size() / 2,
-                      good.size() - 1}) {
-    WriteFileBytes(path, good.substr(0, keep));
-    EXPECT_FALSE(FileCatalog::LoadBinary(path).ok()) << keep;
-  }
-  WriteFileBytes(path, good + "zz");
-  EXPECT_FALSE(FileCatalog::LoadBinary(path).ok());
-  std::remove(path.c_str());
-}
-
-// The end-to-end contract the formats exist for: one experiment, seed 42,
+// The end-to-end contract the format exists for: one experiment, seed 42,
 // workload replayed once from a text trace and once from its binary
 // encoding — the metric JSON must match byte for byte (the binary row also
 // runs sharded, crossing format against shard count).

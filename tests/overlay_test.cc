@@ -364,6 +364,53 @@ TEST(OverlayHalfLinkTest, DanglingHalfEdgesStayOutOfComponents) {
   EXPECT_LE(g.LargestComponentFraction(), 1.0);
 }
 
+TEST(OverlayHalfLinkTest, CountsFollowEveryHalfLinkOp) {
+  // num_alive() and num_links() against counts kept by hand through each
+  // owner op. A dangling half-edge makes the half-edge total odd, and
+  // num_links() rounds that half link down.
+  OverlayGraph g = SmallGraph();
+  size_t alive = g.num_peers();
+  size_t half_edges = 0;
+  for (PeerId p = 0; p < g.num_peers(); ++p) half_edges += g.Degree(p);
+  bool saw_odd = false;
+  const auto expect_counts = [&](const char* step) {
+    EXPECT_EQ(g.num_alive(), alive) << step;
+    EXPECT_EQ(g.num_links(), half_edges / 2) << step;
+    saw_odd |= half_edges % 2 == 1;
+  };
+  expect_counts("generated");
+
+  const std::vector<PeerId> dropped = g.GoOffline(0);
+  ASSERT_FALSE(dropped.empty());
+  --alive;
+  half_edges -= dropped.size();
+  expect_counts("GoOffline");
+
+  // One neighbor's half toward the departed peer dissolves; the others
+  // still dangle.
+  ASSERT_TRUE(g.RemoveHalfLink(dropped.front(), 0, g.session_epoch(0)));
+  --half_edges;
+  expect_counts("RemoveHalfLink");
+
+  // A one-sided half between two live peers, as while a LinkAccept is in
+  // flight.
+  PeerId a = 1, b = 2;
+  while (g.HasHalfLink(a, b)) {
+    if (++b == g.num_peers()) b = ++a + 1;
+    ASSERT_LT(b, g.num_peers());
+  }
+  ASSERT_TRUE(g.AddHalfLink(a, b, g.session_epoch(b)));
+  ++half_edges;
+  expect_counts("AddHalfLink");
+  EXPECT_FALSE(g.AddHalfLink(a, b, g.session_epoch(b)));  // refresh only
+  expect_counts("AddHalfLink refresh");
+
+  g.GoOnline(0);
+  ++alive;
+  expect_counts("GoOnline");
+  EXPECT_TRUE(saw_odd);
+}
+
 // --- churn model ---
 
 TEST(ChurnModelTest, DisabledByDefaultConstructible) {

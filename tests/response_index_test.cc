@@ -299,13 +299,12 @@ TEST(ResponseIndexTest, FilesAndKeywordsAccessors) {
   EXPECT_DEATH(ri.KeywordsOf(999), "absent");
 }
 
-TEST(ResponseIndexTest, SweepsAndReportsAreSortedNotTableOrder) {
-  // The backing table is unordered; everything the index *reports as a list*
-  // must be deterministic regardless of table layout. The contract: Files(),
-  // the expiry sweep, and the departed-provider sweep all act in sorted
-  // FileId order. Insertion order here is deliberately scrambled so that a
-  // container whose iteration order follows insertion (or a hash layout
-  // correlated with it) would fail without the collect-and-sort rule.
+TEST(ResponseIndexTest, SweepsReportInInsertionOrder) {
+  // The index is one insertion-ordered array, so both sweeps report the
+  // files they remove in insertion order: deterministic without a sort, and
+  // the order is immaterial to the only consumer (counting-Bloom
+  // decrements commute). Files() alone is a sorted view. The scrambled
+  // insertion order tells the two orders apart.
   ResponseIndexConfig cfg;
   cfg.max_filenames = 16;
   cfg.entry_ttl = 10;
@@ -315,29 +314,34 @@ TEST(ResponseIndexTest, SweepsAndReportsAreSortedNotTableOrder) {
     ri.AddProvider(f, FKws(static_cast<KeywordId>(f)), P(42), /*now=*/0);
   }
 
-  std::vector<FileId> expected = scrambled;
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(ri.Files(), expected);
+  std::vector<FileId> sorted = scrambled;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(ri.Files(), sorted);
 
-  // Everything is stale at t=100: the sweep must report in sorted order.
+  const auto files_of = [](const std::vector<ResponseIndex::EvictedFile>& report) {
+    std::vector<FileId> out;
+    for (const auto& evicted : report) {
+      EXPECT_EQ(evicted.keywords, FKws(static_cast<KeywordId>(evicted.file)));
+      out.push_back(evicted.file);
+    }
+    return out;
+  };
+
+  // Everything is stale at t=100: the expiry sweep reports every file.
   std::vector<ResponseIndex::EvictedFile> expired;
-  ri.ExpireStale(100, &expired);
-  ASSERT_EQ(expired.size(), scrambled.size());
-  for (size_t i = 0; i < expired.size(); ++i) {
-    EXPECT_EQ(expired[i].file, expected[i]) << "expiry sweep not sorted at " << i;
-  }
+  EXPECT_EQ(ri.ExpireStale(100, &expired), scrambled.size());
+  EXPECT_EQ(files_of(expired), scrambled);
 
-  // Same for the departure sweep.
+  // The departure sweep removes only the departed peer's files; the others
+  // stay in place, in order.
   for (FileId f : scrambled) {
-    ri.AddProvider(f, FKws(static_cast<KeywordId>(f)), P(42), /*now=*/200);
+    const PeerId provider = f % 3 == 0 ? 42 : 43;
+    ri.AddProvider(f, FKws(static_cast<KeywordId>(f)), P(provider), /*now=*/200);
   }
   std::vector<ResponseIndex::EvictedFile> invalidated;
-  ri.RemoveProvider(42, &invalidated);
-  ASSERT_EQ(invalidated.size(), scrambled.size());
-  for (size_t i = 0; i < invalidated.size(); ++i) {
-    EXPECT_EQ(invalidated[i].file, expected[i])
-        << "departure sweep not sorted at " << i;
-  }
+  EXPECT_EQ(ri.RemoveProvider(42, &invalidated), 3u);
+  EXPECT_EQ(files_of(invalidated), (std::vector<FileId>{9, 3, 12}));
+  EXPECT_EQ(ri.Files(), (std::vector<FileId>{1, 5, 7, 11, 14}));
 }
 
 TEST(ResponseIndexTest, SweepsWithoutReportRemoveTheSameFiles) {
